@@ -1,13 +1,18 @@
-"""Cached mapping table: LRU cache of (volume, lpn) -> ppn entries.
+"""Demand-paged page mapping: the cached mapping table and the mapping
+core both FTLs are built on.
 
-Eviction policy is plain LRU.  The cache itself never touches flash;
-the owning FTL flushes evicted dirty entries (batched per translation
-page) through its normal write paths.
+The CMT is an LRU cache of (volume, lpn) -> ppn entries.  The cache
+itself never touches flash; the mapping core flushes evicted dirty
+entries (batched per translation page) through the owning FTL's write
+paths.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
+
+from .errors import DeviceFull, UnmappedLpn
 
 UNMAPPED = 0xFFFF_FFFF
 
@@ -81,3 +86,146 @@ class CachedMappingTable:
             if dirty:
                 groups.add((vol, lpn // entries_per_page_by_volume[vol]))
         return groups
+
+
+class MappingCore:
+    """Page-level demand-paged mapping (DFTL, Gupta et al., ASPLOS 2009)
+    shared by the baseline and the deniable FTL.
+
+    Each volume's mappings live on flash in translation pages; the GTD
+    (``_gtd[volume][m_vpn]``) locates them and the CMT caches hot
+    entries.  A subclass sets ``device``, ``gc_watermark``, ``_epp``
+    (entries per translation page, by volume) and ``_valid`` (valid
+    pages per block), calls ``_reset_mapping``, and supplies how a
+    translation page is read (``_read_entries``) and written
+    (``_write_translation``) and how a block is collected (``gc_run``).
+    """
+
+    def _reset_mapping(self, volume_pages, cmt_capacity, free_blocks):
+        """Empty cache, all-unmapped GTD for {volume: logical pages}, and
+        the given blocks free."""
+        self.cmt = CachedMappingTable(cmt_capacity)
+        self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])
+                     for vol, pages in volume_pages.items()}
+        self._set_free_blocks(free_blocks)
+        self._in_gc = False
+        self._draining = False
+
+    def _clamp_ppn(self, ppn):
+        """Keep arbitrary (possibly garbage-decrypted) values addressable."""
+        if ppn == UNMAPPED:
+            return UNMAPPED
+        return ppn % self.device.geometry.total_pages
+
+    # -- translation ---------------------------------------------------
+
+    def _translate(self, volume, lpn, missing_ok=False):
+        ppn = self.cmt.lookup(volume, lpn)
+        if ppn is None:
+            epp = self._epp[volume]
+            t_ppn = self._gtd[volume][lpn // epp]
+            if t_ppn == UNMAPPED:
+                ppn = UNMAPPED
+            else:
+                ppn = self._clamp_ppn(
+                    self._read_entries(volume, t_ppn)[lpn % epp])
+            self.cmt.put(volume, lpn, ppn, dirty=False)
+        if ppn == UNMAPPED:
+            if missing_ok:
+                return None
+            raise UnmappedLpn(f"{volume} lpn {lpn} is not mapped")
+        return ppn
+
+    def _flush_group(self, volume, m_vpn, extra=()):
+        """Write one translation page carrying every dirty cached entry
+        (and any extras) for its lpn range."""
+        epp = self._epp[volume]
+        old = self._gtd[volume][m_vpn]
+        if old != UNMAPPED:
+            entries = self._read_entries(volume, old)
+        else:
+            entries = [UNMAPPED] * epp
+        dirty = self.cmt.dirty_in_page(volume, m_vpn, epp)
+        for lpn, ppn in dirty + list(extra):
+            entries[lpn % epp] = ppn
+        self._write_translation(volume, m_vpn, entries)
+        # Programming the translation page may have garbage-collected and
+        # re-dirtied some of these entries with newer ppns; leave those dirty.
+        for lpn, ppn in dirty:
+            self.cmt.mark_clean(volume, lpn, expected_ppn=ppn)
+
+    def _drain_cmt(self):
+        if self._draining:
+            return
+        self._draining = True
+        try:
+            while True:
+                item = self.cmt.pop_excess()
+                if item is None:
+                    break
+                (vol, lpn), ppn, dirty = item
+                if dirty:
+                    self._flush_group(vol, lpn // self._epp[vol],
+                                      extra=[(lpn, ppn)])
+        finally:
+            self._draining = False
+
+    def _walk_volume(self, volume):
+        """Quiet {lpn: ppn} map from the on-flash translation pages (no
+        clock, no CMT)."""
+        out = {}
+        epp = self._epp[volume]
+        for m, t_ppn in enumerate(self._gtd[volume]):
+            if t_ppn == UNMAPPED:
+                continue
+            entries = self._read_entries(volume, t_ppn, quiet=True)
+            for i, e in enumerate(entries):
+                if e != UNMAPPED:
+                    out[m * epp + i] = self._clamp_ppn(e)
+        return out
+
+    def _mapped(self, volume):
+        """Quiet {lpn: ppn} view of a volume: the walked map with the
+        cached entries laid over it."""
+        out = self._walk_volume(volume)
+        for (vol, lpn), (ppn, _) in self.cmt._entries.items():
+            if vol == volume:
+                if ppn == UNMAPPED:
+                    out.pop(lpn, None)
+                else:
+                    out[lpn] = ppn
+        return out
+
+    # -- free blocks and collection ------------------------------------
+
+    def _set_free_blocks(self, blocks):
+        self._fbl = list(blocks)
+        heapq.heapify(self._fbl)
+        self._free = set(self._fbl)
+
+    def _take_free_block(self):
+        """Collect down to the watermark, then pop the lowest free block."""
+        self._maybe_gc()
+        if not self._fbl:
+            raise DeviceFull("no free blocks remain")
+        blk = heapq.heappop(self._fbl)
+        self._free.discard(blk)
+        return blk
+
+    def _release_block(self, blk):
+        """Erase a collected block and return it to the free heap."""
+        self.device.erase_block(blk)
+        self._valid[blk] = 0
+        heapq.heappush(self._fbl, blk)
+        self._free.add(blk)
+
+    def _maybe_gc(self):
+        if self._in_gc:
+            return
+        attempts = 0
+        while len(self._fbl) <= self.gc_watermark:
+            attempts += 1
+            if attempts > self.device.geometry.total_blocks:
+                break
+            if self.gc_run() is None:
+                break

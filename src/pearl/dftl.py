@@ -9,19 +9,18 @@ physical page is programmed at most once between erases.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 from collections import Counter
 
-from .cmt import UNMAPPED, CachedMappingTable
-from .errors import DeviceFull, PearlError, UnmappedLpn
+from .cmt import UNMAPPED, MappingCore
+from .errors import PearlError
 from .flash import FlashDevice
 
 DATA, TRANS = "data", "trans"
 
 
-class Dftl:
+class Dftl(MappingCore):
     def __init__(self, device: FlashDevice, cmt_capacity: int = 1024,
                  utilization: float = 0.84):
         if not 0 < utilization < 1:
@@ -32,9 +31,7 @@ class Dftl:
         self.page_bytes = g.page_bytes
         self.logical_pages = int(utilization * g.total_pages)
         self.entries_per_page = g.page_bytes // 4
-        self._n_mvpns = -(-self.logical_pages // self.entries_per_page)
-        self.gtd = [UNMAPPED] * self._n_mvpns
-        self.cmt = CachedMappingTable(cmt_capacity)
+        self._epp = {DATA: self.entries_per_page}
         self.gc_watermark = max(2, math.ceil(0.02 * g.total_blocks))
         self.gc_runs = 0
         self.ledger = Counter()
@@ -43,111 +40,49 @@ class Dftl:
         self._owner = [None] * total     # lpn or m_vpn of a valid page
         self._kind = [None] * total      # DATA | TRANS | None
         self._valid = [0] * g.total_blocks
-        self._fbl = list(range(g.total_blocks))
-        heapq.heapify(self._fbl)
-        self._free = set(self._fbl)
+        self._reset_mapping({DATA: self.logical_pages}, cmt_capacity,
+                            range(g.total_blocks))
         self._cursor = {DATA: None, TRANS: None}
         self._block = {DATA: None, TRANS: None}
-        self._in_gc = False
-        self._draining = False
 
     # -- allocation ----------------------------------------------------
 
     def _alloc(self, kind):
         blk = self._block[kind]
         if blk is None or self._cursor[kind] >= (blk + 1) * self._ppb:
-            self._maybe_gc()
-            if not self._fbl:
-                raise DeviceFull("no free blocks remain")
-            blk = heapq.heappop(self._fbl)
-            self._free.discard(blk)
+            blk = self._take_free_block()
             self._block[kind] = blk
             self._cursor[kind] = blk * self._ppb
         ppn = self._cursor[kind]
         self._cursor[kind] += 1
         return ppn
 
-    def _maybe_gc(self):
-        if self._in_gc:
-            return
-        attempts = 0
-        while len(self._fbl) <= self.gc_watermark:
-            attempts += 1
-            if attempts > self.device.geometry.total_blocks:
-                break
-            if self.gc_run() is None:
-                break
-
     # -- mapping layer -------------------------------------------------
 
-    def _read_trans_entries(self, t_ppn):
-        data, _ = self.device.read_page(t_ppn)
-        n = self.entries_per_page
-        return list(struct.unpack_from(f"<{n}I", data))
+    def _read_entries(self, volume, t_ppn, quiet=False):
+        read = self.device.peek if quiet else self.device.read_page
+        data, _ = read(t_ppn)
+        return list(struct.unpack_from(f"<{self.entries_per_page}I", data))
 
-    def _write_trans(self, m_vpn, entries):
+    def _write_translation(self, volume, m_vpn, entries):
         payload = struct.pack(f"<{self.entries_per_page}I", *entries)
         payload += bytes(self.page_bytes - len(payload))
         ppn = self._alloc(TRANS)
         self.device.program_page(ppn, payload,
                                  bytes(self.device.geometry.oob_bytes))
-        old = self.gtd[m_vpn]
+        old = self._gtd[volume][m_vpn]
         if old != UNMAPPED:
             self._invalidate(old)
-        self.gtd[m_vpn] = ppn
+        self._gtd[volume][m_vpn] = ppn
         self._kind[ppn] = TRANS
         self._owner[ppn] = m_vpn
         self._valid[ppn // self._ppb] += 1
         self.ledger["translation_programs"] += 1
 
-    def _flush_group(self, m_vpn, extra=()):
-        old = self.gtd[m_vpn]
-        if old != UNMAPPED:
-            entries = self._read_trans_entries(old)
-        else:
-            entries = [UNMAPPED] * self.entries_per_page
-        dirty = self.cmt.dirty_in_page(DATA, m_vpn, self.entries_per_page)
-        for lpn, ppn in list(dirty) + list(extra):
-            entries[lpn % self.entries_per_page] = ppn
-        self._write_trans(m_vpn, entries)
-        # The translation-page program may have garbage-collected and
-        # re-dirtied some of these entries with newer ppns; leave those dirty.
-        for lpn, ppn in dirty:
-            self.cmt.mark_clean(DATA, lpn, expected_ppn=ppn)
-
-    def _drain_cmt(self):
-        if self._draining:
-            return
-        self._draining = True
-        try:
-            while True:
-                item = self.cmt.pop_excess()
-                if item is None:
-                    break
-                (_, lpn), ppn, dirty = item
-                if dirty:
-                    self._flush_group(lpn // self.entries_per_page,
-                                      extra=[(lpn, ppn)])
-        finally:
-            self._draining = False
-
     def translate(self, lpn, missing_ok=False):
         if not 0 <= lpn < self.logical_pages:
             raise PearlError(f"lpn {lpn} beyond logical capacity")
-        ppn = self.cmt.lookup(DATA, lpn)
-        if ppn is None:
-            t_ppn = self.gtd[lpn // self.entries_per_page]
-            if t_ppn == UNMAPPED:
-                ppn = UNMAPPED
-            else:
-                ppn = self._read_trans_entries(t_ppn)[
-                    lpn % self.entries_per_page]
-            self.cmt.put(DATA, lpn, ppn, dirty=False)
-        if ppn == UNMAPPED:
-            if missing_ok:
-                return None
-            raise UnmappedLpn(f"lpn {lpn} is not mapped")
-        return ppn
+        return self._translate(DATA, lpn, missing_ok)
 
     def _invalidate(self, ppn):
         if self._kind[ppn] is not None:
@@ -184,15 +119,6 @@ class Dftl:
         self._invalidate(ppn)
         self.cmt.put(DATA, lpn, UNMAPPED, dirty=True)
         self._drain_cmt()
-
-    def submit(self, offset, op, data=None):
-        if op == "read":
-            return self.read(offset)
-        if op == "write":
-            return self.write(offset, data)
-        if op == "trim":
-            return self.trim(offset)
-        raise PearlError(f"unknown op {op!r}")
 
     # -- garbage collection --------------------------------------------
 
@@ -235,18 +161,15 @@ class Dftl:
                 self.cmt.put(DATA, owner, new, dirty=True)
                 self.ledger["gc_programs"] += 1
             elif kind == TRANS:
-                entries = self._read_trans_entries(ppn)
-                self._write_trans(owner, entries)
+                entries = self._read_entries(DATA, ppn)
+                self._write_translation(DATA, owner, entries)
                 self.ledger["gc_programs"] += 1
         for ppn in pages:
             if self.device.program_count(ppn):
                 reclaimed += 1
             self._kind[ppn] = None
             self._owner[ppn] = None
-        self.device.erase_block(victim)
-        self._valid[victim] = 0
-        heapq.heappush(self._fbl, victim)
-        self._free.add(victim)
+        self._release_block(victim)
         self._drain_cmt()
         return reclaimed
 
@@ -267,18 +190,4 @@ class Dftl:
 
     def full_map(self):
         """Quiet {lpn: ppn} view combining flash and dirty CMT entries."""
-        out = {}
-        for m, t_ppn in enumerate(self.gtd):
-            if t_ppn == UNMAPPED:
-                continue
-            data, _ = self.device.peek(t_ppn)
-            entries = struct.unpack_from(f"<{self.entries_per_page}I", data)
-            for i, e in enumerate(entries):
-                if e != UNMAPPED:
-                    out[m * self.entries_per_page + i] = e
-        for (_, lpn), (ppn, _) in self.cmt._entries.items():
-            if ppn == UNMAPPED:
-                out.pop(lpn, None)
-            else:
-                out[lpn] = ppn
-        return out
+        return self._mapped(DATA)

@@ -11,13 +11,12 @@ update-invalidated page was demonstrably pending.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from collections import Counter, deque
 
 from random import Random
 
-from .cmt import UNMAPPED, CachedMappingTable
+from .cmt import UNMAPPED, MappingCore
 from .config import PearlConfig, RESERVED_BLOCKS
 from .crypto import (
     HIDDEN,
@@ -30,7 +29,6 @@ from .crypto import (
     fresh_iv,
 )
 from .errors import (
-    DeviceFull,
     HeaderError,
     ModeError,
     NoPublicCover,
@@ -72,7 +70,7 @@ def _or_bytes(a: bytes, b: bytes) -> bytes:
     )
 
 
-class PearlFtl:
+class PearlFtl(MappingCore):
     """The deniable FTL engine.  Use format() or mount() to construct."""
 
     def __init__(self, device: FlashDevice, config: PearlConfig, mode,
@@ -89,14 +87,10 @@ class PearlFtl:
         self.iv_registry = IvRegistry() if track_ivs else None
         self.ledger = Counter()
         self.gc_runs = 0
+        self.gc_watermark = config.gc_watermark_blocks
 
-        g = config.geometry
-        self._ppb = g.pages_per_block
+        self._ppb = config.geometry.pages_per_block
         self._epp = config.entries_per_translation_page
-        self._n_mvpns = {
-            PUBLIC: -(-config.public_pages // self._epp[PUBLIC]),
-            HIDDEN: -(-config.hidden_pages // self._epp[HIDDEN]),
-        }
         self._reset_volatile()
         self._persist_cursor = 1  # next free page in the header block
         self._persist_clean = False
@@ -104,11 +98,9 @@ class PearlFtl:
     def _reset_volatile(self):
         cfg = self.config
         total = cfg.geometry.total_pages
-        self.cmt = CachedMappingTable(cfg.cmt_capacity)
-        self._gtd = {
-            PUBLIC: [UNMAPPED] * self._n_mvpns[PUBLIC],
-            HIDDEN: [UNMAPPED] * self._n_mvpns[HIDDEN],
-        }
+        self._reset_mapping(
+            {PUBLIC: cfg.public_pages, HIDDEN: cfg.hidden_pages},
+            cfg.cmt_capacity, cfg.managed_blocks)
         self._state = [PageState.EMPTY] * total
         self._pub_lpn = {}       # ppn -> public lpn_field (data or translation)
         self._hidden_at = {}     # ppn -> hidden lpn_field with up-to-date data
@@ -116,17 +108,12 @@ class PearlFtl:
         self._trimmed = set()    # trimmed-but-still-mapped public lpns
         self._valid = [0] * cfg.geometry.total_blocks
         self._hid_valid = [0] * cfg.geometry.total_blocks
-        self._fbl = list(cfg.managed_blocks)
-        heapq.heapify(self._fbl)
-        self._free = set(self._fbl)
         self._frontier = None    # current block receiving first writes
         self._cursor = None      # next empty ppn in the frontier block
         self.current_ui1 = None
         self.tiq = deque()
         self._slot_a = {}        # block -> set of slot-A lpn_fields in it
-        self._in_gc = False
         self._gc_victim = None
-        self._draining = False
 
     # ------------------------------------------------------------------
     # construction: format / mount / recovery
@@ -242,7 +229,7 @@ class PearlFtl:
             # No hidden key: the region is still refreshed with random bytes
             # so its presence or staleness carries no signal.
             iv_h = self.rng.randbytes(16)
-            blob_h = self.rng.randbytes(4 * self._n_mvpns[HIDDEN])
+            blob_h = self.rng.randbytes(4 * len(self._gtd[HIDDEN]))
         page[half:half + 16] = iv_h
         page[half + 16:half + 16 + len(blob_h)] = blob_h
 
@@ -264,7 +251,7 @@ class PearlFtl:
         data, _ = self.device.peek(newest)
         half = g.page_bytes // 2
 
-        n_pub = self._n_mvpns[PUBLIC]
+        n_pub = len(self._gtd[PUBLIC])
         pub_len = 8 + 4 * n_pub
         pub = decrypt_payload(self.k_pub, data[0:16], data[16:16 + pub_len])
         front, ui1 = struct.unpack_from("<II", pub)
@@ -272,17 +259,11 @@ class PearlFtl:
 
         gtd_hid = None
         if self.mode == PUBLIC_HIDDEN:
-            n_hid = self._n_mvpns[HIDDEN]
+            n_hid = len(self._gtd[HIDDEN])
             raw = decrypt_payload(self.k_hid, data[half:half + 16],
                                   data[half + 16:half + 16 + 4 * n_hid])
             gtd_hid = list(struct.unpack_from(f"<{n_hid}I", raw))
         return (front, ui1, gtd_pub), gtd_hid
-
-    def _clamp_ppn(self, ppn):
-        """Keep arbitrary (possibly garbage-decrypted) values addressable."""
-        if ppn == UNMAPPED:
-            return UNMAPPED
-        return ppn % self.config.geometry.total_pages
 
     def _load_from_device(self):
         """Rebuild maps, page states, queues, and cursors from flash."""
@@ -352,38 +333,23 @@ class PearlFtl:
                 self._set_state_silent(ppn, PageState.I2)
 
         # Allocator: the frontier is the partially programmed managed block.
-        self._fbl = []
+        free = []
         for blk in cfg.managed_blocks:
             pages = range(blk * self._ppb, (blk + 1) * self._ppb)
             programmed = [p for p in pages if stage[p] != "empty"]
             if not programmed:
-                self._fbl.append(blk)
+                free.append(blk)
             elif len(programmed) < self._ppb:
                 self._frontier = blk
                 self._cursor = programmed[-1] + 1
             self._valid[blk] = sum(
                 1 for p in pages
                 if self._state[p] in (PageState.V1, PageState.V2))
-        heapq.heapify(self._fbl)
-        self._free = set(self._fbl)
+        self._set_free_blocks(free)
         self._persist_clean = True
 
     def _set_state_silent(self, ppn, st):
         self._state[ppn] = st
-
-    def _walk_volume(self, volume):
-        """Quiet full map {lpn_field: ppn} from the on-flash translation
-        pages (no clock, no CMT)."""
-        out = {}
-        epp = self._epp[volume]
-        for m, t_ppn in enumerate(self._gtd[volume]):
-            if t_ppn == UNMAPPED:
-                continue
-            entries = self._decode_translation(volume, t_ppn, quiet=True)
-            for i, e in enumerate(entries):
-                if e != UNMAPPED:
-                    out[m * epp + i] = self._clamp_ppn(e)
-        return out
 
     def recover_metadata(self):
         """Drop all volatile state and rebuild it by scanning the device."""
@@ -393,14 +359,7 @@ class PearlFtl:
         """Quiet {lpn: ppn} view of a volume's current mappings (tests)."""
         if volume == HIDDEN and self.mode != PUBLIC_HIDDEN:
             raise ModeError("hidden volume not mounted")
-        # Overlay dirty CMT entries on the flash-resident map.
-        out = self._walk_volume(volume)
-        for (vol, lpn), (ppn, _) in self.cmt._entries.items():
-            if vol == volume:
-                if ppn == UNMAPPED:
-                    out.pop(lpn, None)
-                else:
-                    out[lpn] = ppn
+        out = self._mapped(volume)
         for lpn in list(out):
             if volume == PUBLIC and lpn in self._trimmed:
                 del out[lpn]
@@ -449,45 +408,12 @@ class PearlFtl:
 
     # -- mapping layer -------------------------------------------------
 
-    def _decode_translation(self, volume, t_ppn, quiet=False):
+    def _read_entries(self, volume, t_ppn, quiet=False):
         """Entry array of the translation page at t_ppn."""
-        if quiet:
-            data, oob = self.device.peek(t_ppn)
-        else:
-            data, oob = self.device.read_page(t_ppn)
-        slot_a, slot_b = parse_oob(oob)
-        epp = self._epp[volume]
-        lay = self.layout
-        if volume == PUBLIC:
-            stage = "second" if slot_b is not None else "first"
-            payload = decode_page_public(lay, self.config.code, data, stage)
-            iv = (slot_b or slot_a).iv
-            key = self.k_pub
-        else:
-            payload = decode_page_hidden(lay, self.config.code, data,
-                                         strict=False)
-            slot = slot_b or slot_a
-            iv = slot.iv if slot else bytes(16)
-            key = self.k_hid
-        plain = decrypt_payload(key, iv, payload[: 4 * epp])
-        return list(struct.unpack(f"<{epp}I", plain))
-
-    def _translate(self, volume, lpn, missing_ok=False):
-        ppn = self.cmt.lookup(volume, lpn)
-        if ppn is None:
-            m = lpn // self._epp[volume]
-            t_ppn = self._gtd[volume][m]
-            if t_ppn == UNMAPPED:
-                ppn = UNMAPPED
-            else:
-                entries = self._decode_translation(volume, t_ppn)
-                ppn = self._clamp_ppn(entries[lpn % self._epp[volume]])
-            self.cmt.put(volume, lpn, ppn, dirty=False)
-        if ppn == UNMAPPED:
-            if missing_ok:
-                return None
-            raise UnmappedLpn(f"{volume} lpn {lpn} is not mapped")
-        return ppn
+        read = (self._read_public_page if volume == PUBLIC
+                else self._read_hidden_page)
+        return list(struct.unpack_from(f"<{self._epp[volume]}I",
+                                       read(t_ppn, quiet)))
 
     def _set_loc(self, volume, lpn_field, ppn):
         """Update a mapping: translation pages go straight to the GTD,
@@ -503,76 +429,28 @@ class PearlFtl:
             return None if ppn == UNMAPPED else ppn
         return self._translate(PUBLIC, lpn_field, missing_ok=True)
 
-    def _flush_group(self, volume, m_vpn, extra=()):
-        """Write one translation page carrying every dirty cached entry
-        (and any extras) for its lpn range; the old copy is invalidated."""
-        epp = self._epp[volume]
-        old = self._gtd[volume][m_vpn]
-        if old != UNMAPPED:
-            entries = self._decode_translation(volume, old)
-        else:
-            entries = [UNMAPPED] * epp
-        dirty = self.cmt.dirty_in_page(volume, m_vpn, epp)
-        for lpn, ppn in list(dirty) + list(extra):
-            entries[lpn % epp] = ppn
-        payload = struct.pack(f"<{epp}I", *entries)
+    def _write_translation(self, volume, m_vpn, entries):
+        payload = struct.pack(f"<{self._epp[volume]}I", *entries)
         if volume == PUBLIC:
             self._program_public(trans_field(m_vpn), payload,
                                  bucket="translation")
-        else:
-            self._program_full(trans_field(m_vpn), payload,
-                               bucket="translation")
-            if old != UNMAPPED:
-                # The superseded hidden translation page keeps its public
-                # face; only its hidden content goes out of date.
-                self._hid_clear(old)
-        # Programming the translation page may have garbage-collected and
-        # re-dirtied some of these entries with newer ppns; leave those dirty.
-        for lpn, ppn in dirty:
-            self.cmt.mark_clean(volume, lpn, expected_ppn=ppn)
-
-    def _drain_cmt(self):
-        if self._draining:
             return
-        self._draining = True
-        try:
-            while True:
-                item = self.cmt.pop_excess()
-                if item is None:
-                    break
-                (vol, lpn), ppn, dirty = item
-                if dirty:
-                    self._flush_group(vol, lpn // self._epp[vol],
-                                      extra=[(lpn, ppn)])
-        finally:
-            self._draining = False
+        old = self._gtd[HIDDEN][m_vpn]
+        self._program_full(trans_field(m_vpn), payload, bucket="translation")
+        if old != UNMAPPED:
+            # The superseded hidden translation page keeps its public
+            # face; only its hidden content goes out of date.
+            self._hid_clear(old)
 
     # -- allocation ----------------------------------------------------
 
     def _alloc_empty(self):
         if self._frontier is None or self._cursor >= (self._frontier + 1) * self._ppb:
-            self._maybe_gc()
-            if not self._fbl:
-                raise DeviceFull("no free blocks remain")
-            blk = heapq.heappop(self._fbl)
-            self._free.discard(blk)
-            self._frontier = blk
-            self._cursor = blk * self._ppb
+            self._frontier = self._take_free_block()
+            self._cursor = self._frontier * self._ppb
         ppn = self._cursor
         self._cursor += 1
         return ppn
-
-    def _maybe_gc(self):
-        if self._in_gc:
-            return
-        watermark = self.config.gc_watermark_blocks
-        attempts = 0
-        while len(self._fbl) <= watermark:
-            attempts += 1
-            if attempts > self.config.geometry.total_blocks:
-                break
-            if self.gc_run() is None:
-                break
 
     # -- physical programs ---------------------------------------------
 
@@ -583,7 +461,6 @@ class PearlFtl:
     def _program_public(self, lpn_field, plaintext, bucket, relocation=False):
         """Public write following the allocation priority (Fig. 7 order:
         Current UI1 page, then TIQ head, then an empty page)."""
-        lay = self.layout
         old = self._get_public_loc(lpn_field)
         trimmed_rewrite = (old is not None
                            and self._state[old] == PageState.TI1)
@@ -592,46 +469,59 @@ class PearlFtl:
             self._ti1_lpn.pop(old, None)
             self._trimmed.discard(lpn_field)
 
+        second = True
         if self.current_ui1 is not None:
-            target, second = self.current_ui1, True
-            self.current_ui1 = None
+            target = self._take_ui1()
         elif trimmed_rewrite:
             # The page re-enters via the UI1 slot and is consumed at once.
-            target, second = old, True
+            target = old
         elif self.tiq:
-            target, second = self.tiq.popleft(), True
-            stale = self._ti1_lpn.pop(target, None)
-            if stale is not None:
-                self._trimmed.discard(stale)
-                self.cmt.put(PUBLIC, stale, UNMAPPED, dirty=True)
+            target = self._take_tiq_head()
         else:
             target, second = self._alloc_empty(), False
 
-        iv = self._fresh_iv(self.k_pub)
-        ct = encrypt_payload(self.k_pub, iv,
-                             self._pad(plaintext, lay.public_payload_bytes))
-        slot = OobSlot(iv, lpn_field, TAG_SECOND if second else TAG_FIRST)
         if second:
-            existing, cur_oob = self.device.read_page(target)
-            raw = encode_page_second(lay, self.config.code, ct, existing)
-            oob = _or_bytes(cur_oob, pack_oob(len(cur_oob), None, slot))
-            self.device.program_page(target, raw, oob)
-            self._set_state(target, PageState.V2, bucket)
+            self._second_write_to(target, lpn_field, plaintext, bucket)
         else:
+            lay = self.layout
+            iv = self._fresh_iv(self.k_pub)
+            ct = encrypt_payload(self.k_pub, iv,
+                                 self._pad(plaintext, lay.public_payload_bytes))
             raw = encode_page_first(lay, self.config.code, ct)
-            oob = pack_oob(self.config.geometry.oob_bytes, slot, None)
+            oob = pack_oob(self.config.geometry.oob_bytes,
+                           OobSlot(iv, lpn_field, TAG_FIRST), None)
             self.device.program_page(target, raw, oob)
             self._set_state(target, PageState.V1, bucket)
             self._slot_a.setdefault(self._block_of(target), set()).add(lpn_field)
-        self._valid[self._block_of(target)] += 1
-        self._pub_lpn[target] = lpn_field
+            self._valid[self._block_of(target)] += 1
+            self._pub_lpn[target] = lpn_field
+            self._account(bucket, lay.groups_per_page * self.config.code.k,
+                          lay.groups_per_page * self.config.code.n)
 
         if old is not None and old != target:
             self._invalidate_public(old, reason=bucket, relocation=relocation)
         self._set_loc(PUBLIC, lpn_field, target)
-        self._account(bucket, lay.groups_per_page * self.config.code.k,
-                      lay.groups_per_page * self.config.code.n)
         return target
+
+    def _take_ui1(self):
+        """Consume the Current UI1 slot (None when it is empty)."""
+        target, self.current_ui1 = self.current_ui1, None
+        return target
+
+    def _take_tiq_head(self):
+        """Pop the TIQ head (None when the queue is empty); the trimmed
+        lpn still mapped to it is finally unmapped."""
+        if not self.tiq:
+            return None
+        target = self.tiq.popleft()
+        self._unmap_trimmed(target)
+        return target
+
+    def _unmap_trimmed(self, ti1_ppn):
+        stale = self._ti1_lpn.pop(ti1_ppn, None)
+        if stale is not None:
+            self._trimmed.discard(stale)
+            self.cmt.put(PUBLIC, stale, UNMAPPED, dirty=True)
 
     def _invalidate_public(self, ppn, reason, relocation=False):
         st = self._state[ppn]
@@ -773,16 +663,30 @@ class PearlFtl:
                     return p
         raise NoPublicCover("no valid public page available as cloak")
 
-    def _read_public_page(self, ppn):
-        """Decrypted public payload of a valid page (charged read)."""
-        data, oob = self.device.read_page(ppn)
+    def _read_page(self, ppn, quiet):
+        """Raw data, write stage and envelope IV of a page: the IV of its
+        latest write (slot B, else slot A, else zero bytes)."""
+        read = self.device.peek if quiet else self.device.read_page
+        data, oob = read(ppn)
         slot_a, slot_b = parse_oob(oob)
-        if slot_b is not None:
-            stage, iv = "second", slot_b.iv
-        else:
-            stage, iv = "first", slot_a.iv
+        stage = "second" if slot_b is not None else "first"
+        slot = slot_b or slot_a
+        return data, stage, slot.iv if slot else bytes(16)
+
+    def _read_public_page(self, ppn, quiet=False):
+        """Decrypted public payload of a page (a charged read unless
+        quiet)."""
+        data, stage, iv = self._read_page(ppn, quiet)
         payload = decode_page_public(self.layout, self.config.code, data, stage)
         return decrypt_payload(self.k_pub, iv, payload)
+
+    def _read_hidden_page(self, ppn, quiet=False):
+        """Decrypted hidden payload of a page (a charged read unless
+        quiet)."""
+        data, _, iv = self._read_page(ppn, quiet)
+        payload = decode_page_hidden(self.layout, self.config.code, data,
+                                     strict=False)
+        return decrypt_payload(self.k_hid, iv, payload)
 
     def _take_cloak(self):
         src = self._pick_public_source()
@@ -791,18 +695,21 @@ class PearlFtl:
     def _fill_ui1(self):
         """Give the Current UI1 page a second write of relocated public
         data, so a following full write is allocator-clean."""
-        while self.current_ui1 is not None:
-            target = self.current_ui1
+        self._relocate_into_i1(self._take_ui1, "cloak_fill", "ui1-fill")
+
+    def _relocate_into_i1(self, take_target, bucket, reason):
+        """Second-write relocated public data onto each I1 page that
+        take_target() hands out, until it returns None."""
+        while (target := take_target()) is not None:
             src = self._pick_public_source(exclude=(target,))
             lpn_field = self._pub_lpn[src]
-            plain = self._read_public_page(src)
-            self.current_ui1 = None
-            self._second_write_to(target, lpn_field, plain, bucket="cloak_fill")
-            self._invalidate_public(src, reason="ui1-fill", relocation=True)
+            self._second_write_to(target, lpn_field,
+                                  self._read_public_page(src), bucket)
+            self._invalidate_public(src, reason=reason, relocation=True)
             self._set_loc(PUBLIC, lpn_field, target)
 
     def _second_write_to(self, target, lpn_field, plaintext, bucket):
-        """Forced second write onto a specific I1 page (UI1/TIQ drains)."""
+        """Second write of public data onto the I1 page target."""
         lay = self.layout
         iv = self._fresh_iv(self.k_pub)
         ct = encrypt_payload(self.k_pub, iv,
@@ -864,14 +771,7 @@ class PearlFtl:
         self._require_hidden()
         if not 0 <= lpn < self.config.hidden_pages:
             raise PearlError(f"hidden lpn {lpn} beyond volume capacity")
-        ppn = self._translate(HIDDEN, lpn)
-        data, oob = self.device.read_page(ppn)
-        slot_a, slot_b = parse_oob(oob)
-        slot = slot_b or slot_a
-        iv = slot.iv if slot else bytes(16)
-        payload = decode_page_hidden(self.layout, self.config.code, data,
-                                     strict=False)
-        out = decrypt_payload(self.k_hid, iv, payload)
+        out = self._read_hidden_page(self._translate(HIDDEN, lpn))
         lay = self.layout
         self.ledger["hidden_read_logical_bits"] += lay.groups_per_page
         self.ledger["hidden_read_physical_bits"] += lay.groups_per_page * lay.n
@@ -1033,10 +933,7 @@ class PearlFtl:
         for ppn in pages:
             if self._state[ppn] == PageState.TI1:
                 self.tiq.remove(ppn)
-                stale = self._ti1_lpn.pop(ppn, None)
-                if stale is not None:
-                    self._trimmed.discard(stale)
-                    self.cmt.put(PUBLIC, stale, UNMAPPED, dirty=True)
+                self._unmap_trimmed(ppn)
 
         pub_only, hid_only, paired = [], [], []
         for ppn in pages:
@@ -1084,20 +981,10 @@ class PearlFtl:
             if self._state[ppn] != PageState.EMPTY:
                 reclaimed += 1
                 self._set_state(ppn, PageState.EMPTY, "erase")
-        self.device.erase_block(victim)
+        self._release_block(victim)
         self._slot_a.pop(victim, None)
-        self._valid[victim] = 0
-        heapq.heappush(self._fbl, victim)
-        self._free.add(victim)
         self._drain_cmt()
         return reclaimed
-
-    def _read_hidden_page(self, ppn):
-        data, oob = self.device.read_page(ppn)
-        _, slot_b = parse_oob(oob)
-        payload = decode_page_hidden(self.layout, self.config.code, data,
-                                     strict=False)
-        return decrypt_payload(self.k_hid, slot_b.iv, payload)
 
     # ------------------------------------------------------------------
     # unmount / snapshot
@@ -1109,18 +996,7 @@ class PearlFtl:
         call performs zero device programs."""
         if self._persist_clean:
             return
-        while self.tiq:
-            target = self.tiq.popleft()
-            stale = self._ti1_lpn.pop(target, None)
-            if stale is not None:
-                self._trimmed.discard(stale)
-                self.cmt.put(PUBLIC, stale, UNMAPPED, dirty=True)
-            src = self._pick_public_source(exclude=(target,))
-            lpn_field = self._pub_lpn[src]
-            plain = self._read_public_page(src)
-            self._second_write_to(target, lpn_field, plain, bucket="tiq_drain")
-            self._invalidate_public(src, reason="tiq-drain", relocation=True)
-            self._set_loc(PUBLIC, lpn_field, target)
+        self._relocate_into_i1(self._take_tiq_head, "tiq_drain", "tiq-drain")
 
         for _ in range(1000):
             groups = self.cmt.dirty_groups(self._epp)

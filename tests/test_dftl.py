@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pearl.dftl import Dftl
+from pearl.dftl import DATA, Dftl
 from pearl.errors import PearlError, UnmappedLpn
 from pearl.flash import DESK_GEOMETRY, FlashDevice
 
@@ -141,7 +141,7 @@ def test_cold_cache_equals_warm_cache(dftl):
         if not dirty_groups:
             break
         for m in sorted(dirty_groups):
-            dftl._flush_group(m)
+            dftl._flush_group(DATA, m)
     else:
         pytest.fail("dirty entries never drained")
     dftl.cmt._entries.clear()
