@@ -478,7 +478,14 @@ class PearlFtl(MappingCore):
         elif self.tiq:
             target = self._take_tiq_head()
         else:
-            target, second = self._alloc_empty(), False
+            target = self._alloc_empty()
+            second = self.current_ui1 is not None
+            if second:
+                # Collection inside _alloc_empty refilled the UI1 slot,
+                # which comes first.  It ran before the empty page was
+                # taken, so the page is untouched and goes back.
+                self._cursor -= 1
+                target = self._take_ui1()
 
         if second:
             self._second_write_to(target, lpn_field, plaintext, bucket)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import mixed_workload
+from pearl.bench import gen_synthetic, init_device
 from pearl.config import PearlConfig, desk_config
 from pearl.errors import HeaderError, ModeError, PearlError, UnmappedLpn
 from pearl.flash import DESK_GEOMETRY, FlashDevice
@@ -191,6 +192,26 @@ def test_hidden_write_waits_for_update_casualty(ftl, rng):
     assert ftl.current_ui1 is not None
     ftl.hidden_write(0, rng.randbytes(lay.hidden_payload_bytes))
     assert ftl.current_ui1 is None
+
+
+def test_ui1_slot_refilled_by_gc_during_allocation(ftl, rng):
+    """A write whose empty-page allocation starts a collection that refills
+    the UI1 slot (write 1,238 of this sequence) takes that slot instead."""
+    init_device(ftl, fill_fraction=0.5, seed=0)
+    payload = ftl.layout.public_payload_bytes
+    shadow = {}
+    for rec in gen_synthetic(1300, payload, 0.0, 0.0, "public", 11,
+                             ftl.config.public_pages, payload):
+        lpn = rec.lba // payload
+        shadow[lpn] = rng.randbytes(payload)
+        ftl.public_write(lpn, shadow[lpn])
+    assert ftl.check_invariants() == []
+    ftl.prepare_unmount()
+    fresh = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()), "public-pw",
+                           "hidden-pw", cmt_capacity=64)
+    for f in (ftl, fresh):
+        for lpn, data in shadow.items():
+            assert f.public_read(lpn) == data
 
 
 # -- interleaved workload invariants ----------------------------------
