@@ -11,6 +11,7 @@ update-invalidated page was demonstrably pending.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import Counter, deque
 
@@ -182,14 +183,23 @@ class PearlFtl(MappingCore):
         code_name = fields[9].rstrip(b"\0").decode()
         if code_name not in BUILTIN_CODES:
             raise HeaderError(f"unknown code {code_name!r} in header")
-        pub_pages, hid_pages = fields[10], fields[11]
+
+        def fraction(pages):
+            # The float nearest pages/total whose share of the device
+            # truncates back to exactly `pages`: the quotient alone can
+            # land one ulp low and lose a page.
+            f = pages / geom.total_pages
+            while int(f * geom.total_pages) < pages:
+                f = math.nextafter(f, 1)
+            return f
+
         config = PearlConfig(
             geometry=geom,
             timings=device.timings,
             code=BUILTIN_CODES[code_name],
             cmt_capacity=cmt_capacity,
-            public_fraction=pub_pages / geom.total_pages,
-            hidden_fraction=hid_pages / geom.total_pages,
+            public_fraction=fraction(fields[10]),
+            hidden_fraction=fraction(fields[11]),
             seed=seed,
         )
         return config, salt

@@ -8,7 +8,8 @@ from conftest import mixed_workload
 from pearl.bench import gen_synthetic, init_device
 from pearl.config import PearlConfig, desk_config
 from pearl.errors import HeaderError, ModeError, PearlError, UnmappedLpn
-from pearl.flash import DESK_GEOMETRY, FlashDevice
+from pearl.flash import (DEFAULT_TIMINGS, DESK_GEOMETRY, DeviceGeometry,
+                         FlashDevice)
 from pearl.ftl import PearlFtl
 from pearl.states import PageState
 
@@ -59,6 +60,49 @@ def test_mount_reads_header_back(ftl, device, rng):
 def test_mount_blank_device_fails(desk_cfg):
     with pytest.raises(HeaderError):
         PearlFtl.mount(FlashDevice(desk_cfg.geometry), "public-pw")
+
+
+def test_volume_sizes_survive_format_and_mount(rng):
+    cfg = PearlConfig(geometry=DeviceGeometry(1, 1, 7, 16, 2048, 64),
+                      public_fraction=0.55)
+    device = FlashDevice(cfg.geometry)
+    ftl = PearlFtl.format(device, cfg, "public-pw")
+    last = cfg.public_pages - 1
+    assert last == 60
+    data = rng.randbytes(ftl.layout.public_payload_bytes)
+    ftl.public_write(last, data)
+    ftl.prepare_unmount()
+    again = PearlFtl.mount(device, "public-pw")
+    assert again.config.public_pages == cfg.public_pages
+    assert again.public_read(last) == data
+
+
+class _HeaderPage:
+    """Just enough of a device for PearlFtl._read_header."""
+
+    def __init__(self, geometry, page):
+        self.geometry, self.page = geometry, page
+        self.timings = DEFAULT_TIMINGS
+
+    def peek(self, ppn):
+        return self.page, b""
+
+
+def test_volume_sizes_round_trip_over_geometries():
+    for blocks in range(2, 80):
+        for ppb in (8, 16, 32):
+            geometry = DeviceGeometry(1, 1, blocks, ppb, 2048, 64)
+            for pct in range(1, 61):
+                cfg = PearlConfig(geometry=geometry,
+                                  public_fraction=pct / 100,
+                                  hidden_fraction=min(pct, 20) / 100)
+                if cfg.public_pages == 0 or cfg.hidden_pages == 0:
+                    continue
+                header = PearlFtl._pack_header(cfg, bytes(16))
+                got, _ = PearlFtl._read_header(
+                    _HeaderPage(geometry, header), cfg.cmt_capacity, 0)
+                assert (got.public_pages, got.hidden_pages) == (
+                    cfg.public_pages, cfg.hidden_pages), (blocks, ppb, pct)
 
 
 # -- basic volume operations ------------------------------------------
