@@ -111,7 +111,7 @@ def _subset_bits(older: bytes, newer: bytes) -> bool:
     return a | b == b
 
 
-def diff_transitions(s1: Snapshot, s2: Snapshot, k_pub=None,
+def diff_transitions(s1: Snapshot, s2: Snapshot,
                      reserved_blocks: int = 1) -> TransitionReport:
     """Flag per-page changes between two snapshots of the same device that
     no public-only workload could have produced."""
@@ -167,8 +167,7 @@ class Ui1Alarm:
                 f"{self.update_page}) was an unconsumed UI1 page")
 
 
-def ui1_inference(s1: Snapshot, s2: Snapshot, k_pub=None,
-                  reserved_blocks: int = 1):
+def ui1_inference(s1: Snapshot, s2: Snapshot, reserved_blocks: int = 1):
     """Alarms for pages that the public-only allocator could not have
     written.
 

@@ -30,6 +30,8 @@ from .wom import (BUILTIN_CODES, WOM_2_3, WOM_3_5, load_code_file,
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
+_PASSWORD_FLAGS = ("--public-password", "--hidden-password")
+
 
 def _config_for(args, **overrides) -> PearlConfig:
     maker = paper_config if args.preset == "paper" else desk_config
@@ -43,6 +45,24 @@ def _config_for(args, **overrides) -> PearlConfig:
     return maker(**kw)
 
 
+def _without_passwords(argv):
+    """argv minus the password options and their values: a recorded
+    hidden password would both leak it and prove the volume exists."""
+    out, skip = [], False
+    for tok in argv:
+        if skip:
+            skip = False
+            continue
+        flag = tok.split("=", 1)[0]
+        # argparse also accepts any unambiguous prefix of an option.
+        if len(flag) > 2 and flag.startswith("--") and any(
+                f.startswith(flag) for f in _PASSWORD_FLAGS):
+            skip = "=" not in tok
+            continue
+        out.append(tok)
+    return out
+
+
 def _write_manifest(args, outputs):
     out_dir = getattr(args, "out", None) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -51,7 +71,7 @@ def _write_manifest(args, outputs):
         "seed": args.seed,
         "preset": getattr(args, "preset", None),
         "version": __version__,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "outputs": outputs,
     }
     with open(os.path.join(out_dir, "manifest.jsonl"), "a") as f:
@@ -344,7 +364,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
+    args.argv = _without_passwords(argv)
     try:
         return args.func(args)
     except (PearlError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

@@ -30,7 +30,6 @@ class PearlConfig:
     hidden_fraction: float = 12 / 64
     gc_watermark_blocks: int = 0  # 0 -> derived from geometry
     seed: int = 0
-    cpu_overhead_us: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.public_fraction <= MAX_PUBLIC_FRACTION:

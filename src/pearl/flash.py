@@ -157,13 +157,6 @@ class FlashDevice:
         if not 0 <= ppn < self.geometry.total_pages:
             raise IndexError(f"ppn {ppn} out of range")
 
-    def block_of(self, ppn: int) -> int:
-        self._check_ppn(ppn)
-        return ppn // self.geometry.pages_per_block
-
-    def page_index(self, ppn: int) -> int:
-        return ppn % self.geometry.pages_per_block
-
     # -- operations ---------------------------------------------------
 
     def read_page(self, ppn: int):
@@ -219,12 +212,6 @@ class FlashDevice:
 
     def erase_count(self, block_id: int) -> int:
         return self._erase_counts[block_id]
-
-    def wear_stats(self):
-        return {
-            "erase_counts": list(self._erase_counts),
-            "program_counts": list(self._programmed),
-        }
 
     def snapshot(self) -> Snapshot:
         return Snapshot(

@@ -52,18 +52,17 @@ class TransitionViolation(PearlError):
 
 
 class TransitionMonitor:
-    """Records every observable page state transition and checks it."""
+    """Checks every observable page state transition and records the
+    ones that are not allowed."""
 
     def __init__(self, strict: bool = True):
         self.strict = strict
-        self.events = []
         self.violations = []
 
     def record(self, ppn: int, old: PageState, new: PageState, reason: str):
         a, b = old.observable, new.observable
         if a == b:
             return
-        self.events.append((ppn, a, b, reason))
         if (a, b) not in ALLOWED_EDGES:
             msg = f"page {ppn}: {a} -> {b} ({reason}) is not an allowed transition"
             self.violations.append(msg)

@@ -96,6 +96,17 @@ def test_init_io_snapshot_roundtrip(run):
     assert "second:" in out
 
 
+def test_manifest_records_no_password(run):
+    rc, _ = run("init", "--fill", "0", "--hidden-password", "s3cret",
+                "--public-pass=pub-s3cret")
+    assert rc == EXIT_OK
+    text = (run.dir / "runs" / "manifest.jsonl").read_text()
+    for secret in ("s3cret", "hidden-password", "public-pass"):
+        assert secret not in text
+    (rec,) = _manifest(run)
+    assert rec["argv"] == ["--out", "runs", "init", "--fill", "0"]
+
+
 def test_io_reports_failed_requests(run):
     rc, _ = run("init", "--fill", "0", "--hidden-password", "hidden-pw")
     assert rc == EXIT_OK
