@@ -42,7 +42,10 @@ def _config_for(args, **overrides) -> PearlConfig:
         with open(args.config) as f:
             kw.update(json.load(f))
     kw.update(overrides)
-    return maker(**kw)
+    try:
+        return maker(**kw)
+    except (TypeError, ValueError) as exc:
+        raise PearlError(f"invalid configuration: {exc}") from exc
 
 
 def _without_passwords(argv):

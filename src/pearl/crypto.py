@@ -36,6 +36,8 @@ class VolumeKey:
             raise PearlError("volume key must be 32 bytes")
         if self.volume not in (PUBLIC, HIDDEN):
             raise PearlError(f"unknown volume tag {self.volume!r}")
+        # Built once per key; each envelope adds only its CTR mode.
+        object.__setattr__(self, "_aes", algorithms.AES(self.key))
 
 
 def derive_key(password, volume: str, salt: bytes) -> VolumeKey:
@@ -59,7 +61,7 @@ def derive_key(password, volume: str, salt: bytes) -> VolumeKey:
 def _ctr(key: VolumeKey, iv: bytes):
     if len(iv) != IV_BYTES:
         raise PearlError("IV must be 16 bytes")
-    return Cipher(algorithms.AES(key.key), modes.CTR(iv))
+    return Cipher(key._aes, modes.CTR(iv))
 
 
 def encrypt_payload(key: VolumeKey, iv: bytes, plaintext: bytes) -> bytes:

@@ -379,10 +379,12 @@ class PearlFtl(MappingCore):
     # helpers
     # ------------------------------------------------------------------
 
-    def _fresh_iv(self, key):
+    def _fresh_iv(self, *keys):
+        """One fresh IV, registered under every key it will encrypt with."""
         iv = fresh_iv(self.rng)
         if self.iv_registry is not None:
-            self.iv_registry.record(key, iv)
+            for key in keys:
+                self.iv_registry.record(key, iv)
         return iv
 
     def _touch(self):
@@ -596,7 +598,7 @@ class PearlFtl(MappingCore):
         assert self.current_ui1 is None  # Requirement 3: slot filled first
         lay = self.layout
         target = self._alloc_empty()
-        iv = self._fresh_iv(self.k_hid)
+        iv = self._fresh_iv(self.k_pub, self.k_hid)
         pub_ct = encrypt_payload(self.k_pub, iv,
                                  self._pad(cloak_plain, lay.public_payload_bytes))
         hid_ct = encrypt_payload(self.k_hid, iv,

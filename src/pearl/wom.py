@@ -7,7 +7,7 @@ codewords per message, and the choice between them carries one hidden bit.
 
 Messages and codewords are plain ints (bit width k and n respectively,
 most significant bit first).  Page-level helpers pack runs of codeword
-groups into raw page bytes with numpy.
+groups into raw page bytes with numpy, for codes with n <= 8.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ class WomCode:
         # numpy lookup tables for the page codecs
         size = 2**self.n
         e1_arr = np.array(self.first_write, dtype=np.int64)
-        wa_arr = np.array([p[0] for p in self.second_write], dtype=np.int64)
-        wb_arr = np.array([p[1] for p in self.second_write], dtype=np.int64)
+        w2_arr = np.array(self.second_write, dtype=np.int64)
         d1_arr = np.full(size, -1, dtype=np.int64)
         d2_arr = np.full(size, -1, dtype=np.int64)
         hid_arr = np.full(size, -1, dtype=np.int64)
@@ -113,8 +112,7 @@ class WomCode:
             for c in b_set:
                 e2_arr[m, c] = self.second_write[m][1]
         object.__setattr__(self, "_e1_arr", e1_arr)
-        object.__setattr__(self, "_wa_arr", wa_arr)
-        object.__setattr__(self, "_wb_arr", wb_arr)
+        object.__setattr__(self, "_w2_arr", w2_arr)
         object.__setattr__(self, "_d1_arr", d1_arr)
         object.__setattr__(self, "_d2_arr", d2_arr)
         object.__setattr__(self, "_hid_arr", hid_arr)
@@ -348,6 +346,7 @@ class PageLayout:
     groups_per_page is the largest multiple of 8 fitting the page so that
     both the public payload (k bits/group) and the hidden payload
     (1 bit/group) are whole bytes.  Remaining bits are slack, always zero.
+    The page codec handles codes with n <= 8 only.
     """
 
     page_bytes: int
@@ -360,6 +359,8 @@ class PageLayout:
 
     @classmethod
     def for_page(cls, page_bytes: int, code: WomCode) -> "PageLayout":
+        if code.n > 8:
+            raise WomError(f"page codec supports n <= 8, code has n={code.n}")
         bits = page_bytes * 8
         groups = (bits // code.n) // 8 * 8
         if groups == 0:
@@ -375,17 +376,46 @@ class PageLayout:
         )
 
 
-def _unpack_groups(raw: bytes, width: int, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count * width)
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(count, width).astype(np.int64) @ weights
+# Every run of 8 groups of a width-bit field (width <= 8) fills exactly
+# `width` bytes, so the codec moves 8 groups per 64-bit word.  Groups
+# travel as an (8, runs) int64 array whose [j, r] is group 8 * r + j: each
+# numpy loop then runs along the runs rather than over 8 lanes at a time.
+_LANE_SHIFTS = {w: w * np.arange(7, -1, -1, dtype=np.int64) for w in range(1, 9)}
+_LANE_WEIGHTS = {w: np.left_shift(1, s) for w, s in _LANE_SHIFTS.items()}
+_BYTE_WEIGHTS = {
+    w: np.left_shift(1, 8 * np.arange(w - 1, -1, -1, dtype=np.int64))
+    for w in range(1, 9)
+}
 
-def _pack_groups(vals: np.ndarray, width: int, total_bits: int) -> bytes:
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((vals[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    if bits.size < total_bits:
-        bits = np.concatenate([bits, np.zeros(total_bits - bits.size, np.uint8)])
-    return np.packbits(bits).tobytes()
+
+def _unpack_runs(runs: np.ndarray, width: int) -> np.ndarray:
+    """Groups of whole width-byte runs (uint8, any shape) as (8, runs)."""
+    # Big-endian words; at width 8 the top byte wraps past the sign bit,
+    # which the shift and mask below do not care about.
+    words = runs.reshape(-1, width) @ _BYTE_WEIGHTS[width]
+    groups = words >> _LANE_SHIFTS[width][:, None]
+    groups &= (1 << width) - 1
+    return groups
+
+
+def _unpack_groups(raw: bytes, width: int, count: int) -> np.ndarray:
+    """The first `count` (a multiple of 8) width-bit groups of raw."""
+    runs = np.frombuffer(raw, dtype=np.uint8, count=count // 8 * width)
+    return _unpack_runs(runs, width)
+
+
+def _pack_groups(groups: np.ndarray, width: int, total_bits: int) -> bytes:
+    """(8, runs) groups as width-bit fields, zero-filled to total_bits."""
+    # The fields are disjoint, so the sum equals their OR; at width 8 it
+    # wraps past the sign bit, which keeps the bit pattern.
+    words = _LANE_WEIGHTS[width] @ groups
+    runs = words.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
+    return runs.tobytes() + bytes(total_bits // 8 - runs.size)
+
+
+def _first_group(mask: np.ndarray) -> int:
+    """Group index of the first True of an (8, runs) mask."""
+    return int(np.argmax(mask.T))
 
 
 def _check_payload(layout, data, expected, what):
@@ -409,9 +439,10 @@ def encode_page_second(
     msgs = _public_messages(layout, code, public)
     _check_payload(layout, existing, layout.page_bytes, "existing page")
     old = _unpack_groups(existing, code.n, layout.groups_per_page)
-    cw = code._e2_arr[msgs, old]
-    if (cw < 0).any():
-        g = int(np.argmax(cw < 0))
+    # Row-major index of (msgs, old) in the (2**k, 2**n) table.
+    cw = code._e2_arr.ravel()[(msgs << code.n) | old]
+    if cw.min() < 0:
+        g = _first_group(cw < 0)
         raise WomError(f"group {g} of existing page is not a first-write codeword")
     return _pack_groups(cw, code.n, layout.page_bytes * 8)
 
@@ -421,22 +452,29 @@ def encode_page_full(
 ) -> bytes:
     msgs = _public_messages(layout, code, public)
     _check_payload(layout, hidden, layout.hidden_payload_bytes, "hidden payload")
-    hbits = np.unpackbits(
-        np.frombuffer(hidden, dtype=np.uint8), count=layout.groups_per_page
-    )
-    cw = np.where(hbits == 0, code._wa_arr[msgs], code._wb_arr[msgs])
+    # One hidden bit per group, as (8, runs) like msgs.
+    hbits = np.unpackbits(np.frombuffer(hidden, dtype=np.uint8)[None, :], axis=0)
+    # Row-major index of (msgs, hbits) in the (2**k, 2) table.
+    cw = code._w2_arr.ravel()[(msgs << 1) | hbits]
     return _pack_groups(cw, code.n, layout.page_bytes * 8)
+
+
+def _codeword_error(layout, code, cw, bad, what):
+    """WomError naming the first group flagged in bad, numbered within its
+    page (the runs of successive pages follow each other in cw)."""
+    i = _first_group(bad)
+    value = int_to_bits(int(cw[i % 8, i // 8]), code.n)
+    return WomError(
+        f"group {i % layout.groups_per_page} ({value}) is not a {what} codeword"
+    )
 
 
 def _decode_groups(layout, code, raw, table, what):
     _check_payload(layout, raw, layout.page_bytes, "raw page")
     cw = _unpack_groups(raw, code.n, layout.groups_per_page)
     out = table[cw]
-    if (out < 0).any():
-        g = int(np.argmax(out < 0))
-        raise WomError(
-            f"group {g} ({int_to_bits(int(cw[g]), code.n)}) is not a {what} codeword"
-        )
+    if out.min() < 0:
+        raise _codeword_error(layout, code, cw, out < 0, what)
     return out
 
 
@@ -468,24 +506,34 @@ def decode_page_hidden(
         _check_payload(layout, raw, layout.page_bytes, "raw page")
         cw = _unpack_groups(raw, code.n, layout.groups_per_page)
         h = np.maximum(code._hid_arr[cw], 0)
-    return np.packbits(h.astype(np.uint8)).tobytes()
+    return _pack_groups(h, 1, layout.hidden_payload_bytes * 8)
+
+
+# Groups per vectorised step of codeword_histogram: keeps its transient
+# arrays near 1 MB (cache-sized) however many pages it is given.
+_HISTOGRAM_GROUPS = 1 << 16
 
 
 def codeword_histogram(pages, code: WomCode, layout: PageLayout) -> Counter:
     """Counts of each second-write codeword across all groups of all pages."""
-    counts = Counter()
-    for raw in pages:
-        cw = _unpack_groups(raw, code.n, layout.groups_per_page)
-        bad = code._d2_arr[cw] < 0
-        if bad.any():
-            g = int(np.argmax(bad))
-            raise WomError(
-                f"group {g} ({int_to_bits(int(cw[g]), code.n)}) is not a "
-                "second-write codeword"
-            )
-        vals, n = np.unique(cw, return_counts=True)
-        counts.update(dict(zip(vals.tolist(), n.tolist())))
-    return counts
+    pages = list(pages)
+    step = max(1, _HISTOGRAM_GROUPS // layout.groups_per_page)
+    counts = np.zeros(2**code.n, dtype=np.int64)
+    for start in range(0, len(pages), step):
+        chunk = pages[start:start + step]
+        buf = b"".join(chunk)
+        if len(buf) != len(chunk) * layout.page_bytes:
+            raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
+        grid = np.frombuffer(buf, dtype=np.uint8).reshape(
+            len(chunk), layout.page_bytes)
+        cw = _unpack_runs(grid[:, :layout.groups_per_page // 8 * code.n],
+                          code.n)
+        part = np.bincount(cw.ravel(), minlength=2**code.n)
+        if (part[code._d2_arr < 0] > 0).any():
+            raise _codeword_error(layout, code, cw, code._d2_arr[cw] < 0,
+                                  "second-write")
+        counts += part
+    return Counter({int(c): int(v) for c, v in enumerate(counts) if v})
 
 
 # -- bit-string group helpers (worked examples, CLI) -----------------

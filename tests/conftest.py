@@ -29,13 +29,14 @@ def rng():
 
 def mixed_workload(ftl_cls, cfg, seed, nops, snap_every=500, hidden=True,
                    hot_lpns=None, write_frac=0.45, hidden_frac=0.25,
-                   device=None):
+                   device=None, track_ivs=False):
     """Shared randomized workload driver; returns (ftl, snapshots, shadow).
 
     shadow maps ("public"|"hidden", lpn) -> last written payload.
     """
     cfg_dev = device or FlashDevice(cfg.geometry)
-    ftl = ftl_cls.format(cfg_dev, cfg, "public-pw", "hidden-pw")
+    ftl = ftl_cls.format(cfg_dev, cfg, "public-pw", "hidden-pw",
+                         track_ivs=track_ivs)
     lay = cfg.layout
     rng = random.Random(seed + 1)
     shadow = {}

@@ -119,6 +119,21 @@ def test_io_reports_failed_requests(run):
     assert "error" in out
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"public_fraction": 0.7}, "public capacity fraction"),
+    ({"cpu_overhead_us": 2.0}, "cpu_overhead_us"),
+])
+def test_bad_config_file_is_a_usage_error(run, capsys, overrides, message):
+    path = run.dir / "cfg.json"
+    path.write_text(json.dumps(overrides))
+    # Straight through main: the run fixture discards standard error.
+    rc = main(["--out", "runs", "--config", str(path), "init", "--fill", "0"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert message in err
+
+
 def test_missing_device_is_a_usage_error(run):
     rc, _ = run("snapshot", "--device", "no-such.img")
     assert rc == EXIT_USAGE

@@ -278,6 +278,31 @@ def test_amplification_ratios_exact(desk_cfg):
     assert ftl.amplification("hidden_user") == Fraction(5, 1)
 
 
+# -- IV tracking --------------------------------------------------------
+
+
+def test_iv_tracking_holds_over_mixed_workload(desk_cfg):
+    ftl, snaps, _ = mixed_workload(PearlFtl, desk_cfg, seed=25, nops=400,
+                                   snap_every=100, track_ivs=True)
+    assert len(snaps) == 5
+    assert ftl.check_invariants() == []
+
+
+def test_iv_tracking_catches_repeat_under_public_key(device, desk_cfg, rng):
+    """A full write's IV also encrypts its public cloak, so a public write
+    drawing that IV again reuses it under the public key."""
+    ftl = PearlFtl.format(device, desk_cfg, "public-pw", "hidden-pw",
+                          track_ivs=True)
+    lay = ftl.layout
+    for lpn in range(6):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    state = ftl.rng.getstate()
+    ftl.hidden_write(0, rng.randbytes(lay.hidden_payload_bytes))
+    ftl.rng.setstate(state)  # the next draw repeats the full write's IV
+    with pytest.raises(PearlError, match="IV reuse"):
+        ftl.public_write(6, rng.randbytes(lay.public_payload_bytes))
+
+
 def test_batch_hidden_write_uses_incoming_public_write(ftl, rng):
     lay = ftl.layout
     for lpn in range(6):

@@ -1,6 +1,7 @@
 """Two-write WOM codes: table validity, partitions, page codecs."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from pearl.wom import (
     encode_page_first,
     encode_page_full,
     encode_page_second,
+    int_to_bits,
+    load_code_file,
     verify_equal_partition,
     verify_wom2,
 )
@@ -232,3 +235,114 @@ def test_histogram_rejects_first_stage_page(layout):
     page = encode_page_first(layout, WOM_3_5, bytes(1227))
     with pytest.raises(WomError):
         codeword_histogram([page], WOM_3_5, layout)
+
+
+# -- page codec against the scalar codec ------------------------------
+
+
+def _bits(data: bytes) -> str:
+    return "".join(format(b, "08b") for b in data)
+
+
+def _groups(bits: str, width: int) -> list:
+    return [int(bits[i:i + width], 2) for i in range(0, len(bits), width)]
+
+
+def _group_bits(code, values) -> str:
+    return "".join(int_to_bits(v, code.n) for v in values)
+
+
+@pytest.mark.parametrize("page_bytes", [2048, 16384])
+@pytest.mark.parametrize("code", [WOM_3_5, WOM_2_3], ids=lambda c: c.name)
+def test_page_codec_matches_scalar_codec(code, page_bytes):
+    lay = PageLayout.for_page(page_bytes, code)
+    rng = random.Random(page_bytes * code.n)
+    pub1 = rng.randbytes(lay.public_payload_bytes)
+    pub2 = rng.randbytes(lay.public_payload_bytes)
+    hidden = rng.randbytes(lay.hidden_payload_bytes)
+    used = lay.groups_per_page * code.n
+
+    def group_bits(page):
+        bits = _bits(page)
+        assert len(bits) == page_bytes * 8
+        assert bits[used:] == "0" * lay.slack_bits
+        return bits[:used]
+
+    first = encode_page_first(lay, code, pub1)
+    first_bits = group_bits(first)
+    assert first_bits == _group_bits(
+        code, (code.encode_first(m) for m in _groups(_bits(pub1), code.k)))
+
+    second = encode_page_second(lay, code, pub2, first)
+    second_bits = group_bits(second)
+    assert second_bits == _group_bits(code, (
+        code.encode_second(m, c)
+        for m, c in zip(_groups(_bits(pub2), code.k),
+                        _groups(first_bits, code.n))))
+
+    full = encode_page_full(lay, code, pub2, hidden)
+    full_bits = group_bits(full)
+    assert full_bits == encode_bits_full(code, _bits(pub2), _bits(hidden))
+
+    for page, bits, stage, public in ((first, first_bits, "first", pub1),
+                                      (second, second_bits, "second", pub2),
+                                      (full, full_bits, "second", pub2)):
+        decoded = decode_page_public(lay, code, page, stage)
+        assert _bits(decoded) == decode_bits_public(code, bits, stage)
+        assert decoded == public
+    decoded = decode_page_hidden(lay, code, full)
+    assert _bits(decoded) == decode_bits_hidden(code, full_bits)
+    assert decoded == hidden
+
+
+def _set_group(layout, code, page, g, value):
+    bits = _bits(page)
+    bits = bits[:g * code.n] + int_to_bits(value, code.n) + bits[(g + 1) * code.n:]
+    return int(bits, 2).to_bytes(layout.page_bytes, "big")
+
+
+@pytest.mark.parametrize("g", [0, 1234, 3271])
+def test_corrupted_group_names_first_bad_group(layout, g):
+    """Groups g and a later one are corrupted; errors name g."""
+    rng = random.Random(g)
+    pub = rng.randbytes(layout.public_payload_bytes)
+    later = min(g + 9, layout.groups_per_page - 1)
+    not_second = WOM_3_5.first_write[0]  # 00000 is no second-write codeword
+    not_first = 0b11111
+
+    full = encode_page_full(layout, WOM_3_5, pub,
+                            rng.randbytes(layout.hidden_payload_bytes))
+    for gg in (later, g):
+        full = _set_group(layout, WOM_3_5, full, gg, not_second)
+    msg = rf"^group {g} \(00000\) is not a second-write codeword$"
+    with pytest.raises(WomError, match=msg):
+        decode_page_public(layout, WOM_3_5, full, "second")
+    with pytest.raises(WomError, match=msg):
+        decode_page_hidden(layout, WOM_3_5, full)
+    good = encode_page_full(layout, WOM_3_5, pub, bytes(409))
+    for before in (1, 45):  # the histogram takes pages in batches
+        with pytest.raises(WomError, match=msg):
+            codeword_histogram([good] * before + [full, full], WOM_3_5, layout)
+
+    first = encode_page_first(layout, WOM_3_5, pub)
+    for gg in (later, g):
+        first = _set_group(layout, WOM_3_5, first, gg, not_first)
+    with pytest.raises(WomError,
+                       match=rf"^group {g} \(11111\) is not a first-write"):
+        decode_page_public(layout, WOM_3_5, first, "first")
+    with pytest.raises(WomError, match=rf"^group {g} of existing page"):
+        encode_page_second(layout, WOM_3_5, pub, first)
+
+
+def test_page_layout_rejects_codes_wider_than_a_byte(tmp_path):
+    """A loaded n = 9 code works through the scalar codec, but the page
+    codec takes n <= 8 only."""
+    path = tmp_path / "wide.code"
+    path.write_text("0 000000000 011111111 101111111\n"
+                    "1 000000001 110111111 111011111\n")
+    code = load_code_file(path)
+    assert code.n == 9
+    assert verify_wom2(code).ok
+    assert code.decode_hidden(code.encode_full(1, 1)) == 1
+    with pytest.raises(WomError, match="n <= 8"):
+        PageLayout.for_page(2048, code)
