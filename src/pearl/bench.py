@@ -1,4 +1,11 @@
-"""Workload benchmarking: trace parsing, synthetic generation, replay.
+"""Workload benchmarking: trace parsing, synthetic generation, replay,
+and the seeded mixed workload the tests and `pearl attack` share.
+
+Every request reaches an FTL through the one method both FTLs share,
+`submit(volume, lpn, op, data)`; `volumes()` gives each volume's page
+count and page payload.  PearlFtl has "public" and, when the hidden
+password is mounted, "hidden"; Dftl has "data".  init_device and replay
+take either FTL, or a PearlAdapter around one.
 
 Requests are queued FIFO and served serially by the device's busy clock,
 so a request's response time is its queuing delay plus service time.
@@ -8,6 +15,7 @@ sub-requests; the fan-out is recorded in the metrics.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -15,9 +23,8 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from .dftl import Dftl
 from .errors import PearlError, TraceFormatError
-from .ftl import PearlFtl
+from .flash import FlashDevice
 
 SECTOR_BYTES = 512
 
@@ -91,87 +98,25 @@ class RunMetrics:
 
 
 # ---------------------------------------------------------------------
-# FTL adapters: one uniform page-payload interface over both FTLs
+# harness seam
 # ---------------------------------------------------------------------
 
 
-class DftlAdapter:
-    """Single-volume view of the baseline FTL (volume name: "data")."""
-
-    def __init__(self, ftl: Dftl):
-        self.ftl = ftl
-        self.device = ftl.device
-
-    def volumes(self):
-        return {"data": (self.ftl.logical_pages, self.ftl.page_bytes)}
-
-    def submit(self, volume, lpn, op, data=None):
-        if volume != "data":
-            raise PearlError(f"baseline FTL has no volume {volume!r}")
-        if op == "write":
-            self.ftl.write(lpn, data)
-        elif op == "read":
-            self.ftl.read(lpn)
-        else:
-            self.ftl.trim(lpn)
-
-    @property
-    def gc_runs(self):
-        return self.ftl.gc_runs
-
-    def amplification(self):
-        return {}
-
-
 class PearlAdapter:
-    def __init__(self, ftl: PearlFtl):
-        self.ftl = ftl
-        self.device = ftl.device
+    """A pass-through view of an FTL: every attribute is the FTL's own,
+    `volumes` and `gc_runs` included.  It is the seam where a harness
+    wraps `submit`: a subclass overriding it sees every request that
+    init_device and replay make, and reaches the FTL's through super()."""
 
-    def volumes(self):
-        cfg = self.ftl.config
-        lay = cfg.layout
-        out = {"public": (cfg.public_pages, lay.public_payload_bytes)}
-        if self.ftl.mode == "public-hidden":
-            out["hidden"] = (cfg.hidden_pages, lay.hidden_payload_bytes)
-        return out
+    def __init__(self, ftl):
+        self.ftl = ftl
+        self.device = ftl.device   # read on every request by harnesses
+
+    def __getattr__(self, name):
+        return getattr(self.ftl, name)
 
     def submit(self, volume, lpn, op, data=None):
-        if op == "trim":
-            self.ftl.trim(lpn, volume=volume)
-        elif volume == "public":
-            if op == "write":
-                self.ftl.public_write(lpn, data)
-            else:
-                self.ftl.public_read(lpn)
-        elif volume == "hidden":
-            if op == "write":
-                self.ftl.hidden_write(lpn, data)
-            else:
-                self.ftl.hidden_read(lpn)
-        else:
-            raise PearlError(f"unknown volume {volume!r}")
-
-    @property
-    def gc_runs(self):
-        return self.ftl.gc_runs
-
-    def amplification(self):
-        out = {}
-        for bucket in ("public_user", "hidden_user"):
-            try:
-                out[bucket] = float(self.ftl.amplification(bucket))
-            except (KeyError, ZeroDivisionError):
-                continue
-        return out
-
-
-def adapt(ftl):
-    if isinstance(ftl, Dftl):
-        return DftlAdapter(ftl)
-    if isinstance(ftl, PearlFtl):
-        return PearlAdapter(ftl)
-    return ftl  # already an adapter
+        return self.ftl.submit(volume, lpn, op, data)
 
 
 # ---------------------------------------------------------------------
@@ -264,13 +209,12 @@ def mix_hidden(records, hidden_fraction, seed, hidden_pages,
 def init_device(ftl, fill_fraction=0.5, seed=0):
     """Fill the first fill_fraction of every volume with random data,
     re-writing until at least one GC has run and most physical pages have
-    been programmed."""
-    adapter = adapt(ftl)
+    been programmed.  Returns the FTL it was given."""
     if fill_fraction <= 0:
-        return adapter
+        return ftl
     rng = random.Random(seed)
-    vols = adapter.volumes()
-    dev = adapter.device
+    vols = ftl.volumes()
+    dev = ftl.device
     total = dev.geometry.total_pages
 
     def programmed_fraction():
@@ -279,9 +223,9 @@ def init_device(ftl, fill_fraction=0.5, seed=0):
     for sweep in range(40):
         for volume, (pages, payload) in vols.items():
             for lpn in range(int(pages * fill_fraction)):
-                adapter.submit(volume, lpn, "write", rng.randbytes(payload))
-        if adapter.gc_runs >= 1 and programmed_fraction() >= 0.5:
-            return adapter
+                ftl.submit(volume, lpn, "write", rng.randbytes(payload))
+        if ftl.gc_runs >= 1 and programmed_fraction() >= 0.5:
+            return ftl
     raise PearlError("initialization did not reach steady state")
 
 
@@ -293,9 +237,8 @@ def _sub_lpns(record, payload_bytes, volume_pages):
 
 def replay(ftl, workload, cpu_overhead_us=2.0, seed=None):
     """Serial FIFO event loop over the device busy clock."""
-    adapter = adapt(ftl)
-    vols = adapter.volumes()
-    dev = adapter.device
+    vols = ftl.volumes()
+    dev = ftl.device
     rng = random.Random(seed)
     metrics = RunMetrics(seed=seed)
     free_at = 0.0
@@ -316,7 +259,7 @@ def replay(ftl, workload, cpu_overhead_us=2.0, seed=None):
         for lpn in _sub_lpns(rec, payload, pages):
             data = rng.randbytes(payload) if rec.op == "write" else None
             try:
-                adapter.submit(rec.volume, lpn, rec.op, data)
+                ftl.submit(rec.volume, lpn, rec.op, data)
             except PearlError:
                 if rec.op == "write":
                     raise
@@ -337,8 +280,67 @@ def replay(ftl, workload, cpu_overhead_us=2.0, seed=None):
         "programs": dev.programs - start_counts[1],
         "erases": dev.erases - start_counts[2],
     }
-    metrics.amplification = adapter.amplification()
+    # Physical over logical bits of each user bucket that moved any.
+    ledger = ftl.ledger
+    metrics.amplification = {
+        b: ledger[f"{b}_physical_bits"] / ledger[f"{b}_logical_bits"]
+        for b in ("public_user", "hidden_user")
+        if ledger[f"{b}_logical_bits"]}
     return metrics
+
+
+# ---------------------------------------------------------------------
+# the mixed workload
+# ---------------------------------------------------------------------
+
+
+def mixed_workload(ftl_cls, cfg, seed, nops, snap_every=500, hot_lpns=None,
+                   write_frac=0.45, hidden_frac=0.25, track_ivs=False):
+    """Seeded mix of public and hidden writes, trims, GC runs and public
+    reads checked against the shadow (a mismatch raises PearlError) on a
+    freshly formatted device, with an unmount snapshot every snap_every
+    operations and one at the end.  Returns (ftl, snapshots, shadow);
+    shadow maps ("public"|"hidden", lpn) to the last payload written."""
+    ftl = ftl_cls.format(FlashDevice(cfg.geometry), cfg, "public-pw",
+                         "hidden-pw", track_ivs=track_ivs)
+    lay = cfg.layout
+    rng = random.Random(seed + 1)
+    shadow = {}
+    pub = []    # live public lpns, kept sorted for the rng.choice draws
+    snaps = []
+    pub_range = hot_lpns or cfg.public_pages // 4
+    hid_range = cfg.hidden_pages // 4
+    for i in range(nops):
+        r = rng.random()
+        if r < write_frac or not pub:
+            lpn = rng.randrange(pub_range)
+            data = rng.randbytes(lay.public_payload_bytes)
+            ftl.public_write(lpn, data)
+            if ("public", lpn) not in shadow:
+                bisect.insort(pub, lpn)
+            shadow["public", lpn] = data
+        elif r < write_frac + hidden_frac:
+            lpn = rng.randrange(hid_range)
+            data = rng.randbytes(lay.hidden_payload_bytes)
+            ftl.hidden_write(lpn, data)
+            shadow["hidden", lpn] = data
+        elif r < write_frac + hidden_frac + 0.10 and pub:
+            lpn = rng.choice(pub)
+            ftl.trim(lpn)
+            del shadow["public", lpn]
+            pub.remove(lpn)
+        elif r < write_frac + hidden_frac + 0.15:
+            ftl.gc_run()
+        elif pub:
+            lpn = rng.choice(pub)
+            if ftl.public_read(lpn) != shadow["public", lpn]:
+                raise PearlError(f"public lpn {lpn} read back wrong data")
+        if snap_every and (i + 1) % snap_every == 0:
+            ftl.prepare_unmount()
+            snaps.append(ftl.snapshot())
+    ftl.prepare_unmount()
+    snaps.append(ftl.snapshot())
+    return ftl, snaps, shadow
 
 
 # ---------------------------------------------------------------------

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import __version__
 from .adversary import (classify_snapshot, diff_transitions,
                         frequency_distinguisher, ui1_inference)
-from .bench import (adapt, export_report, gen_synthetic, init_device,
-                    mix_hidden, parse_trace, replay)
+from .bench import (export_report, gen_synthetic, init_device, mix_hidden,
+                    mixed_workload, parse_trace, replay)
 from .config import PearlConfig, desk_config, paper_config
 from .dftl import Dftl
 from .errors import PearlError
@@ -110,28 +109,15 @@ def cmd_verify_code(args):
     return EXIT_OK
 
 
-def _make_pearl(args, blank_device=None):
+def _make_pearl(args):
     cfg = _config_for(args)
-    if blank_device is None:
-        blank_device = FlashDevice(cfg.geometry)
-    return PearlFtl.format(blank_device, cfg, args.public_password,
-                           args.hidden_password)
-
-
-def _mount(args):
-    snap = Snapshot.load(args.device)
-    device = FlashDevice.restore(snap)
-    if args.ftl == "dftl":
-        raise PearlError("the baseline FTL has no on-device metadata to "
-                         "mount; use it through `bench` only")
-    return PearlFtl.mount(device, args.public_password,
-                          args.hidden_password, seed=args.seed)
+    return PearlFtl.format(FlashDevice(cfg.geometry), cfg,
+                           args.public_password, args.hidden_password)
 
 
 def cmd_init(args):
-    ftl = _make_pearl(args)
-    if args.fill > 0:
-        init_device(ftl, fill_fraction=args.fill, seed=args.seed)
+    ftl = init_device(_make_pearl(args), fill_fraction=args.fill,
+                      seed=args.seed)
     ftl.prepare_unmount()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "device.img")
@@ -142,53 +128,52 @@ def cmd_init(args):
     return EXIT_OK
 
 
+def _io_request(line):
+    """(volume, lpn, op, data) of one `io` script line."""
+    try:
+        req = json.loads(line)
+        request = (req["volume"], req["lpn"], req["op"],
+                   bytes.fromhex(req.get("data_hex", "")))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise PearlError(f"bad request: {exc!r}") from None
+    if type(request[1]) is not int:
+        raise PearlError(f"bad request: lpn {request[1]!r} is not an integer")
+    return request
+
+
 def cmd_io(args):
-    ftl = _mount(args)
+    ftl = PearlFtl.mount(FlashDevice.restore(Snapshot.load(args.device)),
+                         args.public_password, args.hidden_password,
+                         seed=args.seed)
     failures = 0
     with open(args.script) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            req = json.loads(line)
-            volume, op, lpn = req["volume"], req["op"], req["lpn"]
             try:
-                if op == "write":
-                    data = bytes.fromhex(req["data_hex"])
-                    if volume == "public":
-                        ftl.public_write(lpn, data)
-                    else:
-                        ftl.hidden_write(lpn, data)
-                    print(f"{lineno}: wrote {volume} lpn {lpn}")
-                elif op == "read":
-                    out = (ftl.public_read(lpn) if volume == "public"
-                           else ftl.hidden_read(lpn))
-                    print(f"{lineno}: {volume} lpn {lpn} = {out.hex()}")
-                elif op == "trim":
-                    ftl.trim(lpn, volume=volume)
-                    print(f"{lineno}: trimmed {volume} lpn {lpn}")
-                else:
-                    raise PearlError(f"unknown op {op!r}")
+                volume, lpn, op, data = _io_request(line)
+                out = ftl.submit(volume, lpn, op, data)
             except PearlError as exc:
                 failures += 1
                 print(f"{lineno}: error: {exc}")
+                continue
+            if op == "read":
+                print(f"{lineno}: {volume} lpn {lpn} = {out.hex()}")
+            else:
+                done = "wrote" if op == "write" else "trimmed"
+                print(f"{lineno}: {done} {volume} lpn {lpn}")
     ftl.prepare_unmount()
     ftl.snapshot().save(args.device)
     _write_manifest(args, {"device": args.device, "failures": failures})
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
-def _bench_ftl(args):
-    if args.ftl == "dftl":
-        device = FlashDevice(PRESETS[args.preset])
-        return adapt(Dftl(device))
-    return adapt(_make_pearl(args))
-
-
 def cmd_bench(args):
-    adapter = _bench_ftl(args)
-    init_device(adapter, fill_fraction=args.fill, seed=args.seed)
-    vols = adapter.volumes()
+    ftl = (Dftl(FlashDevice(PRESETS[args.preset])) if args.ftl == "dftl"
+           else _make_pearl(args))
+    init_device(ftl, fill_fraction=args.fill, seed=args.seed)
+    vols = ftl.volumes()
     volume = args.volume
     if volume not in vols:
         volume = next(iter(vols))
@@ -203,7 +188,7 @@ def cmd_bench(args):
         h_pages, h_payload = vols["hidden"]
         workload = mix_hidden(workload, args.hidden_fraction, args.seed + 2,
                               h_pages, h_payload)
-    metrics = replay(adapter, workload, cpu_overhead_us=args.cpu_overhead,
+    metrics = replay(ftl, workload, cpu_overhead_us=args.cpu_overhead,
                      seed=args.seed + 3)
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, f"{args.ftl}-{volume}")
@@ -217,44 +202,12 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def _attack_workload(cls, seed, cfg, nops=1500, snap_every=500, hidden=True):
-    device = FlashDevice(cfg.geometry)
-    ftl = cls.format(device, cfg, "public-pw", "hidden-pw")
-    lay = cfg.layout
-    rng = random.Random(seed + 1)
-    pub = set()
-    snaps = []
-    for i in range(nops):
-        r = rng.random()
-        if r < 0.45 or not pub:
-            lpn = rng.randrange(cfg.public_pages // 4)
-            ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
-            pub.add(lpn)
-        elif r < 0.70 and hidden:
-            h = rng.randrange(cfg.hidden_pages // 4)
-            ftl.hidden_write(h, rng.randbytes(lay.hidden_payload_bytes))
-        elif r < 0.80 and pub:
-            lpn = rng.choice(sorted(pub))
-            ftl.trim(lpn)
-            pub.discard(lpn)
-        elif r < 0.85:
-            ftl.gc_run()
-        elif pub:
-            ftl.public_read(rng.choice(sorted(pub)))
-        if (i + 1) % snap_every == 0:
-            ftl.prepare_unmount()
-            snaps.append(ftl.snapshot())
-    ftl.prepare_unmount()
-    snaps.append(ftl.snapshot())
-    return ftl, snaps
-
-
 def cmd_attack(args):
     cls = BrokenAllocatorFtl if args.ftl == "mutant" else PearlFtl
     detected = 0
     for trial in range(args.trials):
         cfg = _config_for(args, seed=args.seed + trial, cmt_capacity=64)
-        _, snaps = _attack_workload(cls, args.seed + trial, cfg)
+        _, snaps, _ = mixed_workload(cls, cfg, args.seed + trial, nops=1500)
         if args.experiment == "frequency":
             report = frequency_distinguisher(snaps, cfg.code, min_groups=1)
             hit = report.distinguishes()
@@ -330,7 +283,6 @@ def build_parser():
                    help="JSON-lines: volume, op, lpn, data_hex")
     p.add_argument("--public-password", default="public-pw")
     p.add_argument("--hidden-password", default=None)
-    p.add_argument("--ftl", choices=["pearl"], default="pearl")
     p.set_defaults(func=cmd_io)
 
     p = sub.add_parser("bench", help="replay a trace or synthetic workload")

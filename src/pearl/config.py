@@ -93,27 +93,6 @@ class PearlConfig:
             "hidden": lay.hidden_payload_bytes // 4,
         }
 
-    # -- unified address space for request submission -------------------
-
-    @property
-    def device_pages(self) -> int:
-        """The advertised physical page count; hidden lpns are addressed
-        as offsets beyond it."""
-        return self.geometry.total_pages
-
-    def resolve_offset(self, offset: int):
-        """Map a raw page offset onto (volume, lpn).
-
-        Offsets below the public capacity hit the public volume; offsets
-        in [device_pages, device_pages + hidden capacity) hit the hidden
-        volume; the gap in between and anything beyond is an error.
-        """
-        if 0 <= offset < self.public_pages:
-            return "public", offset
-        if self.device_pages <= offset < self.device_pages + self.hidden_pages:
-            return "hidden", offset - self.device_pages
-        raise ValueError(f"page offset {offset} outside both volumes")
-
 
 def desk_config(**overrides) -> PearlConfig:
     return PearlConfig(geometry=PRESETS["desk"], **overrides)

@@ -120,6 +120,22 @@ class Dftl(MappingCore):
         self.cmt.put(DATA, lpn, UNMAPPED, dirty=True)
         self._drain_cmt()
 
+    def volumes(self):
+        """{volume: (pages, payload_bytes)}: the one "data" volume."""
+        return {DATA: (self.logical_pages, self.page_bytes)}
+
+    def submit(self, volume, lpn, op, data=None):
+        """One block request: read (returns the payload), write or trim."""
+        if volume != DATA:
+            raise PearlError(f"baseline FTL has no volume {volume!r}")
+        if op == "read":
+            return self.read(lpn)
+        if op == "write":
+            return self.write(lpn, data)
+        if op == "trim":
+            return self.trim(lpn)
+        raise PearlError(f"unknown op {op!r}")
+
     # -- garbage collection --------------------------------------------
 
     def gc_select_victim(self):

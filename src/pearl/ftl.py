@@ -825,24 +825,30 @@ class PearlFtl(MappingCore):
             raise PearlError(f"unknown volume {volume!r}")
         self._drain_cmt()
 
-    def submit(self, offset, op, data=None):
-        """Uniform request interface over the joint address space."""
-        volume, lpn = self.config.resolve_offset(offset)
+    def volumes(self):
+        """{volume: (pages, payload_bytes)} of every mounted volume."""
+        cfg, lay = self.config, self.layout
+        out = {PUBLIC: (cfg.public_pages, lay.public_payload_bytes)}
+        if self.mode == PUBLIC_HIDDEN:
+            out[HIDDEN] = (cfg.hidden_pages, lay.hidden_payload_bytes)
+        return out
+
+    def submit(self, volume, lpn, op, data=None):
+        """Read (returning the payload), write or trim one lpn of a volume."""
+        if volume not in (PUBLIC, HIDDEN):
+            raise PearlError(f"unknown volume {volume!r}")
         if op == "read":
             return self.public_read(lpn) if volume == PUBLIC \
                 else self.hidden_read(lpn)
         if op == "write":
-            if volume == PUBLIC:
-                self.public_write(lpn, data)
-            else:
-                self.hidden_write(lpn, data)
-            return None
+            return self.public_write(lpn, data) if volume == PUBLIC \
+                else self.hidden_write(lpn, data)
         if op == "trim":
             return self.trim(lpn, volume)
         raise PearlError(f"unknown op {op!r}")
 
     def submit_batch(self, requests):
-        """Process a batch of (offset, op, data) requests in order.
+        """Process a batch of (volume, lpn, op, data) requests in order.
 
         A hidden write looks ahead for the next unconsumed public write in
         the batch and uses it as its cloak, saving one relocation; the
@@ -851,40 +857,34 @@ class PearlFtl(MappingCore):
         results = []
         consumed = set()
         reqs = list(requests)
-        for i, (offset, op, data) in enumerate(reqs):
+        for i, (volume, lpn, op, data) in enumerate(reqs):
             if i in consumed:
                 results.append(None)
                 continue
-            volume, lpn = self.config.resolve_offset(offset)
             if op == "write" and volume == HIDDEN:
-                j = self._find_pending_public_write(reqs, i + 1, consumed)
+                # the next unconsumed public write, if any
+                j = next((j for j in range(i + 1, len(reqs))
+                          if j not in consumed and reqs[j][0] == PUBLIC
+                          and reqs[j][2] == "write"), None)
                 if j is None:
                     self.hidden_write(lpn, data)
                 else:
-                    _, _, pub_data = reqs[j]
-                    _, pub_lpn = self.config.resolve_offset(reqs[j][0])
+                    _, pub_lpn, _, pub_data = reqs[j]
                     self._hidden_write_with_incoming(lpn, data, pub_lpn,
                                                      pub_data)
                     consumed.add(j)
                 results.append(None)
             else:
-                results.append(self.submit(offset, op, data))
+                results.append(self.submit(volume, lpn, op, data))
         return results
-
-    def _find_pending_public_write(self, reqs, start, consumed):
-        for j in range(start, len(reqs)):
-            if j in consumed:
-                continue
-            offset, op, _ = reqs[j]
-            volume, _ = self.config.resolve_offset(offset)
-            if op == "write" and volume == PUBLIC:
-                return j
-        return None
 
     def _hidden_write_with_incoming(self, lpn, data, pub_lpn, pub_data):
         """Full write carrying a hidden page plus an incoming public user
         write as its cloak."""
         self._require_hidden()
+        if not (0 <= lpn < self.config.hidden_pages
+                and 0 <= pub_lpn < self.config.public_pages):
+            raise PearlError(f"lpn {lpn} or {pub_lpn} beyond volume capacity")
         if len(pub_data) != self.layout.public_payload_bytes:
             raise PearlError("public write must be one page payload")
         if len(data) != self.layout.hidden_payload_bytes:

@@ -12,7 +12,7 @@ import pytest
 from conftest import mixed_workload
 from pearl.adversary import (diff_transitions, frequency_distinguisher,
                              second_write_model, ui1_inference)
-from pearl.bench import adapt, gen_synthetic, init_device, replay
+from pearl.bench import gen_synthetic, init_device, replay
 from pearl.config import desk_config
 from pearl.dftl import Dftl
 from pearl.flash import DESK_GEOMETRY, FlashDevice
@@ -259,23 +259,21 @@ def test_07_capacity_bounds():
 def test_08_relative_throughput_bands():
     n = 600
 
-    def throughput(make_adapter, volume, read_fraction):
-        adapter = make_adapter()
-        init_device(adapter, fill_fraction=0.5, seed=3)
-        pages, payload = adapter.volumes()[volume]
+    def throughput(make_ftl, volume, read_fraction):
+        ftl = init_device(make_ftl(), fill_fraction=0.5, seed=3)
+        pages, payload = ftl.volumes()[volume]
         # reads stay inside the pre-filled half of the volume
         lim = int(pages * 0.5) if read_fraction else pages
         wl = gen_synthetic(n, payload, read_fraction, 0.0, volume,
                            seed=11, volume_pages=lim, payload_bytes=payload)
-        return replay(adapter, wl, seed=12).bytes_per_second
+        return replay(ftl, wl, seed=12).bytes_per_second
 
     def baseline():
-        return adapt(Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=64))
+        return Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=64)
 
     def deniable():
         cfg = desk_config(cmt_capacity=64, seed=3)
-        return adapt(PearlFtl.format(FlashDevice(cfg.geometry), cfg,
-                                     "p", "h"))
+        return PearlFtl.format(FlashDevice(cfg.geometry), cfg, "p", "h")
 
     base = {"read": throughput(baseline, "data", 1.0),
             "write": throughput(baseline, "data", 0.0)}

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from pearl.bench import (SECTOR_BYTES, TraceRecord, adapt, export_report,
-                         gen_synthetic, init_device, mix_hidden, parse_trace,
-                         replay)
+from pearl.bench import (SECTOR_BYTES, PearlAdapter, TraceRecord,
+                         export_report, gen_synthetic, init_device,
+                         mix_hidden, mixed_workload, parse_trace, replay)
+from pearl.config import desk_config
 from pearl.dftl import Dftl
 from pearl.errors import PearlError, TraceFormatError
 from pearl.flash import DESK_GEOMETRY, FlashDevice
@@ -178,9 +179,9 @@ def test_throughput_is_bytes_over_makespan(dftl):
 
 
 def test_init_device_reaches_steady_state(dftl):
-    adapter = init_device(dftl, fill_fraction=0.6, seed=0)
-    assert adapter.gc_runs >= 1
-    dev = adapter.device
+    assert init_device(dftl, fill_fraction=0.6, seed=0) is dftl
+    assert dftl.gc_runs >= 1
+    dev = dftl.device
     programmed = sum(1 for p in range(dev.geometry.total_pages)
                      if dev.program_count(p))
     assert programmed >= dev.geometry.total_pages * 0.5
@@ -188,9 +189,45 @@ def test_init_device_reaches_steady_state(dftl):
 
 def test_init_device_works_on_both_ftls(desk_cfg, device):
     ftl = PearlFtl.format(device, desk_cfg, "public-pw", "hidden-pw")
-    adapter = init_device(ftl, fill_fraction=0.5, seed=1)
-    assert adapter.gc_runs >= 1
+    assert init_device(ftl, fill_fraction=0.5, seed=1) is ftl
+    assert ftl.gc_runs >= 1
     assert ftl.check_invariants() == []
+
+
+def test_adapter_subclass_sees_every_request(desk_cfg, device):
+    class Counting(PearlAdapter):
+        def submit(self, volume, lpn, op, data=None):
+            self.seen.append((volume, op))
+            return super().submit(volume, lpn, op, data)
+
+    ftl = PearlFtl.format(device, desk_cfg, "public-pw", "hidden-pw")
+    adapter = Counting(ftl)
+    adapter.seen = []
+    assert init_device(adapter, fill_fraction=0.5, seed=1) is adapter
+    assert adapter.volumes() == ftl.volumes()
+    assert adapter.gc_runs == ftl.gc_runs >= 1
+    writes = len(adapter.seen)
+    assert set(adapter.seen) == {("public", "write"), ("hidden", "write")}
+    pages, payload = adapter.volumes()["hidden"]
+    wl = gen_synthetic(20, payload, 1.0, 0.0, "hidden", seed=4,
+                       volume_pages=pages // 2, payload_bytes=payload)
+    m = replay(adapter, wl, seed=4)
+    assert adapter.seen[writes:] == [("hidden", "read")] * 20
+    assert m.amplification == {"public_user": 5 / 3, "hidden_user": 5.0}
+
+
+# -- the mixed workload -----------------------------------------------
+
+
+def test_mixed_workload_fails_on_a_wrong_read():
+    class Garbled(PearlFtl):
+        def public_read(self, lpn):
+            return bytes(len(super().public_read(lpn)))
+
+    cfg = desk_config(cmt_capacity=64, seed=0)
+    mixed_workload(PearlFtl, cfg, seed=0, nops=60, snap_every=0)
+    with pytest.raises(PearlError, match="read back wrong data"):
+        mixed_workload(Garbled, cfg, seed=0, nops=60, snap_every=0)
 
 
 # -- reporting --------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from pearl.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from pearl.config import desk_config
 from pearl.wom import WOM_3_5
 
 
@@ -119,6 +120,62 @@ def test_io_reports_failed_requests(run):
     assert "error" in out
 
 
+def _io(run, *requests):
+    """Run one `io` script of the given requests on runs/device.img."""
+    script = run.dir / "script.jsonl"
+    script.write_text("".join(json.dumps(r) + "\n" for r in requests))
+    return run("io", "--device", os.path.join("runs", "device.img"),
+               "--script", str(script), "--hidden-password", "hidden-pw")
+
+
+@pytest.mark.parametrize("bad", [
+    # A hidden-payload write: it fits the hidden volume if misrouted there.
+    {"volume": "Public", "op": "write", "lpn": 3,
+     "data_hex": "ab" * desk_config().layout.hidden_payload_bytes},
+    {"volume": "public", "op": "write", "lpn": 3,
+     "data_hex": "zz" * desk_config().layout.public_payload_bytes},
+    {"volume": "public", "op": "write", "lpn": "3",
+     "data_hex": "ab" * desk_config().layout.public_payload_bytes},
+], ids=["unknown-volume", "non-hex-data", "non-integer-lpn"])
+def test_io_rejects_bad_request_lines(run, bad):
+    rc, _ = run("init", "--fill", "0", "--hidden-password", "hidden-pw")
+    assert rc == EXIT_OK
+    cover = os.urandom(desk_config().layout.public_payload_bytes)
+    rc, out = _io(run, {"volume": "public", "op": "write", "lpn": 0,
+                        "data_hex": cover.hex()}, bad)
+    assert rc == EXIT_VIOLATION
+    lines = out.splitlines()
+    assert lines[0] == "1: wrote public lpn 0"
+    assert lines[1].startswith("2: error: ") and len(lines) == 2
+    assert _manifest(run)[-1]["outputs"]["failures"] == 1
+    # Nothing reached either volume.
+    rc, out = _io(run, {"volume": "public", "op": "read", "lpn": 3},
+                  {"volume": "hidden", "op": "read", "lpn": 3})
+    assert rc == EXIT_VIOLATION
+    assert out.startswith("1: error: ") and "\n2: error: " in out
+
+
+def test_io_reports_each_request(run):
+    rc, _ = run("init", "--fill", "0", "--hidden-password", "hidden-pw")
+    assert rc == EXIT_OK
+    lay = desk_config().layout
+    public = os.urandom(lay.public_payload_bytes)
+    hidden = os.urandom(lay.hidden_payload_bytes)
+    rc, out = _io(run,
+                  {"volume": "public", "op": "write", "lpn": 0,
+                   "data_hex": public.hex()},
+                  {"volume": "hidden", "op": "write", "lpn": 2,
+                   "data_hex": hidden.hex()},
+                  {"volume": "hidden", "op": "read", "lpn": 2},
+                  {"volume": "hidden", "op": "trim", "lpn": 2},
+                  {"volume": "public", "op": "erase", "lpn": 0})
+    assert rc == EXIT_VIOLATION
+    assert out.splitlines() == [
+        "1: wrote public lpn 0", "2: wrote hidden lpn 2",
+        f"3: hidden lpn 2 = {hidden.hex()}", "4: trimmed hidden lpn 2",
+        "5: error: unknown op 'erase'"]
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"public_fraction": 0.7}, "public capacity fraction"),
     ({"cpu_overhead_us": 2.0}, "cpu_overhead_us"),
@@ -153,6 +210,17 @@ def test_bench_baseline_writes_reports(run):
     rec = _manifest(run)[-1]
     assert rec["command"] == "bench"
     assert rec["outputs"]["requests"] == 40
+
+
+def test_bench_all_public_writes_from_empty(run):
+    rc, out = run("bench", "--fill", "0", "--read-fraction", "0",
+                  "--requests", "40")
+    assert rc == EXIT_OK
+    assert "requests 40" in out
+    summary = json.load(open(os.path.join("runs",
+                                          "pearl-public.summary.json")))
+    # No hidden write ran, so there is no hidden ratio to report.
+    assert summary["amplification"] == {"public_user": 5 / 3}
 
 
 # -- attack -----------------------------------------------------------

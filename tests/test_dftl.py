@@ -147,3 +147,33 @@ def test_cold_cache_equals_warm_cache(dftl):
     dftl.cmt._entries.clear()
     cold = {lpn: dftl.translate(lpn) for lpn in writes}
     assert cold == warm
+
+
+def test_submit_routes_and_reports_one_volume(dftl, rng):
+    assert dftl.volumes() == {DATA: (dftl.logical_pages, dftl.page_bytes)}
+    data = _payload(dftl, rng)
+    assert dftl.submit(DATA, 7, "write", data) is None
+    assert dftl.submit(DATA, 7, "read") == data
+    dftl.submit(DATA, 7, "trim")
+    with pytest.raises(UnmappedLpn):
+        dftl.submit(DATA, 7, "read")
+
+
+def test_submit_rejects_unknown_op(dftl, rng):
+    data = _payload(dftl, rng)
+    dftl.write(7, data)
+    for op in ("erase", "Write", "TRIM"):
+        with pytest.raises(PearlError, match="unknown op"):
+            dftl.submit(DATA, 7, op, data)
+    assert dftl.read(7) == data
+
+
+def test_submit_rejects_unknown_volume(dftl, rng):
+    data = _payload(dftl, rng)
+    programs = dftl.device.programs
+    for volume in ("public", "hidden", "Data"):
+        with pytest.raises(PearlError, match="no volume"):
+            dftl.submit(volume, 7, "write", data)
+    assert dftl.device.programs == programs
+    with pytest.raises(UnmappedLpn):
+        dftl.read(7)

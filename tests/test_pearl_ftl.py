@@ -29,17 +29,6 @@ def test_capacity_fractions_enforced():
     assert cfg.hidden_pages == 384
 
 
-def test_volume_offset_resolution():
-    cfg = desk_config()
-    assert cfg.resolve_offset(0) == ("public", 0)
-    assert cfg.resolve_offset(cfg.device_pages) == ("hidden", 0)
-    # the gap between the public capacity and the advertised size is dead
-    with pytest.raises(ValueError):
-        cfg.resolve_offset(cfg.public_pages)
-    with pytest.raises(ValueError):
-        cfg.resolve_offset(cfg.device_pages + cfg.hidden_pages)
-
-
 # -- format / mount ---------------------------------------------------
 
 
@@ -148,6 +137,9 @@ def test_public_only_mode_gates_hidden(device, desk_cfg, rng):
         ftl.hidden_write(0, rng.randbytes(lay.hidden_payload_bytes))
     with pytest.raises(ModeError):
         ftl.hidden_read(0)
+    assert list(ftl.volumes()) == ["public"]
+    with pytest.raises(ModeError):
+        ftl.submit("hidden", 0, "read")
 
 
 # -- the no-password-oracle property ----------------------------------
@@ -310,8 +302,8 @@ def test_batch_hidden_write_uses_incoming_public_write(ftl, rng):
     pub = rng.randbytes(lay.public_payload_bytes)
     sec = rng.randbytes(lay.hidden_payload_bytes)
     ftl.submit_batch([
-        (ftl.config.device_pages + 3, "write", sec),
-        (9, "write", pub),
+        ("hidden", 3, "write", sec),
+        ("public", 9, "write", pub),
     ])
     assert ftl.public_read(9) == pub
     assert ftl.hidden_read(3) == sec
@@ -319,17 +311,55 @@ def test_batch_hidden_write_uses_incoming_public_write(ftl, rng):
     assert ftl._translate("public", 9) == ftl._translate("hidden", 3)
 
 
-def test_submit_resolves_flat_offsets(ftl, rng):
+def test_batch_rejects_lpns_beyond_capacity(ftl, rng):
+    lay, cfg = ftl.layout, ftl.config
+    for lpn in range(6):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    programs = ftl.device.programs
+    sec = rng.randbytes(lay.hidden_payload_bytes)
+    pub = rng.randbytes(lay.public_payload_bytes)
+    for hidden_lpn, public_lpn in ((3, cfg.public_pages + 5),
+                                   (cfg.hidden_pages, 9)):
+        with pytest.raises(PearlError, match="beyond volume capacity"):
+            ftl.submit_batch([("hidden", hidden_lpn, "write", sec),
+                              ("public", public_lpn, "write", pub)])
+    assert ftl.device.programs == programs
+    assert ftl.check_invariants() == []
+
+
+def test_submit_routes_volume_and_lpn(ftl, rng):
     lay = ftl.layout
     cfg = ftl.config
+    assert ftl.volumes() == {
+        "public": (cfg.public_pages, lay.public_payload_bytes),
+        "hidden": (cfg.hidden_pages, lay.hidden_payload_bytes)}
     data = rng.randbytes(lay.public_payload_bytes)
-    ftl.submit(4, "write", data)
-    assert ftl.public_read(4) == data
+    assert ftl.submit("public", 8, "write", data) is None
+    assert ftl.public_read(8) == data
     for lpn in range(6):
         ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
     secret = rng.randbytes(lay.hidden_payload_bytes)
-    ftl.submit(cfg.device_pages + 1, "write", secret)
+    ftl.submit("hidden", 1, "write", secret)
     assert ftl.hidden_read(1) == secret
+    assert ftl.submit("hidden", 1, "read") == secret
+    assert ftl.submit("public", 8, "read") == data
+    ftl.submit("public", 8, "trim")
+    with pytest.raises(UnmappedLpn):
+        ftl.submit("public", 8, "read")
+
+
+def test_submit_rejects_unknown_volume_and_op(ftl, rng):
+    data = rng.randbytes(ftl.layout.public_payload_bytes)
+    ftl.submit("public", 3, "write", data)
+    programs = ftl.device.programs
+    for volume, op in (("Public", "write"), ("data", "read"),
+                       ("public", "erase"), ("hidden", "Write")):
+        with pytest.raises(PearlError):
+            ftl.submit(volume, 3, op, data)
+    assert ftl.device.programs == programs
+    assert ftl.public_read(3) == data
+    with pytest.raises(UnmappedLpn):
+        ftl.hidden_read(3)
 
 
 # -- persistence and recovery -----------------------------------------
