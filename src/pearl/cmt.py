@@ -99,12 +99,23 @@ class MappingCore:
     pages per block), calls ``_reset_mapping``, and supplies how a
     translation page is read (``_read_entries``) and written
     (``_write_translation``) and how a block is collected (``gc_run``).
+
+    Decoded translation pages are kept in ``_decoded``, one entry per
+    translation page: ``(volume, m_vpn) -> (tag, entries)``.  An entry
+    counts only while the GTD still names the page it was decoded from
+    and that page has not been programmed or erased since (``_page_tag``).
+    The GTD moves off a page before it is invalidated, reprogrammed or
+    erased; the tag also covers a GTD recovered from a crashed device,
+    which may name a page the FTL does not own.  A hit still charges the
+    device read unless it is quiet: the cache saves host decode work,
+    never simulated time.
     """
 
     def _reset_mapping(self, volume_pages, cmt_capacity, free_blocks):
         """Empty cache, all-unmapped GTD for {volume: logical pages}, and
         the given blocks free."""
         self.cmt = CachedMappingTable(cmt_capacity)
+        self._decoded = {}
         self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])
                      for vol, pages in volume_pages.items()}
         self._set_free_blocks(free_blocks)
@@ -119,16 +130,44 @@ class MappingCore:
 
     # -- translation ---------------------------------------------------
 
+    def _page_tag(self, ppn):
+        """(ppn, block erase count, page program count): changes with
+        every program or erase of the page."""
+        dev = self.device
+        return (ppn, dev.erase_count(ppn // dev.geometry.pages_per_block),
+                dev.program_count(ppn))
+
+    def _translation_entries(self, volume, m_vpn, quiet=False):
+        """Entry list of the mapped translation page m_vpn, decoded once
+        per page the GTD names.  A non-quiet call charges one device read
+        of the page, hit or miss.  Shared with the cache: copy to mutate."""
+        t_ppn = self._gtd[volume][m_vpn]
+        tag = self._page_tag(t_ppn)
+        hit = self._decoded.get((volume, m_vpn))
+        if hit is not None and hit[0] == tag:
+            if not quiet:
+                self.device.read_page(t_ppn)
+            return hit[1]
+        entries = self._read_entries(volume, t_ppn, quiet)
+        self._decoded[volume, m_vpn] = (tag, entries)
+        return entries
+
+    def _program_translation(self, volume, m_vpn, entries):
+        """Write a translation page and keep its entries decoded."""
+        self._write_translation(volume, m_vpn, entries)
+        self._decoded[volume, m_vpn] = (
+            self._page_tag(self._gtd[volume][m_vpn]), entries)
+
     def _translate(self, volume, lpn, missing_ok=False):
         ppn = self.cmt.lookup(volume, lpn)
         if ppn is None:
             epp = self._epp[volume]
-            t_ppn = self._gtd[volume][lpn // epp]
-            if t_ppn == UNMAPPED:
+            m_vpn = lpn // epp
+            if self._gtd[volume][m_vpn] == UNMAPPED:
                 ppn = UNMAPPED
             else:
                 ppn = self._clamp_ppn(
-                    self._read_entries(volume, t_ppn)[lpn % epp])
+                    self._translation_entries(volume, m_vpn)[lpn % epp])
             self.cmt.put(volume, lpn, ppn, dirty=False)
         if ppn == UNMAPPED:
             if missing_ok:
@@ -140,15 +179,14 @@ class MappingCore:
         """Write one translation page carrying every dirty cached entry
         (and any extras) for its lpn range."""
         epp = self._epp[volume]
-        old = self._gtd[volume][m_vpn]
-        if old != UNMAPPED:
-            entries = self._read_entries(volume, old)
+        if self._gtd[volume][m_vpn] != UNMAPPED:
+            entries = list(self._translation_entries(volume, m_vpn))
         else:
             entries = [UNMAPPED] * epp
         dirty = self.cmt.dirty_in_page(volume, m_vpn, epp)
         for lpn, ppn in dirty + list(extra):
             entries[lpn % epp] = ppn
-        self._write_translation(volume, m_vpn, entries)
+        self._program_translation(volume, m_vpn, entries)
         # Programming the translation page may have garbage-collected and
         # re-dirtied some of these entries with newer ppns; leave those dirty.
         for lpn, ppn in dirty:
@@ -178,7 +216,7 @@ class MappingCore:
         for m, t_ppn in enumerate(self._gtd[volume]):
             if t_ppn == UNMAPPED:
                 continue
-            entries = self._read_entries(volume, t_ppn, quiet=True)
+            entries = self._translation_entries(volume, m, quiet=True)
             for i, e in enumerate(entries):
                 if e != UNMAPPED:
                     out[m * epp + i] = self._clamp_ppn(e)

@@ -177,8 +177,9 @@ class Dftl(MappingCore):
                 self.cmt.put(DATA, owner, new, dirty=True)
                 self.ledger["gc_programs"] += 1
             elif kind == TRANS:
-                entries = self._read_entries(DATA, ppn)
-                self._write_translation(DATA, owner, entries)
+                # A valid translation page is the one its GTD entry names.
+                self._program_translation(
+                    DATA, owner, self._translation_entries(DATA, owner))
                 self.ledger["gc_programs"] += 1
         for ppn in pages:
             if self.device.program_count(ppn):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .crypto import IV_BYTES
 
 SLOT_BYTES = IV_BYTES + 4 + 1
+_TAG_AT = IV_BYTES + 4  # stage tag offset within a slot
 TAG_FIRST = 1
 TAG_SECOND = 2
 
@@ -57,7 +58,7 @@ def pack_oob(oob_bytes: int, first: OobSlot | None, second: OobSlot | None) -> b
 
 
 def _parse_slot(oob: bytes, off: int) -> OobSlot | None:
-    tag = oob[off + IV_BYTES + 4]
+    tag = oob[off + _TAG_AT]
     if tag == 0:
         return None
     iv = oob[off : off + IV_BYTES]
@@ -73,9 +74,9 @@ def parse_oob(oob: bytes):
 
 def observable_stage(oob: bytes) -> str:
     """'empty' | 'first' | 'second', from the stage tags alone."""
-    slot_a, slot_b = parse_oob(oob)
-    if slot_b is not None:
+    off_a, off_b = _slot_offsets(len(oob))
+    if oob[off_b + _TAG_AT]:
         return "second"
-    if slot_a is not None:
+    if oob[off_a + _TAG_AT]:
         return "first"
     return "empty"

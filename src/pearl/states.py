@@ -13,6 +13,11 @@ from enum import Enum
 from .errors import PearlError
 
 
+# Observable projection of each internal state, by PageState value.
+_OBSERVABLE = {"empty": "Empty", "v1": "V1", "ui1": "I1", "ti1": "I1",
+               "ri1": "I1", "v2": "V2", "i2": "I2"}
+
+
 class PageState(Enum):
     EMPTY = "empty"
     V1 = "v1"
@@ -22,16 +27,9 @@ class PageState(Enum):
     V2 = "v2"
     I2 = "i2"
 
-    @property
-    def observable(self) -> str:
-        if self in (PageState.UI1, PageState.TI1, PageState.RI1):
-            return "I1"
-        return {
-            PageState.EMPTY: "Empty",
-            PageState.V1: "V1",
-            PageState.V2: "V2",
-            PageState.I2: "I2",
-        }[self]
+    def __init__(self, value):
+        # A plain member attribute: the monitor reads it on every change.
+        self.observable = _OBSERVABLE[value]
 
 
 # Edges of the page state transition graph (observable projection).

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import pearl.ftl
 from pearl.bench import mixed_workload  # noqa: F401  (re-exported)
 from pearl.config import desk_config
+from pearl.crypto import derive_key
 from pearl.flash import FlashDevice
 from pearl.ftl import PearlFtl
 
@@ -26,3 +28,56 @@ def ftl(device, desk_cfg):
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture
+def derive_key_once(monkeypatch):
+    """Opt-in: derive each (password, volume, salt) key once per test.
+    Every format of a seeded config reuses one salt, so a test that
+    formats many devices would otherwise repeat the same scrypt calls."""
+    keys = {}
+
+    def derive(password, volume, salt):
+        if (password, volume, salt) not in keys:
+            keys[password, volume, salt] = derive_key(password, volume, salt)
+        return keys[password, volume, salt]
+
+    monkeypatch.setattr(pearl.ftl, "derive_key", derive)
+
+
+# -- decoded translation-page cache -----------------------------------
+
+
+def cold_walk(ftl, volume):
+    """The walked {lpn: ppn} map of a volume with the decoded
+    translation-page cache emptied for the walk, then put back."""
+    kept, ftl._decoded = ftl._decoded, {}
+    try:
+        return ftl._walk_volume(volume)
+    finally:
+        ftl._decoded = kept
+
+
+def count_relocated_translation_pages(ftl):
+    """Spy on the FTL's collector: the returned list grows by the
+    (volume, m_vpn) of every translation page found in a GC victim."""
+    relocated = []
+    collect = ftl._gc_block
+
+    def spy(victim):
+        for vol, gtd in ftl._gtd.items():
+            relocated.extend((vol, m) for m, p in enumerate(gtd)
+                             if p // ftl._ppb == victim)
+        return collect(victim)
+
+    ftl._gc_block = spy
+    return relocated
+
+
+def assert_cache_fresh(ftl):
+    """Every cached translation page is the page its GTD entry names,
+    unchanged since it was decoded."""
+    for (vol, m), (tag, entries) in ftl._decoded.items():
+        t_ppn = ftl._gtd[vol][m]
+        assert tag == ftl._page_tag(t_ppn)
+        assert entries == ftl._read_entries(vol, t_ppn, quiet=True)

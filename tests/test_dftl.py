@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from conftest import (assert_cache_fresh, cold_walk,
+                      count_relocated_translation_pages)
 from pearl.dftl import DATA, Dftl
 from pearl.errors import PearlError, UnmappedLpn
 from pearl.flash import DESK_GEOMETRY, FlashDevice
@@ -177,3 +179,62 @@ def test_submit_rejects_unknown_volume(dftl, rng):
     assert dftl.device.programs == programs
     with pytest.raises(UnmappedLpn):
         dftl.read(7)
+
+
+# -- decoded translation-page cache -----------------------------------
+
+
+def test_translation_miss_on_flushed_group_skips_decode(monkeypatch):
+    dftl = Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=4)
+    rng = random.Random(3)
+    for lpn in range(8):
+        dftl.write(lpn, _payload(dftl, rng))
+    assert (DATA, 0) not in dftl.cmt  # evicted, so its group was flushed
+    expect = dftl._read_entries(DATA, dftl._gtd[DATA][0], quiet=True)[0]
+
+    decodes = []
+    read_entries = Dftl._read_entries
+
+    def counted(self, *args, **kwargs):
+        decodes.append(args)
+        return read_entries(self, *args, **kwargs)
+    monkeypatch.setattr(Dftl, "_read_entries", counted)
+    dev = dftl.device
+    reads, clock, misses = dev.reads, dev.clock_us, dftl.cmt.misses
+    assert dftl.translate(0) == expect
+    assert dftl.cmt.misses == misses + 1
+    assert decodes == []
+    assert dev.reads == reads + 1
+    assert dev.clock_us == clock + dev.timings.read_us
+
+
+def test_decoded_cache_never_serves_a_stale_page():
+    dftl = Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=4)
+    dev = dftl.device
+    relocated = count_relocated_translation_pages(dftl)
+    rng = random.Random(9)
+    shadow = {}
+    for i in range(1, 4001):
+        r = rng.random()
+        if r < 0.7 or not shadow:
+            lpn = rng.randrange(dftl.logical_pages // 2)
+            shadow[lpn] = _payload(dftl, rng)
+            dftl.write(lpn, shadow[lpn])
+        elif r < 0.8:
+            dftl.trim(lpn := rng.choice(sorted(shadow)))
+            del shadow[lpn]
+        elif r < 0.85:
+            dftl.gc_run()
+        else:
+            lpn = rng.choice(sorted(shadow))
+            assert dftl.read(lpn) == shadow[lpn]
+        if i % 50 == 0:
+            reads, clock = dev.reads, dev.clock_us
+            assert dftl._walk_volume(DATA) == cold_walk(dftl, DATA)
+            assert (dev.reads, dev.clock_us) == (reads, clock)
+            assert_cache_fresh(dftl)
+    assert relocated
+    assert max(dev.erase_count(b)
+               for b in range(DESK_GEOMETRY.total_blocks)) >= 2
+    assert dftl.check_invariants() == []
+

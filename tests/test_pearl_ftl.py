@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from conftest import mixed_workload
+import pearl.ftl
+from conftest import (assert_cache_fresh, cold_walk,
+                      count_relocated_translation_pages, mixed_workload)
 from pearl.bench import gen_synthetic, init_device
+from pearl.cmt import UNMAPPED
 from pearl.config import PearlConfig, desk_config
 from pearl.errors import HeaderError, ModeError, PearlError, UnmappedLpn
 from pearl.flash import (DEFAULT_TIMINGS, DESK_GEOMETRY, DeviceGeometry,
@@ -438,3 +441,129 @@ def test_recovered_ftl_continues_operating(desk_cfg, rng):
     again.hidden_write(0, sec)
     assert again.hidden_read(0) == sec
     assert again.check_invariants() == []
+
+
+# -- decoded translation-page cache -----------------------------------
+
+
+def _format_small_cmt():
+    cfg = desk_config(cmt_capacity=4, seed=0)
+    return PearlFtl.format(FlashDevice(cfg.geometry), cfg, "public-pw",
+                           "hidden-pw")
+
+
+@pytest.mark.parametrize("volume", ["public", "hidden"])
+def test_translation_miss_on_flushed_group_skips_decode(monkeypatch, volume):
+    ftl = _format_small_cmt()
+    rng = random.Random(3)
+    for vol in ("public", volume):
+        for lpn in range(8):
+            ftl.submit(vol, lpn, "write",
+                       rng.randbytes(ftl.volumes()[vol][1]))
+    assert (volume, 0) not in ftl.cmt  # evicted, so its group was flushed
+    expect = ftl._read_entries(volume, ftl._gtd[volume][0], quiet=True)[0]
+
+    calls = []
+    for name in ("decode_page_public", "decode_page_hidden",
+                 "decrypt_payload"):
+        real = getattr(pearl.ftl, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pearl.ftl, name, counted)
+    dev = ftl.device
+    reads, clock, misses = dev.reads, dev.clock_us, ftl.cmt.misses
+    assert ftl._translate(volume, 0) == expect
+    assert ftl.cmt.misses == misses + 1
+    assert calls == []
+    assert dev.reads == reads + 1
+    assert dev.clock_us == clock + dev.timings.read_us
+
+
+def _gc_heavy_step(ftl, rng, shadow):
+    """One op of a mix for a 4-entry CMT: public and hidden writes,
+    explicit collection (it reaches blocks that still hold current
+    translation pages, which flushes alone keep in the frontier) and
+    public reads checked against the shadow."""
+    lay = ftl.layout
+    r = rng.random()
+    lpn = rng.randrange(288)
+    if r < 0.40:
+        shadow[lpn] = rng.randbytes(lay.public_payload_bytes)
+        ftl.public_write(lpn, shadow[lpn])
+    elif r < 0.55:
+        ftl.hidden_write(lpn % 96, rng.randbytes(lay.hidden_payload_bytes))
+    elif r < 0.85:
+        ftl.gc_run()
+    elif lpn in shadow:
+        assert ftl.public_read(lpn) == shadow[lpn]
+
+
+def test_decoded_cache_never_serves_a_stale_page():
+    ftl = _format_small_cmt()
+    dev = ftl.device
+    relocated = [count_relocated_translation_pages(ftl)]
+    rng = random.Random(7)
+    shadow = {}
+    for i in range(1, 1501):
+        _gc_heavy_step(ftl, rng, shadow)
+        if i % 250 == 0:
+            ftl.prepare_unmount()
+        if i == 750:
+            ftl = PearlFtl.mount(dev, "public-pw", "hidden-pw", cmt_capacity=4)
+            relocated.append(count_relocated_translation_pages(ftl))
+        if i % 50 == 0:
+            for vol in ("public", "hidden"):
+                reads, clock = dev.reads, dev.clock_us
+                assert ftl._walk_volume(vol) == cold_walk(ftl, vol)
+                assert (dev.reads, dev.clock_us) == (reads, clock)
+            assert_cache_fresh(ftl)
+    assert all(relocated)  # before and after the remount
+    assert max(dev.erase_count(b) for b in ftl.config.managed_blocks) >= 2
+    assert ftl.check_invariants() == []
+
+
+def test_decoded_cache_follows_a_page_a_crash_image_gtd_names():
+    """A crash image keeps the GTD of the last unmount, which can name a
+    page erased since.  The mounted FTL does not own that page and may
+    program it; the cache must then stop serving what it decoded."""
+    ftl = _format_small_cmt()
+    rng = random.Random(7)
+    for _ in range(200):
+        _gc_heavy_step(ftl, rng, {})
+    ftl.prepare_unmount()
+    persisted = {(vol, m): p for vol, gtd in ftl._gtd.items()
+                 for m, p in enumerate(gtd) if p != UNMAPPED}
+    while not any(ftl.device.program_count(p) == 0
+                  for p in persisted.values()):
+        _gc_heavy_step(ftl, rng, {})
+    crashed = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()),
+                             "public-pw", "hidden-pw", cmt_capacity=4)
+    stale = {k: p for k, p in persisted.items()
+             if crashed.device.program_count(p) == 0}
+    # Writes to lpns of translation page 1 alone leave page 0's GTD
+    # entries where the crash image put them.
+    for lpn in range(306, 366):
+        crashed.public_write(lpn, rng.randbytes(
+            crashed.layout.public_payload_bytes))
+        for vol in ("public", "hidden"):
+            assert crashed._walk_volume(vol) == cold_walk(crashed, vol)
+    assert any(crashed._gtd[vol][m] == p and crashed.device.program_count(p)
+               for (vol, m), p in stale.items())
+
+
+def test_recovery_and_mount_start_with_an_empty_cache(desk_cfg):
+    ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=25, nops=300)
+    # An entry that would be served if it outlived the rebuild.
+    t_ppn = ftl._gtd["public"][0]
+    ftl._decoded["public", 0] = (ftl._page_tag(t_ppn),
+                                 [UNMAPPED] * ftl._epp["public"])
+    ftl.recover_metadata()
+    assert_cache_fresh(ftl)
+    assert ftl._decoded["public", 0][1] != [UNMAPPED] * ftl._epp["public"]
+
+    solo = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()), "public-pw",
+                          cmt_capacity=64)
+    assert {vol for vol, _ in solo._decoded} == {"public"}
+    assert_cache_fresh(solo)
