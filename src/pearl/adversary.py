@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from scipy import stats
 
+from .config import RESERVED_BLOCKS
 from .crypto import decrypt_payload
 from .errors import PearlError
 from .flash import Snapshot
@@ -32,9 +33,9 @@ PLAUSIBLE_SAME_LIFE = {
 }
 
 
-def _managed_pages(snap: Snapshot, reserved_blocks: int):
+def _managed_pages(snap: Snapshot):
     g = snap.geometry
-    return range(reserved_blocks * g.pages_per_block, g.total_pages)
+    return range(RESERVED_BLOCKS * g.pages_per_block, g.total_pages)
 
 
 def _stage(snap: Snapshot, ppn: int) -> str:
@@ -54,12 +55,12 @@ class PageObservation:
 
 
 def classify_snapshot(snap: Snapshot, k_pub, code: WomCode = WOM_3_5,
-                      decode_payloads: bool = False, reserved_blocks: int = 1):
+                      decode_payloads: bool = False):
     """Per-page observable stage (and, optionally, the decrypted public
     payload) of every page outside the metadata region."""
     layout = PageLayout.for_page(snap.geometry.page_bytes, code)
     out = []
-    for ppn in _managed_pages(snap, reserved_blocks):
+    for ppn in _managed_pages(snap):
         stage = _stage(snap, ppn)
         payload = None
         if decode_payloads and stage != "empty":
@@ -111,15 +112,14 @@ def _subset_bits(older: bytes, newer: bytes) -> bool:
     return a | b == b
 
 
-def diff_transitions(s1: Snapshot, s2: Snapshot,
-                     reserved_blocks: int = 1) -> TransitionReport:
+def diff_transitions(s1: Snapshot, s2: Snapshot) -> TransitionReport:
     """Flag per-page changes between two snapshots of the same device that
     no public-only workload could have produced."""
     if s1.geometry != s2.geometry:
         raise PearlError("snapshots have different geometries")
     g = s1.geometry
     report = TransitionReport()
-    for ppn in _managed_pages(s1, reserved_blocks):
+    for ppn in _managed_pages(s1):
         blk = ppn // g.pages_per_block
         erased = s2.erase_counts[blk] - s1.erase_counts[blk]
         before, after = _stage(s1, ppn), _stage(s2, ppn)
@@ -167,7 +167,7 @@ class Ui1Alarm:
                 f"{self.update_page}) was an unconsumed UI1 page")
 
 
-def ui1_inference(s1: Snapshot, s2: Snapshot, reserved_blocks: int = 1):
+def ui1_inference(s1: Snapshot, s2: Snapshot):
     """Alarms for pages that the public-only allocator could not have
     written.
 
@@ -183,7 +183,7 @@ def ui1_inference(s1: Snapshot, s2: Snapshot, reserved_blocks: int = 1):
     g = s2.geometry
     ppb = g.pages_per_block
     alarms = []
-    for blk in range(reserved_blocks, g.total_blocks):
+    for blk in range(RESERVED_BLOCKS, g.total_blocks):
         base = blk * ppb
         stages = [_stage(s2, base + i) for i in range(ppb)]
         claims = {}
@@ -253,7 +253,6 @@ def second_write_model(code: WomCode) -> dict:
 
 
 def frequency_distinguisher(snapshots, code: WomCode, model: dict = None,
-                            reserved_blocks: int = 1,
                             min_groups: int = 10 ** 5) -> FrequencyReport:
     """Chi-square of observed second-write codeword counts against the
     public-only model, over all second-write pages of all snapshots."""
@@ -266,7 +265,7 @@ def frequency_distinguisher(snapshots, code: WomCode, model: dict = None,
     for snap in snapshots:
         if layout is None:
             layout = PageLayout.for_page(snap.geometry.page_bytes, code)
-        pages = [snap.data[p] for p in _managed_pages(snap, reserved_blocks)
+        pages = [snap.data[p] for p in _managed_pages(snap)
                  if _stage(snap, p) == "second"]
         counts.update(codeword_histogram(pages, code, layout))
     total = sum(counts.values())

@@ -10,6 +10,7 @@ paths.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import OrderedDict
 
 from .errors import DeviceFull, UnmappedLpn
@@ -94,9 +95,9 @@ class MappingCore:
 
     Each volume's mappings live on flash in translation pages; the GTD
     (``_gtd[volume][m_vpn]``) locates them and the CMT caches hot
-    entries.  A subclass sets ``device``, ``gc_watermark``, ``_epp``
-    (entries per translation page, by volume) and ``_valid`` (valid
-    pages per block), calls ``_reset_mapping``, and supplies how a
+    entries.  A subclass sets ``device``, ``_epp`` (entries per
+    translation page, by volume) and ``_valid`` (valid pages per block),
+    calls ``_reset_mapping``, and supplies how a
     translation page is read (``_read_entries``) and written
     (``_write_translation``) and how a block is collected (``gc_run``).
 
@@ -113,7 +114,10 @@ class MappingCore:
 
     def _reset_mapping(self, volume_pages, cmt_capacity, free_blocks):
         """Empty cache, all-unmapped GTD for {volume: logical pages}, and
-        the given blocks free."""
+        the given blocks free.  Collection keeps at least 2% of the
+        device's blocks (and never fewer than 2) free."""
+        self.gc_watermark = max(
+            2, math.ceil(0.02 * self.device.geometry.total_blocks))
         self.cmt = CachedMappingTable(cmt_capacity)
         self._decoded = {}
         self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])

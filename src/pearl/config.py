@@ -7,7 +7,6 @@ defaults sit just below those bounds (36/64 and 12/64 of the blocks).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .flash import DEFAULT_TIMINGS, DeviceGeometry, DeviceTimings, PRESETS
@@ -28,7 +27,6 @@ class PearlConfig:
     cmt_capacity: int = 1024
     public_fraction: float = 36 / 64
     hidden_fraction: float = 12 / 64
-    gc_watermark_blocks: int = 0  # 0 -> derived from geometry
     seed: int = 0
 
     def __post_init__(self):
@@ -46,12 +44,6 @@ class PearlConfig:
             raise ValueError("cmt_capacity must be >= 1")
         if self.geometry.total_blocks <= RESERVED_BLOCKS:
             raise ValueError("geometry too small: nothing left after header block")
-        if self.gc_watermark_blocks == 0:
-            object.__setattr__(
-                self,
-                "gc_watermark_blocks",
-                max(2, math.ceil(0.02 * self.geometry.total_blocks)),
-            )
         # Fail fast if the page cannot hold even one codeword group.
         PageLayout.for_page(self.geometry.page_bytes, self.code)
 
@@ -65,10 +57,6 @@ class PearlConfig:
     def managed_blocks(self) -> range:
         """Blocks available to the FTL (the header block is reserved)."""
         return range(RESERVED_BLOCKS, self.geometry.total_blocks)
-
-    @property
-    def managed_pages(self) -> int:
-        return len(self.managed_blocks) * self.geometry.pages_per_block
 
     @property
     def public_pages(self) -> int:

@@ -9,7 +9,6 @@ physical page is programmed at most once between erases.
 
 from __future__ import annotations
 
-import math
 import struct
 from collections import Counter
 
@@ -32,7 +31,6 @@ class Dftl(MappingCore):
         self.logical_pages = int(utilization * g.total_pages)
         self.entries_per_page = g.page_bytes // 4
         self._epp = {DATA: self.entries_per_page}
-        self.gc_watermark = max(2, math.ceil(0.02 * g.total_blocks))
         self.gc_runs = 0
         self.ledger = Counter()
 
@@ -47,7 +45,10 @@ class Dftl(MappingCore):
 
     # -- allocation ----------------------------------------------------
 
-    def _alloc(self, kind):
+    def _program(self, kind, owner, data):
+        """Program data on the next page of kind's current block and
+        record it as a valid page of that kind owned by owner (an lpn or
+        an m_vpn).  Returns the ppn."""
         blk = self._block[kind]
         if blk is None or self._cursor[kind] >= (blk + 1) * self._ppb:
             blk = self._take_free_block()
@@ -55,6 +56,11 @@ class Dftl(MappingCore):
             self._cursor[kind] = blk * self._ppb
         ppn = self._cursor[kind]
         self._cursor[kind] += 1
+        self.device.program_page(ppn, data,
+                                 bytes(self.device.geometry.oob_bytes))
+        self._kind[ppn] = kind
+        self._owner[ppn] = owner
+        self._valid[ppn // self._ppb] += 1
         return ppn
 
     # -- mapping layer -------------------------------------------------
@@ -67,16 +73,11 @@ class Dftl(MappingCore):
     def _write_translation(self, volume, m_vpn, entries):
         payload = struct.pack(f"<{self.entries_per_page}I", *entries)
         payload += bytes(self.page_bytes - len(payload))
-        ppn = self._alloc(TRANS)
-        self.device.program_page(ppn, payload,
-                                 bytes(self.device.geometry.oob_bytes))
+        ppn = self._program(TRANS, m_vpn, payload)
         old = self._gtd[volume][m_vpn]
         if old != UNMAPPED:
             self._invalidate(old)
         self._gtd[volume][m_vpn] = ppn
-        self._kind[ppn] = TRANS
-        self._owner[ppn] = m_vpn
-        self._valid[ppn // self._ppb] += 1
         self.ledger["translation_programs"] += 1
 
     def translate(self, lpn, missing_ok=False):
@@ -96,12 +97,7 @@ class Dftl(MappingCore):
         if len(data) != self.page_bytes:
             raise PearlError("write must be one page payload")
         old = self.translate(lpn, missing_ok=True)
-        ppn = self._alloc(DATA)
-        self.device.program_page(ppn, data,
-                                 bytes(self.device.geometry.oob_bytes))
-        self._kind[ppn] = DATA
-        self._owner[ppn] = lpn
-        self._valid[ppn // self._ppb] += 1
+        ppn = self._program(DATA, lpn, data)
         if old is not None:
             self._invalidate(old)
         self.cmt.put(DATA, lpn, ppn, dirty=True)
@@ -167,12 +163,7 @@ class Dftl(MappingCore):
             kind, owner = self._kind[ppn], self._owner[ppn]
             if kind == DATA:
                 data, _ = self.device.read_page(ppn)
-                new = self._alloc(DATA)
-                self.device.program_page(
-                    new, data, bytes(self.device.geometry.oob_bytes))
-                self._kind[new] = DATA
-                self._owner[new] = owner
-                self._valid[new // self._ppb] += 1
+                new = self._program(DATA, owner, data)
                 self._invalidate(ppn)
                 self.cmt.put(DATA, owner, new, dirty=True)
                 self.ledger["gc_programs"] += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter, deque
+from collections import Counter
 
 from random import Random
 
@@ -64,6 +64,8 @@ _HEADER_FMT = "<8sH16s6I16sII"
 PUBLIC_ONLY = "public-only"
 PUBLIC_HIDDEN = "public-hidden"
 
+_VALID = (PageState.V1, PageState.V2)
+
 
 def _or_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") | int.from_bytes(b, "big")).to_bytes(
@@ -88,7 +90,6 @@ class PearlFtl(MappingCore):
         self.iv_registry = IvRegistry() if track_ivs else None
         self.ledger = Counter()
         self.gc_runs = 0
-        self.gc_watermark = config.gc_watermark_blocks
 
         self._ppb = config.geometry.pages_per_block
         self._epp = config.entries_per_translation_page
@@ -105,14 +106,15 @@ class PearlFtl(MappingCore):
         self._state = [PageState.EMPTY] * total
         self._pub_lpn = {}       # ppn -> public lpn_field (data or translation)
         self._hidden_at = {}     # ppn -> hidden lpn_field with up-to-date data
-        self._ti1_lpn = {}       # TI1 ppn -> the trimmed lpn still mapped to it
         self._trimmed = set()    # trimmed-but-still-mapped public lpns
         self._valid = [0] * cfg.geometry.total_blocks
         self._hid_valid = [0] * cfg.geometry.total_blocks
         self._frontier = None    # current block receiving first writes
         self._cursor = None      # next empty ppn in the frontier block
         self.current_ui1 = None
-        self.tiq = deque()
+        # The TIQ, oldest first: TI1 ppn -> the trimmed lpn still mapped to
+        # it, or None for a relocation casualty (its lpn has moved on).
+        self.tiq = {}
         self._slot_a = {}        # block -> set of slot-A lpn_fields in it
         self._gc_victim = None
 
@@ -141,7 +143,7 @@ class PearlFtl(MappingCore):
         config, salt = cls._read_header(device, cmt_capacity, seed)
         ftl = cls._open(device, config, public_password, hidden_password,
                         salt, track_ivs)
-        ftl._load_from_device()
+        ftl.recover_metadata()
         return ftl
 
     @classmethod
@@ -264,7 +266,8 @@ class PearlFtl(MappingCore):
         n_pub = len(self._gtd[PUBLIC])
         pub_len = 8 + 4 * n_pub
         pub = decrypt_payload(self.k_pub, data[0:16], data[16:16 + pub_len])
-        front, ui1 = struct.unpack_from("<II", pub)
+        # The first word (the allocation cursor) is written but not needed.
+        ui1, = struct.unpack_from("<I", pub, 4)
         gtd_pub = list(struct.unpack_from(f"<{n_pub}I", pub, 8))
 
         gtd_hid = None
@@ -273,15 +276,16 @@ class PearlFtl(MappingCore):
             raw = decrypt_payload(self.k_hid, data[half:half + 16],
                                   data[half + 16:half + 16 + 4 * n_hid])
             gtd_hid = list(struct.unpack_from(f"<{n_hid}I", raw))
-        return (front, ui1, gtd_pub), gtd_hid
+        return (ui1, gtd_pub), gtd_hid
 
-    def _load_from_device(self):
-        """Rebuild maps, page states, queues, and cursors from flash."""
+    def recover_metadata(self):
+        """Drop all volatile state and rebuild maps, page states, queues
+        and cursors by scanning the device."""
         self._reset_volatile()
         pub_state, gtd_hid = self._load_state_blobs()
         if pub_state is None:
             return  # freshly formatted device: nothing to recover
-        front, ui1, gtd_pub = pub_state
+        ui1, gtd_pub = pub_state
         self._gtd[PUBLIC] = [self._clamp_ppn(p) for p in gtd_pub]
         if gtd_hid is not None:
             self._gtd[HIDDEN] = [self._clamp_ppn(p) for p in gtd_hid]
@@ -289,12 +293,14 @@ class PearlFtl(MappingCore):
         cfg = self.config
         g = cfg.geometry
         stage = {}
+        claim = {}  # programmed ppn -> its slot-A lpn_field
         for ppn in range(RESERVED_BLOCKS * self._ppb, g.total_pages):
             _, oob = self.device.peek(ppn)
             stage[ppn] = observable_stage(oob)
             if stage[ppn] != "empty":
                 slot_a, _ = parse_oob(oob)
                 if slot_a is not None:
+                    claim[ppn] = slot_a.lpn_field
                     self._slot_a.setdefault(
                         self._block_of(ppn), set()).add(slot_a.lpn_field)
 
@@ -304,14 +310,13 @@ class PearlFtl(MappingCore):
             if stage.get(ppn, "empty") == "empty":
                 continue  # garbage entry (or pre-persist loss); ignore
             self._pub_lpn[ppn] = lpn_field
-            self._set_state_silent(ppn, PageState.V1 if stage[ppn] == "first"
-                                   else PageState.V2)
+            self._state[ppn] = (PageState.V1 if stage[ppn] == "first"
+                                else PageState.V2)
         for m, t_ppn in enumerate(self._gtd[PUBLIC]):
             if t_ppn != UNMAPPED and stage.get(t_ppn, "empty") != "empty":
                 self._pub_lpn[t_ppn] = trans_field(m)
-                self._set_state_silent(
-                    t_ppn, PageState.V1 if stage[t_ppn] == "first"
-                    else PageState.V2)
+                self._state[t_ppn] = (PageState.V1 if stage[t_ppn] == "first"
+                                      else PageState.V2)
         if self.mode == PUBLIC_HIDDEN:
             for lpn_field, ppn in self._walk_volume(HIDDEN).items():
                 if stage.get(ppn, "empty") != "empty":
@@ -327,20 +332,18 @@ class PearlFtl(MappingCore):
             if st == "empty" or self._state[ppn] != PageState.EMPTY:
                 continue
             if st == "first":
-                slot_a, _ = parse_oob(self.device.peek(ppn)[1])
-                lpn = slot_a.lpn_field if slot_a else None
+                lpn = claim.get(ppn)
                 if ppn == ui1:
-                    self._set_state_silent(ppn, PageState.UI1)
+                    self._state[ppn] = PageState.UI1
                     self.current_ui1 = ppn
                 elif lpn is not None and pub_map.get(lpn) == ppn:
-                    self._set_state_silent(ppn, PageState.TI1)
-                    self.tiq.append(ppn)
-                    self._ti1_lpn[ppn] = lpn
+                    self._state[ppn] = PageState.TI1
+                    self.tiq[ppn] = lpn
                     self._trimmed.add(lpn)
                 else:
-                    self._set_state_silent(ppn, PageState.RI1)
+                    self._state[ppn] = PageState.RI1
             else:
-                self._set_state_silent(ppn, PageState.I2)
+                self._state[ppn] = PageState.I2
 
         # Allocator: the frontier is the partially programmed managed block.
         free = []
@@ -352,18 +355,10 @@ class PearlFtl(MappingCore):
             elif len(programmed) < self._ppb:
                 self._frontier = blk
                 self._cursor = programmed[-1] + 1
-            self._valid[blk] = sum(
-                1 for p in pages
-                if self._state[p] in (PageState.V1, PageState.V2))
+            self._valid[blk] = sum(1 for p in pages
+                                   if self._state[p] in _VALID)
         self._set_free_blocks(free)
         self._persist_clean = True
-
-    def _set_state_silent(self, ppn, st):
-        self._state[ppn] = st
-
-    def recover_metadata(self):
-        """Drop all volatile state and rebuild it by scanning the device."""
-        self._load_from_device()
 
     def translation_map(self, volume):
         """Quiet {lpn: ppn} view of a volume's current mappings (tests)."""
@@ -390,10 +385,17 @@ class PearlFtl(MappingCore):
     def _touch(self):
         self._persist_clean = False
 
-    def _set_state(self, ppn, new, reason):
+    def _set_state(self, ppn, new, reason, lpn_field=None):
+        """Move a page to a new state, keeping its block's valid count and
+        the reverse map (lpn_field of each valid page) in step."""
         old = self._state[ppn]
         self.monitor.record(ppn, old, new, reason)
         self._state[ppn] = new
+        self._valid[self._block_of(ppn)] += (new in _VALID) - (old in _VALID)
+        if new in _VALID:
+            self._pub_lpn[ppn] = lpn_field
+        else:
+            self._pub_lpn.pop(ppn, None)
 
     def _block_of(self, ppn):
         return ppn // self._ppb
@@ -477,8 +479,7 @@ class PearlFtl(MappingCore):
         trimmed_rewrite = (old is not None
                            and self._state[old] == PageState.TI1)
         if trimmed_rewrite:
-            self.tiq.remove(old)
-            self._ti1_lpn.pop(old, None)
+            del self.tiq[old]
             self._trimmed.discard(lpn_field)
 
         second = True
@@ -510,10 +511,8 @@ class PearlFtl(MappingCore):
             oob = pack_oob(self.config.geometry.oob_bytes,
                            OobSlot(iv, lpn_field, TAG_FIRST), None)
             self.device.program_page(target, raw, oob)
-            self._set_state(target, PageState.V1, bucket)
+            self._set_state(target, PageState.V1, bucket, lpn_field)
             self._slot_a.setdefault(self._block_of(target), set()).add(lpn_field)
-            self._valid[self._block_of(target)] += 1
-            self._pub_lpn[target] = lpn_field
             self._account(bucket, lay.groups_per_page * self.config.code.k,
                           lay.groups_per_page * self.config.code.n)
 
@@ -532,57 +531,42 @@ class PearlFtl(MappingCore):
         lpn still mapped to it is finally unmapped."""
         if not self.tiq:
             return None
-        target = self.tiq.popleft()
+        target = next(iter(self.tiq))
         self._unmap_trimmed(target)
         return target
 
     def _unmap_trimmed(self, ti1_ppn):
-        stale = self._ti1_lpn.pop(ti1_ppn, None)
+        """Take a TI1 page off the TIQ and unmap its trimmed lpn, if any."""
+        stale = self.tiq.pop(ti1_ppn)
         if stale is not None:
             self._trimmed.discard(stale)
             self.cmt.put(PUBLIC, stale, UNMAPPED, dirty=True)
 
     def _invalidate_public(self, ppn, reason, relocation=False):
         st = self._state[ppn]
-        if st == PageState.V1:
-            if relocation:
-                blk = self._block_of(ppn)
-                lo = blk * self._ppb
-                open_block = any(self._state[p] == PageState.EMPTY
-                                 for p in range(lo, lo + self._ppb))
-                if open_block and blk != self._gc_victim:
-                    # A superseded first-stage page in a block that can
-                    # still take first writes would look like an abandoned
-                    # update casualty once its lpn is claimed again above
-                    # it; queue it for a second write like a trim casualty
-                    # so it never outlives the next unmount.
-                    self._set_state(ppn, PageState.TI1, reason)
-                    self.tiq.append(ppn)
-                    self._valid[blk] -= 1
-                    return
-                self._set_state(ppn, PageState.RI1, reason)
+        if st == PageState.V1 and relocation:
+            blk = self._block_of(ppn)
+            lo = blk * self._ppb
+            open_block = any(self._state[p] == PageState.EMPTY
+                             for p in range(lo, lo + self._ppb))
+            if open_block and blk != self._gc_victim:
+                # A superseded first-stage page in a block that can still
+                # take first writes would look like an abandoned update
+                # casualty once its lpn is claimed again above it; queue
+                # it for a second write like a trim casualty so it never
+                # outlives the next unmount.
+                self._set_state(ppn, PageState.TI1, reason)
+                self.tiq[ppn] = None
             else:
-                assert self.current_ui1 is None
-                self._set_state(ppn, PageState.UI1, reason)
-                self.current_ui1 = ppn
-        elif st == PageState.TI1:
-            # Old copy was trim-invalidated; it leaves the TIQ and takes
-            # the (now free) UI1 slot.
-            if ppn in self.tiq:
-                self.tiq.remove(ppn)
-            stale = self._ti1_lpn.pop(ppn, None)
-            if stale is not None:
-                self._trimmed.discard(stale)
+                self._set_state(ppn, PageState.RI1, reason)
+        elif st in (PageState.V1, PageState.TI1):
+            # An update casualty, or a rewritten trimmed copy (its caller
+            # took it off the TIQ), takes the (now free) UI1 slot.
             assert self.current_ui1 is None
             self._set_state(ppn, PageState.UI1, reason)
             self.current_ui1 = ppn
-            return
         elif st == PageState.V2:
             self._set_state(ppn, PageState.I2, reason)
-        else:
-            return
-        self._valid[self._block_of(ppn)] -= 1
-        self._pub_lpn.pop(ppn, None)
 
     def _program_full(self, hidden_field, hidden_plain, bucket,
                       cloak=None):
@@ -619,9 +603,7 @@ class PearlFtl(MappingCore):
         oob = pack_oob(self.config.geometry.oob_bytes, fake,
                        OobSlot(iv, cloak_lpn, TAG_SECOND))
         self.device.program_page(target, raw, oob)
-        self._set_state(target, PageState.V2, bucket)
-        self._valid[self._block_of(target)] += 1
-        self._pub_lpn[target] = cloak_lpn
+        self._set_state(target, PageState.V2, bucket, cloak_lpn)
 
         if src is not None and src != target:
             self._invalidate_public(src, reason=bucket, relocation=True)
@@ -738,9 +720,7 @@ class PearlFtl(MappingCore):
         slot = OobSlot(iv, lpn_field, TAG_SECOND)
         oob = _or_bytes(cur_oob, pack_oob(len(cur_oob), None, slot))
         self.device.program_page(target, raw, oob)
-        self._set_state(target, PageState.V2, bucket)
-        self._valid[self._block_of(target)] += 1
-        self._pub_lpn[target] = lpn_field
+        self._set_state(target, PageState.V2, bucket, lpn_field)
         self._account(bucket, lay.groups_per_page * self.config.code.k,
                       lay.groups_per_page * self.config.code.n)
 
@@ -805,15 +785,10 @@ class PearlFtl(MappingCore):
             ppn = self._translate(PUBLIC, lpn)
             if self._state[ppn] == PageState.V1:
                 self._set_state(ppn, PageState.TI1, "trim")
-                self.tiq.append(ppn)
-                self._ti1_lpn[ppn] = lpn
+                self.tiq[ppn] = lpn
                 self._trimmed.add(lpn)
-                self._valid[self._block_of(ppn)] -= 1
-                self._pub_lpn.pop(ppn, None)
             else:
                 self._set_state(ppn, PageState.I2, "trim")
-                self._valid[self._block_of(ppn)] -= 1
-                self._pub_lpn.pop(ppn, None)
                 self.cmt.put(PUBLIC, lpn, UNMAPPED, dirty=True)
         elif volume == HIDDEN:
             self._require_hidden()
@@ -894,8 +869,7 @@ class PearlFtl(MappingCore):
         old_p = self._get_public_loc(pub_lpn)
         if old_p is not None and self._state[old_p] == PageState.TI1:
             # Trimmed-then-rewritten public data: normal TIQ bookkeeping.
-            self.tiq.remove(old_p)
-            self._ti1_lpn.pop(old_p, None)
+            del self.tiq[old_p]
         self._trimmed.discard(pub_lpn)
         self._program_full(lpn, data, bucket="hidden_user",
                            cloak=(pub_lpn, pub_data, None))
@@ -951,12 +925,11 @@ class PearlFtl(MappingCore):
             self.current_ui1 = None
         for ppn in pages:
             if self._state[ppn] == PageState.TI1:
-                self.tiq.remove(ppn)
                 self._unmap_trimmed(ppn)
 
         pub_only, hid_only, paired = [], [], []
         for ppn in pages:
-            has_pub = self._state[ppn] in (PageState.V1, PageState.V2)
+            has_pub = self._state[ppn] in _VALID
             hid = self._hidden_at.get(ppn) if self.mode == PUBLIC_HIDDEN else None
             if has_pub:
                 item = (self._pub_lpn[ppn], self._read_public_page(ppn), ppn)
@@ -996,7 +969,6 @@ class PearlFtl(MappingCore):
         reclaimed = 0
         for ppn in pages:
             self._hid_clear(ppn)
-            self._pub_lpn.pop(ppn, None)
             if self._state[ppn] != PageState.EMPTY:
                 reclaimed += 1
                 self._set_state(ppn, PageState.EMPTY, "erase")
@@ -1043,12 +1015,17 @@ class PearlFtl(MappingCore):
         ti1 = {p for p, s in enumerate(self._state) if s == PageState.TI1}
         if ti1 != set(self.tiq):
             problems.append("TIQ does not match the set of TI1 pages")
+        if self._trimmed != set(self.tiq.values()) - {None}:
+            problems.append("trimmed lpns do not match the TIQ")
+        valid = {p for p, s in enumerate(self._state) if s in _VALID}
+        if set(self._pub_lpn) != valid:
+            problems.append("reverse map does not match the set of valid pages")
         ui1 = [p for p, s in enumerate(self._state) if s == PageState.UI1]
         if len(ui1) > 1 or (ui1 and ui1[0] != self.current_ui1):
             problems.append("UI1 bookkeeping inconsistent")
         for blk in self.config.managed_blocks:
             n = sum(1 for p in range(blk * self._ppb, (blk + 1) * self._ppb)
-                    if self._state[p] in (PageState.V1, PageState.V2))
+                    if p in valid)
             if n != self._valid[blk]:
                 problems.append(f"valid count wrong for block {blk}")
             h = sum(1 for p in range(blk * self._ppb, (blk + 1) * self._ppb)

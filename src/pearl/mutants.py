@@ -31,7 +31,5 @@ class BrokenAllocatorFtl(PearlFtl):
         if st == PageState.V1:
             # Faulty: the superseded page never enters the UI1 slot.
             self._set_state(ppn, PageState.RI1, reason)
-            self._valid[self._block_of(ppn)] -= 1
-            self._pub_lpn.pop(ppn, None)
             return
         super()._invalidate_public(ppn, reason, relocation)

@@ -170,10 +170,6 @@ class WomCode:
                 f"{int_to_bits(c, self.n)} is not a second-write codeword"
             ) from None
 
-    @property
-    def second_write_codewords(self) -> frozenset:
-        return frozenset(self._d2)
-
 
 @dataclass
 class ValidityReport:

@@ -179,6 +179,7 @@ def test_io_reports_each_request(run):
 @pytest.mark.parametrize("overrides, message", [
     ({"public_fraction": 0.7}, "public capacity fraction"),
     ({"cpu_overhead_us": 2.0}, "cpu_overhead_us"),
+    ({"gc_watermark_blocks": 3}, "gc_watermark_blocks"),
 ])
 def test_bad_config_file_is_a_usage_error(run, capsys, overrides, message):
     path = run.dir / "cfg.json"

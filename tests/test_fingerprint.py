@@ -15,6 +15,7 @@ from pearl.config import desk_config
 from pearl.dftl import Dftl
 from pearl.flash import DESK_GEOMETRY, FlashDevice
 from pearl.ftl import PearlFtl
+from pearl.mutants import BrokenAllocatorFtl
 
 from conftest import mixed_workload
 
@@ -22,6 +23,8 @@ MIXED = "80381d06505681e48d808937b9d499dbd9de2d2e5440c130785ec5cb55ea5e9a"
 MOUNT_RECOVER = (
     "65b39960e876eaefb02730c5ee9b63cf3787602e1641b56fdb8498dbc6d1e529")
 DFTL = "ccdc456371c5128063d4d51314ea121688439d291f6d39d9495ddb0105463e83"
+BROKEN_ALLOCATOR = (
+    "cd4afbe16bbc9c2bc9eac471971ec3107d98291b22a6c031425153709229ae67")
 
 
 def _digest(ftl, *extra):
@@ -36,15 +39,21 @@ def _digest(ftl, *extra):
     return h.hexdigest()
 
 
-def _mixed_run():
+def _mixed_run(ftl_cls=PearlFtl):
     cfg = desk_config(cmt_capacity=64, seed=0)
-    return mixed_workload(PearlFtl, cfg, seed=0, nops=1500, snap_every=500)
+    return mixed_workload(ftl_cls, cfg, seed=0, nops=1500, snap_every=500)
 
 
 def test_mixed_workload_fingerprint():
     ftl, snaps, _ = _mixed_run()
     assert ftl.gc_runs > 0 and len(snaps) == 4
     assert _digest(ftl) == MIXED
+
+
+def test_broken_allocator_fingerprint():
+    ftl, snaps, _ = _mixed_run(BrokenAllocatorFtl)
+    assert ftl.gc_runs > 0 and len(snaps) == 4
+    assert _digest(ftl) == BROKEN_ALLOCATOR
 
 
 def test_mount_and_recovery_fingerprint():

@@ -266,6 +266,53 @@ def test_mixed_workload_keeps_invariants(desk_cfg):
         assert got == data
 
 
+class _ReverseMapChecked(PearlFtl):
+    """Asserts after every request that the reverse map holds an entry
+    for exactly the valid (V1/V2) pages."""
+
+    def _check_reverse_map(self):
+        valid = {p for p, s in enumerate(self._state)
+                 if s in (PageState.V1, PageState.V2)}
+        assert set(self._pub_lpn) == valid
+
+
+for _name in ("public_write", "public_read", "hidden_write", "trim",
+              "gc_run", "prepare_unmount"):
+    def _checked(self, *args, _request=getattr(PearlFtl, _name)):
+        out = _request(self, *args)
+        self._check_reverse_map()
+        return out
+    setattr(_ReverseMapChecked, _name, _checked)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reverse_map_names_exactly_the_valid_pages(seed):
+    """Relocation casualties queued as TI1 pages included: each leaves
+    the reverse map with its change of state."""
+    cfg = desk_config(cmt_capacity=64, seed=0)
+    ftl, _, _ = mixed_workload(_ReverseMapChecked, cfg, seed=seed,
+                               nops=1500)
+    assert ftl.gc_runs > 0
+
+
+@pytest.mark.parametrize("fault, problem", [
+    ("reverse map", "reverse map does not match the set of valid pages"),
+    ("trimmed", "trimmed lpns do not match the TIQ"),
+], ids=["reverse-map", "trimmed"])
+def test_check_invariants_reports_planted_fault(ftl, rng, fault, problem):
+    lay = ftl.layout
+    for lpn in range(4):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    ftl.trim(0)
+    ftl.public_write(1, rng.randbytes(lay.public_payload_bytes))
+    assert ftl.current_ui1 is not None and ftl.check_invariants() == []
+    if fault == "reverse map":
+        ftl._pub_lpn[ftl.current_ui1] = 1   # an invalid page keeps its lpn
+    else:
+        ftl._trimmed.add(3)                 # a mapped lpn reads as trimmed
+    assert ftl.check_invariants() == [problem]
+
+
 def test_amplification_ratios_exact(desk_cfg):
     from fractions import Fraction
     ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=22, nops=800)
