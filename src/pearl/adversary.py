@@ -15,14 +15,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy import stats
 
 from .config import RESERVED_BLOCKS
-from .crypto import decrypt_payload
 from .errors import PearlError
 from .flash import Snapshot
-from .oob import observable_stage, parse_oob
-from .wom import WOM_3_5, PageLayout, WomCode, decode_page_public
+from .wom import _HISTOGRAM_GROUPS, WOM_3_5, PageLayout, WomCode
+
+# The scans call the batched kernels.  decrypt_payload, observable_stage
+# and decode_page_public, their per-page equivalents, stay importable
+# from this module because the benchmark tracer wraps them here.
+from .crypto import decrypt_payload, decrypt_payloads  # noqa: F401
+from .oob import (STAGES, observable_stage,  # noqa: F401
+                  observable_stages, parse_oob, stage_ivs)
+from .wom import decode_page_public, decode_pages_public  # noqa: F401
 
 # Observable-stage transitions explainable by public-only operation within
 # one erase lifetime (reflexive-transitive closure of the page state graph
@@ -33,13 +40,28 @@ PLAUSIBLE_SAME_LIFE = {
 }
 
 
+_SECOND = STAGES.index("second")
+
+
 def _managed_pages(snap: Snapshot):
     g = snap.geometry
     return range(RESERVED_BLOCKS * g.pages_per_block, g.total_pages)
 
 
-def _stage(snap: Snapshot, ppn: int) -> str:
-    return observable_stage(snap.oob[ppn])
+def _stages(snap: Snapshot) -> np.ndarray:
+    """Stage codes (indices into STAGES) of the managed pages, in order."""
+    return observable_stages(snap.oob[_managed_pages(snap).start:])
+
+
+def _steps(ppns, pages: int):
+    """ppns (a range or an index array) in slices of at most `pages`."""
+    for start in range(0, len(ppns), pages):
+        yield ppns[start:start + pages]
+
+
+def _page_grid(pages) -> np.ndarray:
+    return np.frombuffer(b"".join(pages), dtype=np.uint8).reshape(
+        len(pages), -1)
 
 
 # ---------------------------------------------------------------------
@@ -57,19 +79,26 @@ class PageObservation:
 def classify_snapshot(snap: Snapshot, k_pub, code: WomCode = WOM_3_5,
                       decode_payloads: bool = False):
     """Per-page observable stage (and, optionally, the decrypted public
-    payload) of every page outside the metadata region."""
+    payload) of every page outside the metadata region.
+
+    Payloads are decoded and decrypted in batches of programmed pages,
+    each holding at most _HISTOGRAM_GROUPS codeword groups."""
     layout = PageLayout.for_page(snap.geometry.page_bytes, code)
-    out = []
-    for ppn in _managed_pages(snap):
-        stage = _stage(snap, ppn)
-        payload = None
-        if decode_payloads and stage != "empty":
-            slot_a, slot_b = parse_oob(snap.oob[ppn])
-            slot = slot_b if stage == "second" else slot_a
-            raw = decode_page_public(layout, code, snap.data[ppn], stage)
-            payload = decrypt_payload(k_pub, slot.iv, raw)
-        out.append(PageObservation(ppn, stage, payload))
-    return out
+    pages = _managed_pages(snap)
+    stages = _stages(snap)
+    payloads = {}
+    if decode_payloads:
+        step = max(1, _HISTOGRAM_GROUPS // layout.groups_per_page)
+        for idx in _steps(np.flatnonzero(stages), step):
+            chunk = (idx + pages.start).tolist()
+            second = stages[idx] == _SECOND
+            raw = decode_pages_public(layout, code, _page_grid(
+                [snap.data[p] for p in chunk]), second)
+            ivs = stage_ivs([snap.oob[p] for p in chunk], second)
+            plain = decrypt_payloads(k_pub, ivs, raw)
+            payloads.update(zip(chunk, map(bytes, plain)))
+    return [PageObservation(ppn, STAGES[s], payloads.get(ppn))
+            for ppn, s in zip(pages, stages.tolist())]
 
 
 # ---------------------------------------------------------------------
@@ -106,46 +135,57 @@ class TransitionReport:
         return [r.line() for r in self.records]
 
 
-def _subset_bits(older: bytes, newer: bytes) -> bool:
-    a = int.from_bytes(older, "big")
-    b = int.from_bytes(newer, "big")
-    return a | b == b
-
-
 def diff_transitions(s1: Snapshot, s2: Snapshot) -> TransitionReport:
     """Flag per-page changes between two snapshots of the same device that
-    no public-only workload could have produced."""
+    no public-only workload could have produced.
+
+    Stages, the 0->1 subset rule and content equality are compared over
+    steps of pages whose data is at most 8 * _HISTOGRAM_GROUPS bytes (the
+    size of one histogram step's int64 groups); only pages whose stage or
+    content differ, or whose block was erased, are looked at one by one."""
     if s1.geometry != s2.geometry:
         raise PearlError("snapshots have different geometries")
     g = s1.geometry
+    ppb = g.pages_per_block
+    erases = np.subtract(s2.erase_counts, s1.erase_counts)
     report = TransitionReport()
-    for ppn in _managed_pages(s1):
-        blk = ppn // g.pages_per_block
-        erased = s2.erase_counts[blk] - s1.erase_counts[blk]
-        before, after = _stage(s1, ppn), _stage(s2, ppn)
-        if erased > 0:
-            if before != after:
-                report.records.append(TransitionRecord(
-                    ppn, before, after, True, f"block erased x{erased}"))
-            continue
-        if (before, after) not in PLAUSIBLE_SAME_LIFE:
-            report.records.append(TransitionRecord(
-                ppn, before, after, False, "no such edge without an erase"))
-            continue
-        if not (_subset_bits(s1.data[ppn], s2.data[ppn])
-                and _subset_bits(s1.oob[ppn], s2.oob[ppn])):
-            report.records.append(TransitionRecord(
-                ppn, before, after, False, "set bits were cleared"))
-            continue
-        if before == after and (s1.data[ppn] != s2.data[ppn]
-                                or s1.oob[ppn] != s2.oob[ppn]):
-            report.records.append(TransitionRecord(
-                ppn, before, after, False, "content changed without a stage change"))
-            continue
-        if before != after:
-            report.records.append(TransitionRecord(
-                ppn, before, after, True, "within closure"))
+    step = max(1, 8 * _HISTOGRAM_GROUPS // g.page_bytes)
+    for chunk in _steps(_managed_pages(s1), step):
+        before = observable_stages(s1.oob[chunk.start:chunk.stop])
+        after = observable_stages(s2.oob[chunk.start:chunk.stop])
+        erased = erases[np.arange(chunk.start, chunk.stop) // ppb]
+        cleared = np.zeros(len(chunk), dtype=bool)
+        changed = np.zeros(len(chunk), dtype=bool)
+        for area in ("data", "oob"):
+            old = _page_grid(getattr(s1, area)[chunk.start:chunk.stop])
+            new = _page_grid(getattr(s2, area)[chunk.start:chunk.stop])
+            flipped = old ^ new
+            changed |= flipped.any(axis=1)
+            cleared |= (flipped & old).any(axis=1)
+        look = (before != after) | (changed & (erased == 0))
+        for i in np.flatnonzero(look).tolist():
+            report.records.append(_transition(
+                chunk.start + i, STAGES[before[i]], STAGES[after[i]],
+                int(erased[i]), cleared[i], changed[i]))
     return report
+
+
+def _transition(ppn, before, after, erased, cleared, changed):
+    """The record of a page whose stage differs, or whose content differs
+    within one erase lifetime."""
+    if erased > 0:
+        return TransitionRecord(ppn, before, after, True,
+                                f"block erased x{erased}")
+    if (before, after) not in PLAUSIBLE_SAME_LIFE:
+        return TransitionRecord(ppn, before, after, False,
+                                "no such edge without an erase")
+    if cleared:
+        return TransitionRecord(ppn, before, after, False,
+                                "set bits were cleared")
+    if before == after:
+        return TransitionRecord(ppn, before, after, False,
+                                "content changed without a stage change")
+    return TransitionRecord(ppn, before, after, True, "within closure")
 
 
 # ---------------------------------------------------------------------
@@ -183,9 +223,11 @@ def ui1_inference(s1: Snapshot, s2: Snapshot):
     g = s2.geometry
     ppb = g.pages_per_block
     alarms = []
+    names = [STAGES[s] for s in _stages(s2).tolist()]
     for blk in range(RESERVED_BLOCKS, g.total_blocks):
         base = blk * ppb
-        stages = [_stage(s2, base + i) for i in range(ppb)]
+        off = base - RESERVED_BLOCKS * ppb
+        stages = names[off:off + ppb]
         claims = {}
         for i in range(ppb):
             if stages[i] == "empty":
@@ -265,8 +307,9 @@ def frequency_distinguisher(snapshots, code: WomCode, model: dict = None,
     for snap in snapshots:
         if layout is None:
             layout = PageLayout.for_page(snap.geometry.page_bytes, code)
-        pages = [snap.data[p] for p in _managed_pages(snap)
-                 if _stage(snap, p) == "second"]
+        second = np.flatnonzero(_stages(snap) == _SECOND)
+        pages = [snap.data[p] for p in
+                 (second + _managed_pages(snap).start).tolist()]
         counts.update(codeword_histogram(pages, code, layout))
     total = sum(counts.values())
     if total < min_groups:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import scrypt
 
+import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import PearlError
@@ -72,6 +73,29 @@ def encrypt_payload(key: VolumeKey, iv: bytes, plaintext: bytes) -> bytes:
 def decrypt_payload(key: VolumeKey, iv: bytes, ciphertext: bytes) -> bytes:
     dec = _ctr(key, iv).decryptor()
     return dec.update(ciphertext) + dec.finalize()
+
+
+def decrypt_payloads(key: VolumeKey, ivs: np.ndarray,
+                     ciphertexts: np.ndarray) -> np.ndarray:
+    """decrypt_payload of each row of ciphertexts, an (n, L) uint8 array,
+    under the IV in the same row of ivs, an (n, IV_BYTES) uint8 array.
+
+    The CTR counter blocks of every row (its IV, then IV + 1, ... as a
+    128-bit big-endian integer, wrapping like the CTR mode above) go
+    through one AES-ECB pass; the keystream is XORed in numpy.
+    """
+    n, length = ciphertexts.shape
+    if ivs.shape != (n, IV_BYTES):
+        raise PearlError("IVs must be 16 bytes, one per payload")
+    blocks = -(-length // IV_BYTES)
+    # (n, 2) words: the high and low halves of each IV.
+    halves = np.ascontiguousarray(ivs).view(">u8").astype(np.uint64)
+    low = halves[:, 1:] + np.arange(blocks, dtype=np.uint64)
+    high = halves[:, :1] + (low < halves[:, 1:])   # carry out of the low word
+    counters = np.stack(np.broadcast_arrays(high, low), axis=-1).astype(">u8")
+    ecb = Cipher(key._aes, modes.ECB()).encryptor()
+    stream = np.frombuffer(ecb.update(counters.tobytes()), dtype=np.uint8)
+    return ciphertexts ^ stream.reshape(n, blocks * IV_BYTES)[:, :length]
 
 
 def fresh_iv(rng) -> bytes:

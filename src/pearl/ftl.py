@@ -286,9 +286,6 @@ class PearlFtl(MappingCore):
         if pub_state is None:
             return  # freshly formatted device: nothing to recover
         ui1, gtd_pub = pub_state
-        self._gtd[PUBLIC] = [self._clamp_ppn(p) for p in gtd_pub]
-        if gtd_hid is not None:
-            self._gtd[HIDDEN] = [self._clamp_ppn(p) for p in gtd_hid]
 
         cfg = self.config
         g = cfg.geometry
@@ -303,6 +300,17 @@ class PearlFtl(MappingCore):
                     claim[ppn] = slot_a.lpn_field
                     self._slot_a.setdefault(
                         self._block_of(ppn), set()).add(slot_a.lpn_field)
+
+        # A crash image keeps the GTD of the last unmount, which can name a
+        # page erased since: it holds no translation page and this FTL may
+        # program it, so the entry is dropped.  A value that is no ppn at
+        # all (what a wrong hidden password decrypts) stays addressable, so
+        # a wrong password still reads garbage rather than an error.
+        for volume, gtd in ((PUBLIC, gtd_pub), (HIDDEN, gtd_hid)):
+            if gtd is not None:
+                self._gtd[volume] = [
+                    UNMAPPED if stage.get(p) == "empty" else self._clamp_ppn(p)
+                    for p in gtd]
 
         # Current mappings, walked quietly through the translation pages.
         pub_map = self._walk_volume(PUBLIC)

@@ -14,12 +14,17 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .crypto import IV_BYTES
 
 SLOT_BYTES = IV_BYTES + 4 + 1
 _TAG_AT = IV_BYTES + 4  # stage tag offset within a slot
 TAG_FIRST = 1
 TAG_SECOND = 2
+
+# Observable stages by the codes observable_stages returns.
+STAGES = ("empty", "first", "second")
 
 TRANS_FLAG = 0x8000_0000
 LPN_MASK = 0x7FFF_FFFF
@@ -80,3 +85,33 @@ def observable_stage(oob: bytes) -> str:
     if oob[off_a + _TAG_AT]:
         return "first"
     return "empty"
+
+
+def _oob_grid(oobs):
+    """Equal-length OOBs as an (n, oob_bytes) uint8 array, and the slot
+    offsets of that length."""
+    oob_bytes = len(oobs[0]) if len(oobs) else 2 * SLOT_BYTES
+    offsets = _slot_offsets(oob_bytes)
+    buf = b"".join(oobs)
+    if len(buf) != len(oobs) * oob_bytes:
+        raise ValueError(f"oobs must be {oob_bytes} bytes each")
+    grid = np.frombuffer(buf, dtype=np.uint8).reshape(len(oobs), oob_bytes)
+    return grid, offsets
+
+
+def observable_stages(oobs) -> np.ndarray:
+    """observable_stage of every OOB in a sequence of equal-length OOBs,
+    as uint8 indices into STAGES, in one pass."""
+    grid, (off_a, off_b) = _oob_grid(oobs)
+    stages = (grid[:, off_a + _TAG_AT] != 0).astype(np.uint8)
+    stages[grid[:, off_b + _TAG_AT] != 0] = STAGES.index("second")
+    return stages
+
+
+def stage_ivs(oobs, second) -> np.ndarray:
+    """The IV of the slot each OOB's stage reads (slot B where second[i]
+    is set, else slot A), as an (n, IV_BYTES) uint8 array."""
+    grid, (off_a, off_b) = _oob_grid(oobs)
+    return np.where(np.asarray(second, dtype=bool)[:, None],
+                    grid[:, off_b:off_b + IV_BYTES],
+                    grid[:, off_a:off_a + IV_BYTES])

@@ -487,6 +487,32 @@ def decode_page_public(
     return _pack_groups(msgs, code.k, layout.public_payload_bytes * 8)
 
 
+def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
+                        second: np.ndarray) -> np.ndarray:
+    """decode_page_public of each row of raw, an (n, page_bytes) uint8
+    array whose row i is at second stage where second[i] is set, else at
+    first stage: (n, public_payload_bytes) uint8 rows.
+
+    The two decode tables are stacked, so one lookup serves both stages
+    and a bad codeword raises the error of the first bad row.
+    """
+    n = len(raw)
+    if raw.shape[1:] != (layout.page_bytes,):
+        raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
+    runs = layout.groups_per_page // 8
+    cw = _unpack_runs(raw[:, :runs * code.n], code.n)
+    stage = np.repeat(np.asarray(second, dtype=np.int64) << code.n, runs)
+    msgs = np.concatenate((code._d1_arr, code._d2_arr))[cw | stage]
+    if msgs.min(initial=0) < 0:
+        bad = msgs < 0
+        page = _first_group(bad) // layout.groups_per_page
+        what = "second-write" if second[page] else "first-write"
+        raise _codeword_error(layout, code, cw, bad, what)
+    packed = _pack_groups(msgs, code.k, n * layout.public_payload_bytes * 8)
+    return np.frombuffer(packed, dtype=np.uint8).reshape(
+        n, layout.public_payload_bytes)
+
+
 def decode_page_hidden(
     layout: PageLayout, code: WomCode, raw: bytes, strict: bool = True
 ) -> bytes:

@@ -4,8 +4,9 @@ observable ones."""
 
 import pytest
 
-from pearl.oob import (TAG_FIRST, TAG_SECOND, OobSlot, observable_stage,
-                       pack_oob, parse_oob, trans_field)
+from pearl.oob import (STAGES, TAG_FIRST, TAG_SECOND, OobSlot,
+                       observable_stage, observable_stages, pack_oob,
+                       parse_oob, trans_field)
 from pearl.states import ALLOWED_EDGES, PageState
 
 
@@ -31,6 +32,11 @@ def test_observable_stage_matches_parsed_slots(oob_bytes):
                                           pack_oob(oob_bytes, None, second)))
     for stage, oob in list(cases.items()) + [("second", written)]:
         assert observable_stage(oob) == _stage_from_slots(oob) == stage
+    oobs = list(cases.values()) + [written]
+    assert [STAGES[s] for s in observable_stages(oobs)] == [
+        observable_stage(oob) for oob in oobs]
+    assert [STAGES[s] for s in observable_stages(oobs[::-1])] == [
+        observable_stage(oob) for oob in oobs[::-1]]
 
 
 def test_observable_stage_rejects_an_oob_too_short_for_two_slots():
@@ -38,6 +44,10 @@ def test_observable_stage_rejects_an_oob_too_short_for_two_slots():
         observable_stage(bytes(41))
     with pytest.raises(ValueError):
         parse_oob(bytes(41))
+    with pytest.raises(ValueError):
+        observable_stages([bytes(41)])
+    with pytest.raises(ValueError):
+        observable_stages([bytes(64), bytes(65)])
 
 
 def test_page_state_projection():

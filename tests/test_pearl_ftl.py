@@ -571,10 +571,10 @@ def test_decoded_cache_never_serves_a_stale_page():
     assert ftl.check_invariants() == []
 
 
-def test_decoded_cache_follows_a_page_a_crash_image_gtd_names():
-    """A crash image keeps the GTD of the last unmount, which can name a
-    page erased since.  The mounted FTL does not own that page and may
-    program it; the cache must then stop serving what it decoded."""
+def _crash_image_with_stale_gtd():
+    """A device whose last unmount persisted GTD entries that name pages
+    erased since, with no unmount after: the crash image, that GTD's
+    {(volume, m_vpn): ppn} entries naming erased pages, and the rng."""
     ftl = _format_small_cmt()
     rng = random.Random(7)
     for _ in range(200):
@@ -585,10 +585,22 @@ def test_decoded_cache_follows_a_page_a_crash_image_gtd_names():
     while not any(ftl.device.program_count(p) == 0
                   for p in persisted.values()):
         _gc_heavy_step(ftl, rng, {})
+    stale = {k: p for k, p in persisted.items()
+             if ftl.device.program_count(p) == 0}
+    return ftl, stale, rng
+
+
+def test_decoded_cache_follows_a_page_a_crash_image_gtd_names():
+    """A GTD entry can name a page the FTL does not own, as a crash
+    image's GTD did before recovery dropped entries naming erased pages.
+    The mounted FTL may then program that page; the cache must stop
+    serving what it decoded."""
+    ftl, stale, rng = _crash_image_with_stale_gtd()
     crashed = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()),
                              "public-pw", "hidden-pw", cmt_capacity=4)
-    stale = {k: p for k, p in persisted.items()
-             if crashed.device.program_count(p) == 0}
+    # Put back the entries recovery dropped.
+    for (vol, m), p in stale.items():
+        crashed._gtd[vol][m] = p
     # Writes to lpns of translation page 1 alone leave page 0's GTD
     # entries where the crash image put them.
     for lpn in range(306, 366):
@@ -598,6 +610,50 @@ def test_decoded_cache_follows_a_page_a_crash_image_gtd_names():
             assert crashed._walk_volume(vol) == cold_walk(crashed, vol)
     assert any(crashed._gtd[vol][m] == p and crashed.device.program_count(p)
                for (vol, m), p in stale.items())
+
+
+def test_recovery_drops_gtd_entries_naming_erased_pages():
+    """Mounting a crash image whose persisted GTD names erased pages
+    (translation page 0 of both volumes here): no GTD entry may keep
+    naming a page the mounted FTL can allocate, and no read may return
+    another lpn's data after writes reuse those pages."""
+    writer = {}  # payload -> lpn it was written to, per volume
+
+    def recording(ftl):
+        for vol in ("public", "hidden"):
+            write = getattr(ftl, f"{vol}_write")
+
+            def record(lpn, data, vol=vol, write=write):
+                writer[vol, data] = lpn
+                return write(lpn, data)
+            setattr(ftl, f"{vol}_write", record)
+        return ftl
+
+    ftl, stale, rng = _crash_image_with_stale_gtd()
+    assert {vol for vol, _ in stale} == {"public", "hidden"}
+    recording(ftl)
+    crashed = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()),
+                             "public-pw", "hidden-pw", cmt_capacity=4)
+    dev = crashed.device
+    for vol, gtd in crashed._gtd.items():
+        assert all(p == UNMAPPED or dev.program_count(p) for p in gtd), vol
+    recording(crashed)
+    for lpn in range(306, 336):
+        crashed.public_write(lpn, rng.randbytes(
+            crashed.layout.public_payload_bytes))
+    for vol, gtd in crashed._gtd.items():
+        assert all(p == UNMAPPED or dev.program_count(p) for p in gtd), vol
+    cfg = crashed.config
+    for vol, pages in (("public", cfg.public_pages),
+                       ("hidden", cfg.hidden_pages)):
+        read = getattr(crashed, f"{vol}_read")
+        for lpn in range(pages):
+            try:
+                data = read(lpn)
+            except PearlError:
+                continue
+            assert writer.get((vol, data), lpn) == lpn, (vol, lpn)
+    assert crashed.check_invariants() == []
 
 
 def test_recovery_and_mount_start_with_an_empty_cache(desk_cfg):
