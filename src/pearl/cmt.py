@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 from collections import OrderedDict
 
 from .errors import DeviceFull, UnmappedLpn
@@ -97,19 +98,25 @@ class MappingCore:
     (``_gtd[volume][m_vpn]``) locates them and the CMT caches hot
     entries.  A subclass sets ``device``, ``_epp`` (entries per
     translation page, by volume) and ``_valid`` (valid pages per block),
-    calls ``_reset_mapping``, and supplies how a
-    translation page is read (``_read_entries``) and written
-    (``_write_translation``) and how a block is collected (``gc_run``).
+    calls ``_reset_mapping``, and supplies how a translation page's
+    payload is read (``_read_translation``) and written
+    (``_write_translation``, given its first ``4 * epp`` bytes) and how
+    a block is collected (``gc_run``).
 
-    Decoded translation pages are kept in ``_decoded``, one entry per
-    translation page: ``(volume, m_vpn) -> (tag, entries)``.  An entry
-    counts only while the GTD still names the page it was decoded from
-    and that page has not been programmed or erased since (``_page_tag``).
-    The GTD moves off a page before it is invalidated, reprogrammed or
-    erased; the tag also covers a GTD recovered from a crashed device,
-    which may name a page the FTL does not own.  A hit still charges the
-    device read unless it is quiet: the cache saves host decode work,
-    never simulated time.
+    Page payloads, as a cold read would return them (WOM-decoded and
+    decrypted on ``PearlFtl``), are kept in ``_payloads``:
+    ``(volume, ppn) -> (tag, payload)``.  A read that misses stores what
+    it decoded, and every successful program stores the padded plaintext
+    it has just written, so pages this FTL wrote are never decoded.  An
+    entry counts only while its page has been neither programmed nor
+    erased since (its ``FlashDevice.page_tag``); that also covers a GTD
+    recovered from a crashed device, which may name a page the FTL does
+    not own.  A hit still charges the device read unless it is quiet:
+    the cache saves host work, never simulated time.  Collection drops the entries of
+    the block it erases, so there is at most one entry per volume and
+    programmed page, and mount starts empty.  The cache lives in this
+    instance only, so hidden payloads are held only where the hidden
+    key is.
     """
 
     def _reset_mapping(self, volume_pages, cmt_capacity, free_blocks):
@@ -119,7 +126,7 @@ class MappingCore:
         self.gc_watermark = max(
             2, math.ceil(0.02 * self.device.geometry.total_blocks))
         self.cmt = CachedMappingTable(cmt_capacity)
-        self._decoded = {}
+        self._payloads = {}
         self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])
                      for vol, pages in volume_pages.items()}
         self._set_free_blocks(free_blocks)
@@ -134,44 +141,36 @@ class MappingCore:
 
     # -- translation ---------------------------------------------------
 
-    def _page_tag(self, ppn):
-        """(ppn, block erase count, page program count): changes with
-        every program or erase of the page."""
-        dev = self.device
-        return (ppn, dev.erase_count(ppn // dev.geometry.pages_per_block),
-                dev.program_count(ppn))
-
-    def _translation_entries(self, volume, m_vpn, quiet=False):
-        """Entry list of the mapped translation page m_vpn, decoded once
-        per page the GTD names.  A non-quiet call charges one device read
-        of the page, hit or miss.  Shared with the cache: copy to mutate."""
-        t_ppn = self._gtd[volume][m_vpn]
-        tag = self._page_tag(t_ppn)
-        hit = self._decoded.get((volume, m_vpn))
+    def _payload(self, volume, ppn, quiet, read):
+        """volume's payload of the page at ppn, from the cache while its
+        tag is current, else read(ppn, quiet) and stored.  A non-quiet
+        call charges one device read, hit or miss."""
+        tag = self.device.page_tag(ppn)
+        hit = self._payloads.get((volume, ppn))
         if hit is not None and hit[0] == tag:
             if not quiet:
-                self.device.read_page(t_ppn)
+                self.device.read_page(ppn)
             return hit[1]
-        entries = self._read_entries(volume, t_ppn, quiet)
-        self._decoded[volume, m_vpn] = (tag, entries)
-        return entries
+        payload = read(ppn, quiet)
+        self._payloads[volume, ppn] = (tag, payload)
+        return payload
 
-    def _program_translation(self, volume, m_vpn, entries):
-        """Write a translation page and keep its entries decoded."""
-        self._write_translation(volume, m_vpn, entries)
-        self._decoded[volume, m_vpn] = (
-            self._page_tag(self._gtd[volume][m_vpn]), entries)
+    def _store_payload(self, volume, ppn, payload):
+        """Cache what a cold read of the page just programmed returns."""
+        self._payloads[volume, ppn] = (self.device.page_tag(ppn), payload)
 
     def _translate(self, volume, lpn, missing_ok=False):
         ppn = self.cmt.lookup(volume, lpn)
         if ppn is None:
             epp = self._epp[volume]
             m_vpn = lpn // epp
-            if self._gtd[volume][m_vpn] == UNMAPPED:
+            t_ppn = self._gtd[volume][m_vpn]
+            if t_ppn == UNMAPPED:
                 ppn = UNMAPPED
             else:
-                ppn = self._clamp_ppn(
-                    self._translation_entries(volume, m_vpn)[lpn % epp])
+                ppn = self._clamp_ppn(struct.unpack_from(
+                    "<I", self._read_translation(volume, t_ppn),
+                    4 * (lpn % epp))[0])
             self.cmt.put(volume, lpn, ppn, dirty=False)
         if ppn == UNMAPPED:
             if missing_ok:
@@ -181,16 +180,18 @@ class MappingCore:
 
     def _flush_group(self, volume, m_vpn, extra=()):
         """Write one translation page carrying every dirty cached entry
-        (and any extras) for its lpn range."""
+        (and any extras) for its lpn range.  A translation page is epp
+        little-endian 32-bit ppns, patched here in place."""
         epp = self._epp[volume]
-        if self._gtd[volume][m_vpn] != UNMAPPED:
-            entries = list(self._translation_entries(volume, m_vpn))
+        t_ppn = self._gtd[volume][m_vpn]
+        if t_ppn != UNMAPPED:
+            page = bytearray(self._read_translation(volume, t_ppn)[:4 * epp])
         else:
-            entries = [UNMAPPED] * epp
+            page = bytearray(struct.pack("<I", UNMAPPED) * epp)
         dirty = self.cmt.dirty_in_page(volume, m_vpn, epp)
         for lpn, ppn in dirty + list(extra):
-            entries[lpn % epp] = ppn
-        self._program_translation(volume, m_vpn, entries)
+            struct.pack_into("<I", page, 4 * (lpn % epp), ppn)
+        self._write_translation(volume, m_vpn, bytes(page))
         # Programming the translation page may have garbage-collected and
         # re-dirtied some of these entries with newer ppns; leave those dirty.
         for lpn, ppn in dirty:
@@ -220,8 +221,8 @@ class MappingCore:
         for m, t_ppn in enumerate(self._gtd[volume]):
             if t_ppn == UNMAPPED:
                 continue
-            entries = self._translation_entries(volume, m, quiet=True)
-            for i, e in enumerate(entries):
+            page = self._read_translation(volume, t_ppn, quiet=True)
+            for i, e in enumerate(struct.unpack_from(f"<{epp}I", page)):
                 if e != UNMAPPED:
                     out[m * epp + i] = self._clamp_ppn(e)
         return out
@@ -255,8 +256,13 @@ class MappingCore:
         return blk
 
     def _release_block(self, blk):
-        """Erase a collected block and return it to the free heap."""
+        """Erase a collected block, drop its pages' cached payloads and
+        return it to the free heap."""
         self.device.erase_block(blk)
+        ppb = self.device.geometry.pages_per_block
+        for ppn in range(blk * ppb, (blk + 1) * ppb):
+            for volume in self._gtd:
+                self._payloads.pop((volume, ppn), None)
         self._valid[blk] = 0
         heapq.heappush(self._fbl, blk)
         self._free.add(blk)

@@ -9,7 +9,6 @@ physical page is programmed at most once between erases.
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 
 from .cmt import UNMAPPED, MappingCore
@@ -65,15 +64,17 @@ class Dftl(MappingCore):
 
     # -- mapping layer -------------------------------------------------
 
-    def _read_entries(self, volume, t_ppn, quiet=False):
-        read = self.device.peek if quiet else self.device.read_page
-        data, _ = read(t_ppn)
-        return list(struct.unpack_from(f"<{self.entries_per_page}I", data))
+    def _read_translation(self, volume, t_ppn, quiet=False):
+        return self._payload(volume, t_ppn, quiet, self._read_data)
 
-    def _write_translation(self, volume, m_vpn, entries):
-        payload = struct.pack(f"<{self.entries_per_page}I", *entries)
+    def _read_data(self, ppn, quiet=False):
+        read = self.device.peek if quiet else self.device.read_page
+        return read(ppn)[0]
+
+    def _write_translation(self, volume, m_vpn, payload):
         payload += bytes(self.page_bytes - len(payload))
         ppn = self._program(TRANS, m_vpn, payload)
+        self._store_payload(volume, ppn, payload)
         old = self._gtd[volume][m_vpn]
         if old != UNMAPPED:
             self._invalidate(old)
@@ -169,8 +170,8 @@ class Dftl(MappingCore):
                 self.ledger["gc_programs"] += 1
             elif kind == TRANS:
                 # A valid translation page is the one its GTD entry names.
-                self._program_translation(
-                    DATA, owner, self._translation_entries(DATA, owner))
+                self._write_translation(DATA, owner, self._read_translation(
+                    DATA, self._gtd[DATA][owner]))
                 self.ledger["gc_programs"] += 1
         for ppn in pages:
             if self.device.program_count(ppn):

@@ -213,6 +213,14 @@ class FlashDevice:
     def erase_count(self, block_id: int) -> int:
         return self._erase_counts[block_id]
 
+    def page_tag(self, ppn: int):
+        """(ppn, its block's erase count, its program count): changes with
+        every program or erase of the page."""
+        if ppn < 0:
+            raise IndexError(f"ppn {ppn} out of range")
+        return (ppn, self._erase_counts[ppn // self.geometry.pages_per_block],
+                self._programmed[ppn])
+
     def snapshot(self) -> Snapshot:
         return Snapshot(
             self.geometry,

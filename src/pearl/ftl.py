@@ -426,16 +426,15 @@ class PearlFtl(MappingCore):
     def _pad(self, data, size):
         if len(data) > size:
             raise PearlError(f"payload of {len(data)} bytes exceeds {size}")
-        return data + bytes(size - len(data))
+        return bytes(data) + bytes(size - len(data))
 
     # -- mapping layer -------------------------------------------------
 
-    def _read_entries(self, volume, t_ppn, quiet=False):
-        """Entry array of the translation page at t_ppn."""
+    def _read_translation(self, volume, t_ppn, quiet=False):
+        """Payload of the translation page at t_ppn."""
         read = (self._read_public_page if volume == PUBLIC
                 else self._read_hidden_page)
-        return list(struct.unpack_from(f"<{self._epp[volume]}I",
-                                       read(t_ppn, quiet)))
+        return read(t_ppn, quiet)
 
     def _set_loc(self, volume, lpn_field, ppn):
         """Update a mapping: translation pages go straight to the GTD,
@@ -451,8 +450,7 @@ class PearlFtl(MappingCore):
             return None if ppn == UNMAPPED else ppn
         return self._translate(PUBLIC, lpn_field, missing_ok=True)
 
-    def _write_translation(self, volume, m_vpn, entries):
-        payload = struct.pack(f"<{self._epp[volume]}I", *entries)
+    def _write_translation(self, volume, m_vpn, payload):
         if volume == PUBLIC:
             self._program_public(trans_field(m_vpn), payload,
                                  bucket="translation")
@@ -513,12 +511,13 @@ class PearlFtl(MappingCore):
         else:
             lay = self.layout
             iv = self._fresh_iv(self.k_pub)
-            ct = encrypt_payload(self.k_pub, iv,
-                                 self._pad(plaintext, lay.public_payload_bytes))
+            padded = self._pad(plaintext, lay.public_payload_bytes)
+            ct = encrypt_payload(self.k_pub, iv, padded)
             raw = encode_page_first(lay, self.config.code, ct)
             oob = pack_oob(self.config.geometry.oob_bytes,
                            OobSlot(iv, lpn_field, TAG_FIRST), None)
             self.device.program_page(target, raw, oob)
+            self._store_payload(PUBLIC, target, padded)
             self._set_state(target, PageState.V1, bucket, lpn_field)
             self._slot_a.setdefault(self._block_of(target), set()).add(lpn_field)
             self._account(bucket, lay.groups_per_page * self.config.code.k,
@@ -591,11 +590,11 @@ class PearlFtl(MappingCore):
         lay = self.layout
         target = self._alloc_empty()
         iv = self._fresh_iv(self.k_pub, self.k_hid)
-        pub_ct = encrypt_payload(self.k_pub, iv,
-                                 self._pad(cloak_plain, lay.public_payload_bytes))
-        hid_ct = encrypt_payload(self.k_hid, iv,
-                                 self._pad(hidden_plain, lay.hidden_payload_bytes))
-        raw = encode_page_full(lay, self.config.code, pub_ct, hid_ct)
+        pub = self._pad(cloak_plain, lay.public_payload_bytes)
+        hid = self._pad(hidden_plain, lay.hidden_payload_bytes)
+        raw = encode_page_full(lay, self.config.code,
+                               encrypt_payload(self.k_pub, iv, pub),
+                               encrypt_payload(self.k_hid, iv, hid))
         # A plausible first-write slot: full-write pages must be
         # indistinguishable from genuinely twice-written ones.  The fake
         # lpn avoids repeating an in-block first-write claim; a repeat
@@ -611,6 +610,8 @@ class PearlFtl(MappingCore):
         oob = pack_oob(self.config.geometry.oob_bytes, fake,
                        OobSlot(iv, cloak_lpn, TAG_SECOND))
         self.device.program_page(target, raw, oob)
+        self._store_payload(PUBLIC, target, pub)
+        self._store_payload(HIDDEN, target, hid)
         self._set_state(target, PageState.V2, bucket, cloak_lpn)
 
         if src is not None and src != target:
@@ -685,13 +686,21 @@ class PearlFtl(MappingCore):
     def _read_public_page(self, ppn, quiet=False):
         """Decrypted public payload of a page (a charged read unless
         quiet)."""
-        data, stage, iv = self._read_page(ppn, quiet)
-        payload = decode_page_public(self.layout, self.config.code, data, stage)
-        return decrypt_payload(self.k_pub, iv, payload)
+        return self._payload(PUBLIC, ppn, quiet, self._decode_public)
 
     def _read_hidden_page(self, ppn, quiet=False):
         """Decrypted hidden payload of a page (a charged read unless
         quiet)."""
+        return self._payload(HIDDEN, ppn, quiet, self._decode_hidden)
+
+    def _decode_public(self, ppn, quiet=False):
+        """_read_public_page decoded from the device, never the cache."""
+        data, stage, iv = self._read_page(ppn, quiet)
+        payload = decode_page_public(self.layout, self.config.code, data, stage)
+        return decrypt_payload(self.k_pub, iv, payload)
+
+    def _decode_hidden(self, ppn, quiet=False):
+        """_read_hidden_page decoded from the device, never the cache."""
         data, _, iv = self._read_page(ppn, quiet)
         payload = decode_page_hidden(self.layout, self.config.code, data,
                                      strict=False)
@@ -721,13 +730,14 @@ class PearlFtl(MappingCore):
         """Second write of public data onto the I1 page target."""
         lay = self.layout
         iv = self._fresh_iv(self.k_pub)
-        ct = encrypt_payload(self.k_pub, iv,
-                             self._pad(plaintext, lay.public_payload_bytes))
+        padded = self._pad(plaintext, lay.public_payload_bytes)
+        ct = encrypt_payload(self.k_pub, iv, padded)
         existing, cur_oob = self.device.read_page(target)
         raw = encode_page_second(lay, self.config.code, ct, existing)
         slot = OobSlot(iv, lpn_field, TAG_SECOND)
         oob = _or_bytes(cur_oob, pack_oob(len(cur_oob), None, slot))
         self.device.program_page(target, raw, oob)
+        self._store_payload(PUBLIC, target, padded)
         self._set_state(target, PageState.V2, bucket, lpn_field)
         self._account(bucket, lay.groups_per_page * self.config.code.k,
                       lay.groups_per_page * self.config.code.n)

@@ -6,6 +6,7 @@ import pearl.ftl
 from pearl.bench import mixed_workload  # noqa: F401  (re-exported)
 from pearl.config import desk_config
 from pearl.crypto import derive_key
+from pearl.dftl import Dftl
 from pearl.flash import FlashDevice
 from pearl.ftl import PearlFtl
 
@@ -45,17 +46,25 @@ def derive_key_once(monkeypatch):
     monkeypatch.setattr(pearl.ftl, "derive_key", derive)
 
 
-# -- decoded translation-page cache -----------------------------------
+# -- page-payload cache ------------------------------------------------
+
+
+def cold_reader(ftl, volume):
+    """The FTL's uncached reader of volume's page payloads:
+    (ppn, quiet) -> payload, never served from the cache."""
+    if isinstance(ftl, Dftl):
+        return ftl._read_data
+    return {"public": ftl._decode_public, "hidden": ftl._decode_hidden}[volume]
 
 
 def cold_walk(ftl, volume):
-    """The walked {lpn: ppn} map of a volume with the decoded
-    translation-page cache emptied for the walk, then put back."""
-    kept, ftl._decoded = ftl._decoded, {}
+    """The walked {lpn: ppn} map of a volume with the page-payload cache
+    emptied for the walk, then put back."""
+    kept, ftl._payloads = ftl._payloads, {}
     try:
         return ftl._walk_volume(volume)
     finally:
-        ftl._decoded = kept
+        ftl._payloads = kept
 
 
 def count_relocated_translation_pages(ftl):
@@ -75,9 +84,16 @@ def count_relocated_translation_pages(ftl):
 
 
 def assert_cache_fresh(ftl):
-    """Every cached translation page is the page its GTD entry names,
-    unchanged since it was decoded."""
-    for (vol, m), (tag, entries) in ftl._decoded.items():
-        t_ppn = ftl._gtd[vol][m]
-        assert tag == ftl._page_tag(t_ppn)
-        assert entries == ftl._read_entries(vol, t_ppn, quiet=True)
+    """Every cached payload whose page has been neither programmed nor
+    erased since it was stored equals a quiet cold read of the page, and
+    checking charges no device read.  Returns how many entries were
+    checked."""
+    dev = ftl.device
+    reads, clock = dev.reads, dev.clock_us
+    checked = 0
+    for (vol, ppn), (tag, payload) in ftl._payloads.items():
+        if tag == ftl.device.page_tag(ppn):
+            assert payload == cold_reader(ftl, vol)(ppn, quiet=True), (vol, ppn)
+            checked += 1
+    assert (dev.reads, dev.clock_us) == (reads, clock)
+    return checked

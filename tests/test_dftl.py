@@ -1,6 +1,7 @@
 """Baseline page-mapping FTL: translation, caching, GC."""
 
 import random
+import struct
 
 import pytest
 
@@ -181,7 +182,7 @@ def test_submit_rejects_unknown_volume(dftl, rng):
         dftl.read(7)
 
 
-# -- decoded translation-page cache -----------------------------------
+# -- page-payload cache ------------------------------------------------
 
 
 def test_translation_miss_on_flushed_group_skips_decode(monkeypatch):
@@ -190,15 +191,16 @@ def test_translation_miss_on_flushed_group_skips_decode(monkeypatch):
     for lpn in range(8):
         dftl.write(lpn, _payload(dftl, rng))
     assert (DATA, 0) not in dftl.cmt  # evicted, so its group was flushed
-    expect = dftl._read_entries(DATA, dftl._gtd[DATA][0], quiet=True)[0]
+    expect, = struct.unpack_from(
+        "<I", dftl._read_data(dftl._gtd[DATA][0], quiet=True))
 
     decodes = []
-    read_entries = Dftl._read_entries
+    read_data = Dftl._read_data
 
     def counted(self, *args, **kwargs):
         decodes.append(args)
-        return read_entries(self, *args, **kwargs)
-    monkeypatch.setattr(Dftl, "_read_entries", counted)
+        return read_data(self, *args, **kwargs)
+    monkeypatch.setattr(Dftl, "_read_data", counted)
     dev = dftl.device
     reads, clock, misses = dev.reads, dev.clock_us, dftl.cmt.misses
     assert dftl.translate(0) == expect

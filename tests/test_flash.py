@@ -90,6 +90,24 @@ def test_erase_resets_pages_and_counter(dev):
     dev.program_page(ppb, data, oob)
 
 
+def test_page_tag_changes_with_each_program_and_erase(dev):
+    ppb = dev.geometry.pages_per_block
+    seen = [dev.page_tag(ppb)]
+    for fill in (0x0F, 0xFF):
+        dev.program_page(ppb, *_page(dev, fill))
+        seen.append(dev.page_tag(ppb))
+    dev.read_page(ppb)
+    dev.program_page(ppb + 1, *_page(dev, 0x0F))
+    assert dev.page_tag(ppb) == seen[-1]
+    dev.erase_block(1)
+    seen.append(dev.page_tag(ppb))
+    assert len(set(seen)) == 4
+    assert dev.page_tag(ppb) == FlashDevice.restore(dev.snapshot()).page_tag(ppb)
+    for ppn in (-1, dev.geometry.total_pages):
+        with pytest.raises(IndexError):
+            dev.page_tag(ppn)
+
+
 def test_busy_clock_identity(dev):
     """Accumulated clock equals the op counts times the per-op costs."""
     rng = random.Random(3)

@@ -1,11 +1,13 @@
 """Deniable FTL: mapping, allocation discipline, recovery, modes."""
 
 import random
+import struct
+from collections import Counter
 
 import pytest
 
 import pearl.ftl
-from conftest import (assert_cache_fresh, cold_walk,
+from conftest import (assert_cache_fresh, cold_reader, cold_walk,
                       count_relocated_translation_pages, mixed_workload)
 from pearl.bench import gen_synthetic, init_device
 from pearl.cmt import UNMAPPED
@@ -490,13 +492,28 @@ def test_recovered_ftl_continues_operating(desk_cfg, rng):
     assert again.check_invariants() == []
 
 
-# -- decoded translation-page cache -----------------------------------
+# -- page-payload cache ------------------------------------------------
 
 
 def _format_small_cmt():
     cfg = desk_config(cmt_capacity=4, seed=0)
     return PearlFtl.format(FlashDevice(cfg.geometry), cfg, "public-pw",
                            "hidden-pw")
+
+
+def _count_decodes(monkeypatch):
+    """The list of WOM page decode and AES-CTR decrypt calls the FTL
+    makes from now on, by name."""
+    calls = []
+    for name in ("decode_page_public", "decode_page_hidden",
+                 "decrypt_payload"):
+        real = getattr(pearl.ftl, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pearl.ftl, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("volume", ["public", "hidden"])
@@ -508,17 +525,10 @@ def test_translation_miss_on_flushed_group_skips_decode(monkeypatch, volume):
             ftl.submit(vol, lpn, "write",
                        rng.randbytes(ftl.volumes()[vol][1]))
     assert (volume, 0) not in ftl.cmt  # evicted, so its group was flushed
-    expect = ftl._read_entries(volume, ftl._gtd[volume][0], quiet=True)[0]
+    expect, = struct.unpack_from(
+        "<I", cold_reader(ftl, volume)(ftl._gtd[volume][0], quiet=True))
 
-    calls = []
-    for name in ("decode_page_public", "decode_page_hidden",
-                 "decrypt_payload"):
-        real = getattr(pearl.ftl, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(pearl.ftl, name, counted)
+    calls = _count_decodes(monkeypatch)
     dev = ftl.device
     reads, clock, misses = dev.reads, dev.clock_us, ftl.cmt.misses
     assert ftl._translate(volume, 0) == expect
@@ -608,6 +618,7 @@ def test_decoded_cache_follows_a_page_a_crash_image_gtd_names():
             crashed.layout.public_payload_bytes))
         for vol in ("public", "hidden"):
             assert crashed._walk_volume(vol) == cold_walk(crashed, vol)
+        assert_cache_fresh(crashed)
     assert any(crashed._gtd[vol][m] == p and crashed.device.program_count(p)
                for (vol, m), p in stale.items())
 
@@ -660,13 +671,183 @@ def test_recovery_and_mount_start_with_an_empty_cache(desk_cfg):
     ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=25, nops=300)
     # An entry that would be served if it outlived the rebuild.
     t_ppn = ftl._gtd["public"][0]
-    ftl._decoded["public", 0] = (ftl._page_tag(t_ppn),
-                                 [UNMAPPED] * ftl._epp["public"])
+    blank = bytes(ftl.layout.public_payload_bytes)
+    ftl._payloads["public", t_ppn] = (ftl.device.page_tag(t_ppn), blank)
     ftl.recover_metadata()
-    assert_cache_fresh(ftl)
-    assert ftl._decoded["public", 0][1] != [UNMAPPED] * ftl._epp["public"]
+    assert assert_cache_fresh(ftl)
+    assert ftl._payloads["public", t_ppn][1] != blank
 
     solo = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()), "public-pw",
                           cmt_capacity=64)
-    assert {vol for vol, _ in solo._decoded} == {"public"}
-    assert_cache_fresh(solo)
+    assert {vol for vol, _ in solo._payloads} == {"public"}
+    assert assert_cache_fresh(solo)
+
+
+@pytest.mark.parametrize("volume", ["public", "hidden"])
+def test_read_of_a_page_this_ftl_wrote_skips_decode(monkeypatch, ftl, rng,
+                                                    volume):
+    for lpn in range(4):
+        ftl.public_write(lpn, rng.randbytes(ftl.layout.public_payload_bytes))
+    data = rng.randbytes(ftl.volumes()[volume][1])
+    ftl.submit(volume, 2, "write", data)
+    assert (volume, 2) in ftl.cmt
+    calls = _count_decodes(monkeypatch)
+    dev = ftl.device
+    reads, clock = dev.reads, dev.clock_us
+    assert ftl.submit(volume, 2, "read") == data
+    assert calls == []
+    assert dev.reads == reads + 1
+    assert dev.clock_us == clock + dev.timings.read_us
+
+
+def test_collection_relocates_cached_pages_without_decode(monkeypatch,
+                                                           desk_cfg):
+    ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=5, nops=400)
+    ppb, valid = ftl._ppb, (PageState.V1, PageState.V2)
+
+    def live(blk):
+        """Charged payload reads a collection of blk makes: one per
+        valid public page plus one per live hidden page."""
+        pages = range(blk * ppb, (blk + 1) * ppb)
+        return ([p for p in pages if ftl._state[p] in valid]
+                + [p for p in pages if p in ftl._hidden_at])
+
+    victim = max((b for b in ftl.config.managed_blocks
+                  if b not in ftl._free and b != ftl._frontier),
+                 key=lambda b: (len(set(live(b)) & set(ftl._hidden_at)), b))
+    expect = Counter(live(victim))
+    assert expect and set(expect) & set(ftl._hidden_at)
+    translation = {p for gtd in ftl._gtd.values() for p in gtd}
+
+    seen = Counter()
+    read_page = ftl.device.read_page
+
+    def spy(ppn):
+        seen[ppn] += 1
+        return read_page(ppn)
+    monkeypatch.setattr(ftl.device, "read_page", spy)
+    monkeypatch.setattr(ftl, "_select_victim", lambda: victim)
+    calls = _count_decodes(monkeypatch)
+    ftl.gc_run()
+    assert calls == []
+    for p in range(victim * ppb, (victim + 1) * ppb):
+        # A translation page may also be read again by a CMT miss.
+        if p in translation:
+            assert seen[p] >= expect[p], p
+        else:
+            assert seen[p] == expect[p], p
+    assert ftl.check_invariants() == []
+
+
+class _CacheChecked(PearlFtl):
+    """Checks the payload cache against cold reads after every 50th
+    request, remounts once (recover_metadata, as mount does) at the
+    first unmount after request 500, and records which kinds of page
+    its collections relocate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = self.depth = self.checks = 0
+        self.remounted = False
+        self.relocated = set()
+
+    def _gc_block(self, victim):
+        for ppn in range(victim * self._ppb, (victim + 1) * self._ppb):
+            pub = self._state[ppn] in (PageState.V1, PageState.V2)
+            hid = ppn in self._hidden_at
+            if pub or hid:
+                self.relocated.add("paired" if pub and hid
+                                   else "public-only" if pub
+                                   else "hidden-only")
+        return super()._gc_block(victim)
+
+    def prepare_unmount(self):
+        super().prepare_unmount()
+        if self.requests >= 500 and not self.remounted:
+            self.remounted = True
+            self.recover_metadata()
+
+
+for _name in ("public_write", "public_read", "hidden_write", "trim",
+              "gc_run"):
+    def _counted(self, *args, _request=getattr(PearlFtl, _name)):
+        # Collections a request starts itself are part of that request.
+        self.depth += 1
+        out = _request(self, *args)
+        self.depth -= 1
+        if not self.depth:
+            self.requests += 1
+            if self.requests % 50 == 0:
+                assert assert_cache_fresh(self)
+                self.checks += 1
+        return out
+    setattr(_CacheChecked, _name, _counted)
+
+
+def test_cached_data_pages_match_a_cold_decode():
+    cfg = desk_config(cmt_capacity=4, seed=0)
+    ftl, _, _ = mixed_workload(_CacheChecked, cfg, seed=3, nops=1200,
+                               snap_every=250)
+    assert ftl.remounted
+    assert ftl.checks == ftl.requests // 50 >= 20
+    assert ftl.relocated == {"public-only", "paired", "hidden-only"}
+    assert {vol for vol, _ in ftl._payloads} == {"public", "hidden"}
+    assert ftl.check_invariants() == []
+
+
+def test_public_only_mount_caches_no_hidden_payload(ftl, rng):
+    lay = ftl.layout
+    for lpn in range(120):
+        ftl.public_write(lpn % 60, rng.randbytes(lay.public_payload_bytes))
+        if lpn % 3 == 0:
+            ftl.hidden_write(lpn % 40, rng.randbytes(lay.hidden_payload_bytes))
+    ftl.prepare_unmount()
+    solo = PearlFtl.mount(ftl.device, "public-pw", cmt_capacity=4)
+    for lpn in range(60):
+        solo.public_read(lpn)
+        solo.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+        if lpn % 10 == 0:
+            solo.gc_run()
+    solo.prepare_unmount()
+    assert solo._payloads
+    assert {vol for vol, _ in solo._payloads} == {"public"}
+
+
+def test_cache_holds_no_page_of_a_free_block(desk_cfg):
+    ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=26, nops=1500)
+    dev = ftl.device
+    assert any(dev.erase_count(b) for b in ftl._free)
+    assert not any(ppn // ftl._ppb in ftl._free for _, ppn in ftl._payloads)
+    # At most one entry per volume and programmed page, each current.
+    assert all(tag == ftl.device.page_tag(ppn) and dev.program_count(ppn)
+               for (_, ppn), (tag, _) in ftl._payloads.items())
+
+
+@pytest.mark.parametrize("fail_at", range(1, 61, 3))
+def test_failed_program_caches_nothing_for_its_page(derive_key_once,
+                                                    monkeypatch, fail_at):
+    """A program that raises leaves the cache as a cold read sees the
+    page: an empty page gets no entry."""
+    ftl = _format_small_cmt()
+    program = ftl.device.program_page
+    attempts = []
+
+    def failing(ppn, data, oob):
+        attempts.append((ppn, ftl.device.program_count(ppn)))
+        if len(attempts) == fail_at:
+            raise PearlError("injected program failure")
+        return program(ppn, data, oob)
+    monkeypatch.setattr(ftl.device, "program_page", failing)
+    rng = random.Random(fail_at)
+    lay = ftl.layout
+    with pytest.raises(PearlError, match="injected"):
+        for lpn in range(100):
+            ftl.public_write(lpn % 24, rng.randbytes(lay.public_payload_bytes))
+            if lpn % 4 == 3:
+                ftl.hidden_write(lpn % 8,
+                                 rng.randbytes(lay.hidden_payload_bytes))
+    ppn, before = attempts[-1]
+    assert ftl.device.program_count(ppn) == before
+    if before == 0:
+        assert not any(p == ppn for _, p in ftl._payloads)
+    assert_cache_fresh(ftl)
