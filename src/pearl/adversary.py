@@ -23,12 +23,12 @@ from .errors import PearlError
 from .flash import Snapshot
 from .wom import _HISTOGRAM_GROUPS, WOM_3_5, PageLayout, WomCode
 
-# The scans call the batched kernels.  decrypt_payload, observable_stage
-# and decode_page_public, their per-page equivalents, stay importable
-# from this module because the benchmark tracer wraps them here.
+# The scans call the batched kernels.  decrypt_payload, observable_stage,
+# parse_oob and decode_page_public, their per-page equivalents, stay
+# importable from this module because the benchmark tracer wraps them here.
 from .crypto import decrypt_payload, decrypt_payloads  # noqa: F401
-from .oob import (STAGES, observable_stage,  # noqa: F401
-                  observable_stages, parse_oob, stage_ivs)
+from .oob import (STAGES, observable_stage, observable_stages,  # noqa: F401
+                  parse_oob, slot_a_claims, stage_ivs)
 from .wom import decode_page_public, decode_pages_public  # noqa: F401
 
 # Observable-stage transitions explainable by public-only operation within
@@ -40,6 +40,7 @@ PLAUSIBLE_SAME_LIFE = {
 }
 
 
+_FIRST = STAGES.index("first")
 _SECOND = STAGES.index("second")
 
 
@@ -223,24 +224,23 @@ def ui1_inference(s1: Snapshot, s2: Snapshot):
     g = s2.geometry
     ppb = g.pages_per_block
     alarms = []
-    names = [STAGES[s] for s in _stages(s2).tolist()]
+    oobs = s2.oob[_managed_pages(s2).start:]
+    codes = observable_stages(oobs).tolist()
+    fields = slot_a_claims(oobs).tolist()
     for blk in range(RESERVED_BLOCKS, g.total_blocks):
         base = blk * ppb
         off = base - RESERVED_BLOCKS * ppb
-        stages = names[off:off + ppb]
+        stages = codes[off:off + ppb]
         claims = {}
-        for i in range(ppb):
-            if stages[i] == "empty":
-                continue
-            slot_a, _ = parse_oob(s2.oob[base + i])
-            if slot_a is not None:
-                claims.setdefault(slot_a.lpn_field, []).append(i)
-        second = [i for i in range(ppb) if stages[i] == "second"]
+        for i, lpn in enumerate(fields[off:off + ppb]):
+            if lpn >= 0:
+                claims.setdefault(lpn, []).append(i)
+        second = [i for i, st in enumerate(stages) if st == _SECOND]
         for lpn, positions in claims.items():
             if len(positions) < 2:
                 continue
             for idx, j in enumerate(positions[:-1]):
-                if stages[j] != "first":
+                if stages[j] != _FIRST:
                     continue
                 jp = positions[idx + 1]
                 witness = next((i for i in second if i > jp), None)

@@ -8,7 +8,9 @@ with per-volume domain separation.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import scrypt
 
 import numpy as np
@@ -37,8 +39,12 @@ class VolumeKey:
             raise PearlError("volume key must be 32 bytes")
         if self.volume not in (PUBLIC, HIDDEN):
             raise PearlError(f"unknown volume tag {self.volume!r}")
-        # Built once per key; each envelope adds only its CTR mode.
-        object.__setattr__(self, "_aes", algorithms.AES(self.key))
+
+    @cached_property
+    def _ecb(self):
+        """The key's AES-ECB encryptor, which computes every CTR keystream
+        under it.  Built on first use, not at key derivation."""
+        return Cipher(algorithms.AES(self.key), modes.ECB()).encryptor()
 
 
 def derive_key(password, volume: str, salt: bytes) -> VolumeKey:
@@ -59,43 +65,53 @@ def derive_key(password, volume: str, salt: bytes) -> VolumeKey:
     return VolumeKey(key, volume)
 
 
-def _ctr(key: VolumeKey, iv: bytes):
-    if len(iv) != IV_BYTES:
-        raise PearlError("IV must be 16 bytes")
-    return Cipher(key._aes, modes.CTR(iv))
+def _keystream(key: VolumeKey, high, low, blocks: int) -> bytes:
+    """The first `blocks` AES-CTR keystream blocks under each IV, row after
+    row.  high and low are the IV's big-endian 64-bit halves: ints for
+    one IV, or (n, 1) uint64 arrays for n IVs.
+
+    A row's counter blocks are its IV, then IV + 1, ... as a 128-bit
+    big-endian integer, wrapping at 2**128 as OpenSSL's CTR mode does;
+    those of every row go through one AES-ECB pass.
+    """
+    one = isinstance(low, int)
+    counters = np.empty((1 if one else len(low), blocks, 2), dtype=">u8")
+    counters[:, :, 0] = high
+    np.add(low, np.arange(blocks, dtype=np.uint64), out=counters[:, :, 1])
+    # The low word wraps past 2**64 and carries into the high word; a
+    # single IV is checked in Python, as numpy's scalar checks cost more
+    # than the rest of an envelope.
+    if not one or low + blocks > 1 << 64:
+        counters[:, :, 0] += counters[:, :, 1] < low
+    return key._ecb.update(counters.view(np.uint8))
 
 
 def encrypt_payload(key: VolumeKey, iv: bytes, plaintext: bytes) -> bytes:
-    enc = _ctr(key, iv).encryptor()
-    return enc.update(plaintext) + enc.finalize()
+    if len(iv) != IV_BYTES:
+        raise PearlError("IV must be 16 bytes")
+    length = len(plaintext)
+    stream = _keystream(key, *struct.unpack(">QQ", iv), -(-length // IV_BYTES))
+    return (np.frombuffer(plaintext, dtype=np.uint8)
+            ^ np.frombuffer(stream, dtype=np.uint8, count=length)).tobytes()
 
 
 def decrypt_payload(key: VolumeKey, iv: bytes, ciphertext: bytes) -> bytes:
-    dec = _ctr(key, iv).decryptor()
-    return dec.update(ciphertext) + dec.finalize()
+    # CTR decryption is the same keystream XOR.
+    return encrypt_payload(key, iv, ciphertext)
 
 
 def decrypt_payloads(key: VolumeKey, ivs: np.ndarray,
                      ciphertexts: np.ndarray) -> np.ndarray:
     """decrypt_payload of each row of ciphertexts, an (n, L) uint8 array,
-    under the IV in the same row of ivs, an (n, IV_BYTES) uint8 array.
-
-    The CTR counter blocks of every row (its IV, then IV + 1, ... as a
-    128-bit big-endian integer, wrapping like the CTR mode above) go
-    through one AES-ECB pass; the keystream is XORed in numpy.
-    """
+    under the IV in the same row of ivs, an (n, IV_BYTES) uint8 array."""
     n, length = ciphertexts.shape
     if ivs.shape != (n, IV_BYTES):
         raise PearlError("IVs must be 16 bytes, one per payload")
     blocks = -(-length // IV_BYTES)
-    # (n, 2) words: the high and low halves of each IV.
     halves = np.ascontiguousarray(ivs).view(">u8").astype(np.uint64)
-    low = halves[:, 1:] + np.arange(blocks, dtype=np.uint64)
-    high = halves[:, :1] + (low < halves[:, 1:])   # carry out of the low word
-    counters = np.stack(np.broadcast_arrays(high, low), axis=-1).astype(">u8")
-    ecb = Cipher(key._aes, modes.ECB()).encryptor()
-    stream = np.frombuffer(ecb.update(counters.tobytes()), dtype=np.uint8)
-    return ciphertexts ^ stream.reshape(n, blocks * IV_BYTES)[:, :length]
+    stream = _keystream(key, halves[:, :1], halves[:, 1:], blocks)
+    return ciphertexts ^ np.frombuffer(stream, dtype=np.uint8).reshape(
+        n, blocks * IV_BYTES)[:, :length]
 
 
 def fresh_iv(rng) -> bytes:

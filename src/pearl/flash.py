@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DoubleProgramLimit, SnapshotFormatError, WomInvariantViolation
 
@@ -38,11 +39,12 @@ class DeviceGeometry:
         if self.page_bytes < 512:
             raise ValueError("page_bytes must be >= 512")
 
-    @property
+    # Computed once: every page access range-checks against total_pages.
+    @cached_property
     def total_blocks(self) -> int:
         return self.dies * self.planes_per_die * self.blocks_per_plane
 
-    @property
+    @cached_property
     def total_pages(self) -> int:
         return self.total_blocks * self.pages_per_block
 
@@ -139,13 +141,20 @@ class FlashDevice:
     """Array of blocks of write-once pages with a timing ledger."""
 
     def __init__(self, geometry: DeviceGeometry, timings: DeviceTimings = DEFAULT_TIMINGS):
+        n = geometry.total_pages
+        self._attach(geometry, timings,
+                     [bytearray(geometry.page_bytes) for _ in range(n)],
+                     [bytearray(geometry.oob_bytes) for _ in range(n)],
+                     [0] * n, [0] * geometry.total_blocks)
+
+    def _attach(self, geometry, timings, data, oob, programmed, erase_counts):
+        """Take the given page buffers and counters, with a zero ledger."""
         self.geometry = geometry
         self.timings = timings
-        n = geometry.total_pages
-        self._data = [bytearray(geometry.page_bytes) for _ in range(n)]
-        self._oob = [bytearray(geometry.oob_bytes) for _ in range(n)]
-        self._programmed = [0] * n
-        self._erase_counts = [0] * geometry.total_blocks
+        self._data = data
+        self._oob = oob
+        self._programmed = programmed
+        self._erase_counts = erase_counts
         self.clock_us = 0.0
         self.reads = 0
         self.programs = 0
@@ -206,6 +215,11 @@ class FlashDevice:
         self._check_ppn(ppn)
         return bytes(self._data[ppn]), bytes(self._oob[ppn])
 
+    def peek_oobs(self, start: int = 0) -> list:
+        """The OOBs of pages start onwards, without timing: for
+        whole-device recovery scans."""
+        return [bytes(o) for o in self._oob[start:]]
+
     def program_count(self, ppn: int) -> int:
         self._check_ppn(ppn)
         return self._programmed[ppn]
@@ -232,10 +246,9 @@ class FlashDevice:
 
     @classmethod
     def restore(cls, snap: Snapshot, timings: DeviceTimings = DEFAULT_TIMINGS):
-        dev = cls(snap.geometry, timings)
-        for ppn in range(snap.geometry.total_pages):
-            dev._data[ppn][:] = snap.data[ppn]
-            dev._oob[ppn][:] = snap.oob[ppn]
-        dev._programmed = list(snap.programmed)
-        dev._erase_counts = list(snap.erase_counts)
+        dev = cls.__new__(cls)
+        dev._attach(snap.geometry, timings,
+                    [bytearray(d) for d in snap.data],
+                    [bytearray(o) for o in snap.oob],
+                    list(snap.programmed), list(snap.erase_counts))
         return dev

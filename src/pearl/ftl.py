@@ -39,13 +39,16 @@ from .errors import (
 from .flash import FlashDevice
 from .oob import (
     LPN_MASK,
+    STAGES,
     TAG_FIRST,
     TAG_SECOND,
     OobSlot,
     is_trans_field,
-    observable_stage,
+    observable_stage,  # noqa: F401  (the benchmark tracer wraps it here)
+    observable_stages,
     pack_oob,
     parse_oob,
+    slot_a_claims,
     trans_field,
 )
 from .states import PageState, TransitionMonitor
@@ -65,6 +68,9 @@ PUBLIC_ONLY = "public-only"
 PUBLIC_HIDDEN = "public-hidden"
 
 _VALID = (PageState.V1, PageState.V2)
+# Stage codes of oob.observable_stages, and the state of a live page at each.
+_EMPTY, _FIRST, _SECOND = map(STAGES.index, ("empty", "first", "second"))
+_LIVE = {_FIRST: PageState.V1, _SECOND: PageState.V2}
 
 
 def _or_bytes(a: bytes, b: bytes) -> bytes:
@@ -289,17 +295,12 @@ class PearlFtl(MappingCore):
 
         cfg = self.config
         g = cfg.geometry
-        stage = {}
-        claim = {}  # programmed ppn -> its slot-A lpn_field
-        for ppn in range(RESERVED_BLOCKS * self._ppb, g.total_pages):
-            _, oob = self.device.peek(ppn)
-            stage[ppn] = observable_stage(oob)
-            if stage[ppn] != "empty":
-                slot_a, _ = parse_oob(oob)
-                if slot_a is not None:
-                    claim[ppn] = slot_a.lpn_field
-                    self._slot_a.setdefault(
-                        self._block_of(ppn), set()).add(slot_a.lpn_field)
+        first = RESERVED_BLOCKS * self._ppb
+        oobs = self.device.peek_oobs(first)
+        # Stage code of every page (reserved pages read as empty), and the
+        # slot-A claim of every managed page (-1: slot A unset).
+        stage = [_EMPTY] * first + observable_stages(oobs).tolist()
+        claims = slot_a_claims(oobs).tolist()
 
         # A crash image keeps the GTD of the last unmount, which can name a
         # page erased since: it holds no translation page and this FTL may
@@ -309,42 +310,46 @@ class PearlFtl(MappingCore):
         for volume, gtd in ((PUBLIC, gtd_pub), (HIDDEN, gtd_hid)):
             if gtd is not None:
                 self._gtd[volume] = [
-                    UNMAPPED if stage.get(p) == "empty" else self._clamp_ppn(p)
+                    UNMAPPED
+                    if first <= p < g.total_pages and stage[p] == _EMPTY
+                    else self._clamp_ppn(p)
                     for p in gtd]
 
         # Current mappings, walked quietly through the translation pages.
         pub_map = self._walk_volume(PUBLIC)
         for lpn_field, ppn in pub_map.items():
-            if stage.get(ppn, "empty") == "empty":
+            if stage[ppn] == _EMPTY:
                 continue  # garbage entry (or pre-persist loss); ignore
             self._pub_lpn[ppn] = lpn_field
-            self._state[ppn] = (PageState.V1 if stage[ppn] == "first"
-                                else PageState.V2)
+            self._state[ppn] = _LIVE[stage[ppn]]
         for m, t_ppn in enumerate(self._gtd[PUBLIC]):
-            if t_ppn != UNMAPPED and stage.get(t_ppn, "empty") != "empty":
+            if t_ppn != UNMAPPED and stage[t_ppn] != _EMPTY:
                 self._pub_lpn[t_ppn] = trans_field(m)
-                self._state[t_ppn] = (PageState.V1 if stage[t_ppn] == "first"
-                                      else PageState.V2)
+                self._state[t_ppn] = _LIVE[stage[t_ppn]]
         if self.mode == PUBLIC_HIDDEN:
+            # Hidden content lives on second-stage pages only, so an entry
+            # naming any other page (a wrong password's garbage) is not
+            # installed; reads through it still return garbage.
             for lpn_field, ppn in self._walk_volume(HIDDEN).items():
-                if stage.get(ppn, "empty") != "empty":
+                if stage[ppn] == _SECOND:
                     self._hid_set(ppn, lpn_field)
             for m, t_ppn in enumerate(self._gtd[HIDDEN]):
-                if t_ppn != UNMAPPED and stage.get(t_ppn, "empty") != "empty":
+                if t_ppn != UNMAPPED and stage[t_ppn] == _SECOND:
                     self._hid_set(t_ppn, trans_field(m))
 
         # Remaining programmed pages are invalid; first-write invalids are
         # either the persisted UI1 page, a kept-mapped TI1 page, or
         # relocation leftovers awaiting GC.
-        for ppn, st in stage.items():
-            if st == "empty" or self._state[ppn] != PageState.EMPTY:
+        for ppn in range(first, g.total_pages):
+            st = stage[ppn]
+            if st == _EMPTY or self._state[ppn] != PageState.EMPTY:
                 continue
-            if st == "first":
-                lpn = claim.get(ppn)
+            if st == _FIRST:
+                lpn = claims[ppn - first]
                 if ppn == ui1:
                     self._state[ppn] = PageState.UI1
                     self.current_ui1 = ppn
-                elif lpn is not None and pub_map.get(lpn) == ppn:
+                elif lpn >= 0 and pub_map.get(lpn) == ppn:
                     self._state[ppn] = PageState.TI1
                     self.tiq[ppn] = lpn
                     self._trimmed.add(lpn)
@@ -357,7 +362,11 @@ class PearlFtl(MappingCore):
         free = []
         for blk in cfg.managed_blocks:
             pages = range(blk * self._ppb, (blk + 1) * self._ppb)
-            programmed = [p for p in pages if stage[p] != "empty"]
+            fields = set(claims[pages.start - first:pages.stop - first])
+            fields.discard(-1)
+            if fields:
+                self._slot_a[blk] = fields
+            programmed = [p for p in pages if stage[p] != _EMPTY]
             if not programmed:
                 free.append(blk)
             elif len(programmed) < self._ppb:

@@ -108,6 +108,15 @@ def observable_stages(oobs) -> np.ndarray:
     return stages
 
 
+def slot_a_claims(oobs) -> np.ndarray:
+    """The slot-A lpn_field of every OOB in a sequence of equal-length
+    OOBs, or -1 where slot A's stage tag is unset, as int64, in one pass."""
+    grid, (off_a, _) = _oob_grid(oobs)
+    at = off_a + IV_BYTES
+    fields = np.ascontiguousarray(grid[:, at:at + 4]).view(">u4")[:, 0]
+    return np.where(grid[:, off_a + _TAG_AT] != 0, fields.astype(np.int64), -1)
+
+
 def stage_ivs(oobs, second) -> np.ndarray:
     """The IV of the slot each OOB's stage reads (slot B where second[i]
     is set, else slot A), as an (n, IV_BYTES) uint8 array."""

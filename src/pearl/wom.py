@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,11 @@ class WomCode:
         object.__setattr__(self, "_d2_arr", d2_arr)
         object.__setattr__(self, "_hid_arr", hid_arr)
         object.__setattr__(self, "_e2_arr", e2_arr)
+
+    @cached_property
+    def _chunks(self) -> "_ChunkTables":
+        """Multi-group tables of the page-batch kernels (n <= 8)."""
+        return _ChunkTables(self)
 
     # -- scalar codec ------------------------------------------------
 
@@ -414,6 +420,63 @@ def _first_group(mask: np.ndarray) -> int:
     return int(np.argmax(mask.T))
 
 
+class _ChunkTables:
+    """Lookup tables over chunks of c successive codeword groups, for the
+    page-batch kernels.
+
+    c is the largest of 1, 2, 4 and 8 whose decode index (a stage bit
+    above c codewords, the first group highest) fits in 16 bits, so a
+    run of 8 groups is 8 // c chunks.  decode[index] holds the c messages
+    of the chunk, packed the same way, or -1 when any of its groups is no
+    codeword of that stage.  counts[chunk, cw] is how many groups of the
+    chunk are cw; bad[chunk] is set when one is no second-write codeword.
+    """
+
+    def __init__(self, code: WomCode):
+        n, k = code.n, code.k
+        self.c = c = max(c for c in (1, 2, 4, 8) if 1 + c * n <= 16)
+        self.bits = bits = c * n
+        per = 8 // c
+        # Word bit offsets of the chunks (a run fills a word's top bytes).
+        self.shifts = (8 * (8 - n)
+                       + bits * np.arange(per - 1, -1, -1, dtype=np.int64))
+        self.out_weights = np.left_shift(
+            1, c * k * np.arange(per - 1, -1, -1, dtype=np.int64))
+        index = np.arange(2 << bits, dtype=np.int64)
+        lanes = np.arange(c - 1, -1, -1, dtype=np.int64)[:, None]
+        groups = (index >> n * lanes) & ((1 << n) - 1)       # (c, index)
+        stacked = np.concatenate((code._d1_arr, code._d2_arr))
+        msgs = stacked[groups | (index >> bits << n)]
+        packed = (msgs << k * lanes).sum(axis=0)
+        self.decode = np.where((msgs < 0).any(axis=0), -1,
+                               packed).astype(np.int32)
+        chunk = groups[:, :1 << bits]
+        self.counts = (chunk[:, :, None] == np.arange(1 << n)).sum(
+            axis=0, dtype=np.uint8)
+        self.bad = (code._d2_arr[chunk] < 0).any(axis=0)
+
+
+def _run_words(raw: np.ndarray, width: int, runs: int) -> np.ndarray:
+    """The first `runs` width-byte runs of each row of raw, a (pages,
+    page_bytes) uint8 array, as int64 words holding their bytes at the
+    top, big-endian: (pages, runs)."""
+    # Each word is the 8 bytes read from its run's start, through a
+    # big-endian view of a padded copy, so the last run has 8 bytes too.
+    pages, page_bytes = raw.shape
+    buf = np.zeros(raw.size + 8, dtype=np.uint8)
+    buf[:raw.size] = raw.ravel()
+    return np.ndarray((pages, runs), dtype=">u8", buffer=buf,
+                      strides=(page_bytes, width)).astype(np.int64)
+
+
+def _chunk_index(t: _ChunkTables, words: np.ndarray) -> np.ndarray:
+    """(8 // c, words) int64 indices of each word's chunks: [j, r] is
+    chunk j of word r, like the (8, runs) group lanes."""
+    index = words.reshape(1, -1) >> t.shifts[:, None]
+    index &= (1 << t.bits) - 1
+    return index
+
+
 def _check_payload(layout, data, expected, what):
     if len(data) != expected:
         raise WomError(f"{what} length {len(data)}, layout wants {expected}")
@@ -487,18 +550,9 @@ def decode_page_public(
     return _pack_groups(msgs, code.k, layout.public_payload_bytes * 8)
 
 
-def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
-                        second: np.ndarray) -> np.ndarray:
-    """decode_page_public of each row of raw, an (n, page_bytes) uint8
-    array whose row i is at second stage where second[i] is set, else at
-    first stage: (n, public_payload_bytes) uint8 rows.
-
-    The two decode tables are stacked, so one lookup serves both stages
-    and a bad codeword raises the error of the first bad row.
-    """
-    n = len(raw)
-    if raw.shape[1:] != (layout.page_bytes,):
-        raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
+def _decode_pages_lanes(layout, code, raw, second):
+    """decode_pages_public one group per lane: the reference of the chunk
+    kernel, and its error path (it names the first bad group)."""
     runs = layout.groups_per_page // 8
     cw = _unpack_runs(raw[:, :runs * code.n], code.n)
     stage = np.repeat(np.asarray(second, dtype=np.int64) << code.n, runs)
@@ -508,9 +562,37 @@ def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
         page = _first_group(bad) // layout.groups_per_page
         what = "second-write" if second[page] else "first-write"
         raise _codeword_error(layout, code, cw, bad, what)
-    packed = _pack_groups(msgs, code.k, n * layout.public_payload_bytes * 8)
+    packed = _pack_groups(msgs, code.k,
+                          len(raw) * layout.public_payload_bytes * 8)
     return np.frombuffer(packed, dtype=np.uint8).reshape(
-        n, layout.public_payload_bytes)
+        len(raw), layout.public_payload_bytes)
+
+
+def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
+                        second: np.ndarray) -> np.ndarray:
+    """decode_page_public of each row of raw, an (n, page_bytes) uint8
+    array whose row i is at second stage where second[i] is set, else at
+    first stage: (n, public_payload_bytes) uint8 rows.
+
+    One table lookup decodes c groups of either stage (_ChunkTables); a
+    chunk holding a bad codeword sends the batch to the group-lane path,
+    which raises the error of the first bad row.
+    """
+    if raw.shape[1:] != (layout.page_bytes,):
+        raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
+    t = code._chunks
+    runs = layout.groups_per_page // 8
+    index = _chunk_index(t, _run_words(raw, code.n, runs))
+    index |= np.repeat(np.asarray(second, dtype=np.int64) << t.bits, runs)
+    msgs = t.decode[index]
+    if msgs.min(initial=0) < 0:
+        return _decode_pages_lanes(layout, code, raw, second)
+    # Each word's k-byte run of messages, copied out as one k-byte item.
+    words = (t.out_weights @ msgs).astype(">u8")
+    out = np.ndarray(words.shape, dtype=f"V{code.k}", buffer=words,
+                     offset=8 - code.k, strides=(8,))
+    return np.ascontiguousarray(out).view(np.uint8).reshape(
+        len(raw), layout.public_payload_bytes)
 
 
 def decode_page_hidden(
@@ -537,24 +619,31 @@ _HISTOGRAM_GROUPS = 1 << 16
 
 
 def codeword_histogram(pages, code: WomCode, layout: PageLayout) -> Counter:
-    """Counts of each second-write codeword across all groups of all pages."""
+    """Counts of each second-write codeword across all groups of all pages.
+
+    Chunks of c groups are counted, then folded to codewords through
+    _ChunkTables.counts."""
     pages = list(pages)
+    t = code._chunks
     step = max(1, _HISTOGRAM_GROUPS // layout.groups_per_page)
-    counts = np.zeros(2**code.n, dtype=np.int64)
+    runs = layout.groups_per_page // 8
+    chunks = np.zeros(1 << t.bits, dtype=np.int64)
     for start in range(0, len(pages), step):
-        chunk = pages[start:start + step]
-        buf = b"".join(chunk)
-        if len(buf) != len(chunk) * layout.page_bytes:
+        batch = pages[start:start + step]
+        buf = b"".join(batch)
+        if len(buf) != len(batch) * layout.page_bytes:
             raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
         grid = np.frombuffer(buf, dtype=np.uint8).reshape(
-            len(chunk), layout.page_bytes)
-        cw = _unpack_runs(grid[:, :layout.groups_per_page // 8 * code.n],
-                          code.n)
-        part = np.bincount(cw.ravel(), minlength=2**code.n)
-        if (part[code._d2_arr < 0] > 0).any():
+            len(batch), layout.page_bytes)
+        part = np.bincount(
+            _chunk_index(t, _run_words(grid, code.n, runs)).ravel(),
+            minlength=1 << t.bits)
+        if part[t.bad].any():
+            cw = _unpack_runs(grid[:, :runs * code.n], code.n)
             raise _codeword_error(layout, code, cw, code._d2_arr[cw] < 0,
                                   "second-write")
-        counts += part
+        chunks += part
+    counts = chunks @ t.counts
     return Counter({int(c): int(v) for c, v in enumerate(counts) if v})
 
 

@@ -1,12 +1,15 @@
 """Key derivation and page encryption against published test vectors."""
 
+import random
 from hashlib import scrypt
 
+import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from pearl.crypto import (IV_BYTES, SCRYPT_N, SCRYPT_P, SCRYPT_R, IvRegistry,
-                          VolumeKey, decrypt_payload, derive_key,
-                          encrypt_payload, fresh_iv)
+                          VolumeKey, decrypt_payload, decrypt_payloads,
+                          derive_key, encrypt_payload, fresh_iv)
 from pearl.errors import PearlError
 
 
@@ -52,6 +55,36 @@ def test_aes_ctr_published_vector():
     plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
     assert encrypt_payload(key, iv, plaintext).hex() == \
         "601ec313775789a5b7a7f504bbf3d228"
+
+
+# The counter's low word carries into the high word, or the whole 128-bit
+# counter wraps to zero, within the first 8 KiB (512 blocks).
+_CTR_IVS = [
+    bytes(16),
+    bytes(range(16)),
+    bytes(8) + b"\xff" * 8,
+    b"\x01" * 8 + (2**64 - 3).to_bytes(8, "big"),
+    b"\xff" * 16,
+    b"\xff" * 8 + (2**64 - 300).to_bytes(8, "big"),
+]
+
+
+@pytest.mark.parametrize("iv", _CTR_IVS, ids=lambda iv: iv.hex())
+def test_keystream_matches_the_ctr_mode_of_cryptography(iv):
+    """encrypt_payload, decrypt_payload and decrypt_payloads equal
+    cryptography's AES-CTR for every length from 0 to 8,192 bytes."""
+    key = VolumeKey(bytes(range(32)), "hidden")
+    text = random.Random(iv).randbytes(8192)
+    ref = Cipher(algorithms.AES(key.key), modes.CTR(iv)).encryptor().update(
+        text)
+    for length in range(len(text) + 1):
+        assert encrypt_payload(key, iv, text[:length]) == ref[:length]
+    assert decrypt_payload(key, iv, ref) == text
+    ivs = np.frombuffer(iv * 3, dtype=np.uint8).reshape(3, IV_BYTES)
+    for length in (0, 1, 16, 1227, 8192):
+        rows = np.frombuffer(ref[:length] * 3, dtype=np.uint8).reshape(3, -1)
+        assert [r.tobytes() for r in decrypt_payloads(key, ivs, rows)] == [
+            text[:length]] * 3
 
 
 def test_encrypt_decrypt_roundtrip():

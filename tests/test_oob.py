@@ -4,9 +4,9 @@ observable ones."""
 
 import pytest
 
-from pearl.oob import (STAGES, TAG_FIRST, TAG_SECOND, OobSlot,
+from pearl.oob import (LPN_MASK, STAGES, TAG_FIRST, TAG_SECOND, OobSlot,
                        observable_stage, observable_stages, pack_oob,
-                       parse_oob, trans_field)
+                       parse_oob, slot_a_claims, trans_field)
 from pearl.states import ALLOWED_EDGES, PageState
 
 
@@ -37,6 +37,13 @@ def test_observable_stage_matches_parsed_slots(oob_bytes):
         observable_stage(oob) for oob in oobs]
     assert [STAGES[s] for s in observable_stages(oobs[::-1])] == [
         observable_stage(oob) for oob in oobs[::-1]]
+    # The slot-A claim, with the translation flag and the widest field.
+    widest = pack_oob(oob_bytes, OobSlot(bytes(16), trans_field(LPN_MASK),
+                                         TAG_FIRST), None)
+    for batch in (oobs + [widest], [widest] + oobs[::-1]):
+        assert slot_a_claims(batch).tolist() == [
+            -1 if parse_oob(oob)[0] is None else parse_oob(oob)[0].lpn_field
+            for oob in batch]
 
 
 def test_observable_stage_rejects_an_oob_too_short_for_two_slots():
@@ -48,6 +55,10 @@ def test_observable_stage_rejects_an_oob_too_short_for_two_slots():
         observable_stages([bytes(41)])
     with pytest.raises(ValueError):
         observable_stages([bytes(64), bytes(65)])
+    with pytest.raises(ValueError):
+        slot_a_claims([bytes(41)])
+    with pytest.raises(ValueError):
+        slot_a_claims([bytes(64), bytes(65)])
 
 
 def test_page_state_projection():

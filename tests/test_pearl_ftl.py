@@ -11,11 +11,13 @@ from conftest import (assert_cache_fresh, cold_reader, cold_walk,
                       count_relocated_translation_pages, mixed_workload)
 from pearl.bench import gen_synthetic, init_device
 from pearl.cmt import UNMAPPED
-from pearl.config import PearlConfig, desk_config
+from pearl.config import RESERVED_BLOCKS, PearlConfig, desk_config
 from pearl.errors import HeaderError, ModeError, PearlError, UnmappedLpn
 from pearl.flash import (DEFAULT_TIMINGS, DESK_GEOMETRY, DeviceGeometry,
                          FlashDevice)
-from pearl.ftl import PearlFtl
+from pearl.ftl import PUBLIC_HIDDEN, PearlFtl
+from pearl.mutants import BrokenAllocatorFtl
+from pearl.oob import observable_stage, parse_oob, trans_field
 from pearl.states import PageState
 
 
@@ -665,6 +667,140 @@ def test_recovery_drops_gtd_entries_naming_erased_pages():
                 continue
             assert writer.get((vol, data), lpn) == lpn, (vol, lpn)
     assert crashed.check_invariants() == []
+
+
+class _PerPageRecovery(PearlFtl):
+    """recover_metadata with its device scan one page at a time (peek,
+    observable_stage, parse_oob), kept as the reference of the batched
+    scan."""
+
+    def recover_metadata(self):
+        self._reset_volatile()
+        pub_state, gtd_hid = self._load_state_blobs()
+        if pub_state is None:
+            return
+        ui1, gtd_pub = pub_state
+        total = self.config.geometry.total_pages
+        stage, claim = {}, {}
+        for ppn in range(RESERVED_BLOCKS * self._ppb, total):
+            _, oob = self.device.peek(ppn)
+            stage[ppn] = observable_stage(oob)
+            slot_a, _ = parse_oob(oob)
+            if stage[ppn] != "empty" and slot_a is not None:
+                claim[ppn] = slot_a.lpn_field
+                self._slot_a.setdefault(
+                    self._block_of(ppn), set()).add(slot_a.lpn_field)
+        for volume, gtd in (("public", gtd_pub), ("hidden", gtd_hid)):
+            if gtd is not None:
+                self._gtd[volume] = [
+                    UNMAPPED if stage.get(p) == "empty" else self._clamp_ppn(p)
+                    for p in gtd]
+        live = {"first": PageState.V1, "second": PageState.V2}
+        pub_map = self._walk_volume("public")
+        for lpn_field, ppn in pub_map.items():
+            if stage.get(ppn, "empty") != "empty":
+                self._pub_lpn[ppn] = lpn_field
+                self._state[ppn] = live[stage[ppn]]
+        for m, t_ppn in enumerate(self._gtd["public"]):
+            if t_ppn != UNMAPPED and stage.get(t_ppn, "empty") != "empty":
+                self._pub_lpn[t_ppn] = trans_field(m)
+                self._state[t_ppn] = live[stage[t_ppn]]
+        if self.mode == PUBLIC_HIDDEN:
+            for lpn_field, ppn in self._walk_volume("hidden").items():
+                if stage.get(ppn) == "second":
+                    self._hid_set(ppn, lpn_field)
+            for m, t_ppn in enumerate(self._gtd["hidden"]):
+                if t_ppn != UNMAPPED and stage.get(t_ppn) == "second":
+                    self._hid_set(t_ppn, trans_field(m))
+        for ppn, st in stage.items():
+            if st == "empty" or self._state[ppn] != PageState.EMPTY:
+                continue
+            if st == "second":
+                self._state[ppn] = PageState.I2
+            elif ppn == ui1:
+                self._state[ppn] = PageState.UI1
+                self.current_ui1 = ppn
+            elif ppn in claim and pub_map.get(claim[ppn]) == ppn:
+                self._state[ppn] = PageState.TI1
+                self.tiq[ppn] = claim[ppn]
+                self._trimmed.add(claim[ppn])
+            else:
+                self._state[ppn] = PageState.RI1
+        free = []
+        for blk in self.config.managed_blocks:
+            pages = range(blk * self._ppb, (blk + 1) * self._ppb)
+            programmed = [p for p in pages if stage[p] != "empty"]
+            if not programmed:
+                free.append(blk)
+            elif len(programmed) < self._ppb:
+                self._frontier = blk
+                self._cursor = programmed[-1] + 1
+            self._valid[blk] = sum(self._state[p] in (PageState.V1,
+                                                      PageState.V2)
+                                   for p in pages)
+        self._set_free_blocks(free)
+        self._persist_clean = True
+
+
+def _recovered_state(ftl):
+    names = ("_state", "_pub_lpn", "_hidden_at", "_valid", "_hid_valid",
+             "_trimmed", "_slot_a", "current_ui1", "_frontier", "_cursor",
+             "_gtd", "_fbl", "_persist_cursor")
+    state = {name: getattr(ftl, name) for name in names}
+    state["tiq"] = list(ftl.tiq.items())   # in queue order
+    return state
+
+
+def _assert_recovers_as_per_page(snap, cmt_capacity):
+    for hidden in (None, "hidden-pw", "wrong"):
+        batched, per_page = (
+            cls.mount(FlashDevice.restore(snap), "public-pw", hidden,
+                      cmt_capacity=cmt_capacity)
+            for cls in (PearlFtl, _PerPageRecovery))
+        assert _recovered_state(batched) == _recovered_state(per_page)
+        assert batched.check_invariants() == []
+
+
+@pytest.mark.parametrize("ftl_cls", [PearlFtl, BrokenAllocatorFtl])
+def test_recovery_equals_the_per_page_scan(ftl_cls, derive_key_once):
+    """Public-only, right-password and wrong-password mounts of every
+    unmount image of a workload (with GC, trims and a UI1 page)."""
+    cfg = desk_config(cmt_capacity=16, seed=0)
+    _, snaps, _ = mixed_workload(ftl_cls, cfg, seed=5, nops=900,
+                                 snap_every=300)
+    for snap in snaps:
+        _assert_recovers_as_per_page(snap, cmt_capacity=16)
+
+
+def test_crash_recovery_equals_the_per_page_scan(derive_key_once):
+    ftl, _, _ = _crash_image_with_stale_gtd()
+    _assert_recovers_as_per_page(ftl.snapshot(), cmt_capacity=4)
+
+
+def test_wrong_hidden_password_installs_no_hidden_page_off_second_stage(
+        derive_key_once):
+    """A wrong hidden password decrypts the hidden GTD to garbage.  Hidden
+    content only ever lives on second-stage pages, so recovery installs
+    no garbage entry that names any other page (first-stage public pages
+    were taken as hidden translation pages before)."""
+    cfg = desk_config(seed=0)
+    ftl = PearlFtl.format(FlashDevice(cfg.geometry), cfg, "public-pw",
+                          "hidden-pw")
+    lay = ftl.layout
+    rng = random.Random(0)
+    for lpn in range(300):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    for lpn in range(20):
+        ftl.hidden_write(lpn, rng.randbytes(lay.hidden_payload_bytes))
+    ftl.prepare_unmount()
+    snap = ftl.snapshot()
+    right = PearlFtl.mount(FlashDevice.restore(snap), "public-pw", "hidden-pw")
+    assert len(right._hidden_at) == 21   # 20 data pages, 1 translation page
+    wrong = PearlFtl.mount(FlashDevice.restore(snap), "public-pw", "wrong")
+    assert {observable_stage(snap.oob[p]) for p in wrong._hidden_at} <= {
+        "second"}
+    assert sum(wrong._hid_valid) == len(wrong._hidden_at)
+    assert wrong.check_invariants() == []
 
 
 def test_recovery_and_mount_start_with_an_empty_cache(desk_cfg):

@@ -5,10 +5,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pearl.wom
 from pearl.errors import WomError
 from pearl.wom import (
     BUILTIN_CODES,
@@ -22,6 +24,7 @@ from pearl.wom import (
     decode_bits_public,
     decode_page_hidden,
     decode_page_public,
+    decode_pages_public,
     encode_bits_full,
     encode_page_first,
     encode_page_full,
@@ -332,6 +335,109 @@ def test_corrupted_group_names_first_bad_group(layout, g):
         decode_page_public(layout, WOM_3_5, first, "first")
     with pytest.raises(WomError, match=rf"^group {g} of existing page"):
         encode_page_second(layout, WOM_3_5, pub, first)
+
+
+# -- page-batch kernels against the group lanes ------------------------
+
+
+def test_chunk_tables_fit_sixteen_bits():
+    """c groups per lookup: the largest of 1, 2, 4, 8 whose decode index
+    (a stage bit and c codewords) fits in 16 bits."""
+    assert (WOM_3_5._chunks.c, WOM_3_5._chunks.decode.shape) == (2, (2048,))
+    assert (WOM_2_3._chunks.c, WOM_2_3._chunks.decode.shape) == (4, (8192,))
+    assert WOM_3_5._chunks.decode.dtype == np.int32
+
+
+def _batch(code, lay, rng, pages):
+    """Random valid pages cycling first, full and first-then-second
+    writes, and which of them are at second stage."""
+    raw, second = [], []
+    for i in range(pages):
+        pub = rng.randbytes(lay.public_payload_bytes)
+        page = encode_page_first(lay, code, pub)
+        if i % 3 == 1:
+            page = encode_page_full(lay, code, pub,
+                                    rng.randbytes(lay.hidden_payload_bytes))
+        elif i % 3 == 2:
+            page = encode_page_second(
+                lay, code, rng.randbytes(lay.public_payload_bytes), page)
+        raw.append(page)
+        second.append(i % 3 != 0)
+    return raw, np.array(second)
+
+
+def _grid(pages):
+    return np.frombuffer(b"".join(pages), dtype=np.uint8).reshape(
+        len(pages), -1)
+
+
+def _stage(second):
+    return "second" if second else "first"
+
+
+def _message(fn, *args):
+    with pytest.raises(WomError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("page_bytes", [512, 2048, 16384])
+@pytest.mark.parametrize("code", [WOM_3_5, WOM_2_3], ids=lambda c: c.name)
+def test_chunk_kernels_match_the_group_lanes(code, page_bytes, monkeypatch):
+    """The batched public decode and the histogram equal the per-page
+    group-lane codec and a count of every group, without falling back to
+    the group lanes."""
+    def no_fallback(*args):
+        raise AssertionError("valid pages took the group-lane path")
+    monkeypatch.setattr(pearl.wom, "_decode_pages_lanes", no_fallback)
+    lay = PageLayout.for_page(page_bytes, code)
+    raw, second = _batch(code, lay, random.Random(page_bytes + code.n), 9)
+    out = decode_pages_public(lay, code, _grid(raw), second)
+    assert out.shape == (len(raw), lay.public_payload_bytes)
+    assert [bytes(row) for row in out] == [
+        decode_page_public(lay, code, page, _stage(s))
+        for page, s in zip(raw, second)]
+    pages = [page for page, s in zip(raw, second) if s]
+    used = lay.groups_per_page * code.n
+    assert codeword_histogram(pages, code, lay) == Counter(
+        g for page in pages for g in _groups(_bits(page)[:used], code.n))
+
+
+@pytest.mark.parametrize("page_bytes", [512, 2048, 16384])
+@pytest.mark.parametrize("code", [WOM_3_5, WOM_2_3], ids=lambda c: c.name)
+def test_chunk_kernels_raise_the_group_lane_error(code, page_bytes):
+    """Group 0, 1,234 or 3,271 of a batch (counted across its pages) is no
+    codeword of its page's stage, and so is the same group of the next
+    page: the batch kernels raise the text that the per-page codec raises
+    for the first bad page.  (Every 3-bit word is a second-write codeword
+    of WOM_2_3.)"""
+    lay = PageLayout.for_page(page_bytes, code)
+    bad_words = {
+        "first": min(set(range(2 ** code.n)) - code.c1),
+        "second": next((v for v in range(2 ** code.n)
+                        if code._d2_arr[v] < 0), None)}
+    for stage, word in bad_words.items():
+        if word is None:
+            continue
+        for g in (0, 1234, 3271):
+            rng = random.Random(g)
+            raw, second = _batch(code, lay, rng, g // lay.groups_per_page + 3)
+            page, group = divmod(g, lay.groups_per_page)
+            valid, _ = _batch(code, lay, rng, 2)   # a first, a full write
+            for p in (page, page + 1):
+                second[p] = stage == "second"
+                raw[p] = _set_group(lay, code, valid[stage == "second"],
+                                    group, word)
+            expected = _message(decode_page_public, lay, code, raw[page],
+                                stage)
+            assert expected == (f"group {group} ({int_to_bits(word, code.n)})"
+                                f" is not a {stage}-write codeword")
+            assert _message(decode_pages_public, lay, code, _grid(raw),
+                            second) == expected
+            if stage == "second":
+                pages = [p for p, s in zip(raw, second) if s]
+                assert _message(codeword_histogram, pages, code,
+                                lay) == expected
 
 
 def test_page_layout_rejects_codes_wider_than_a_byte(tmp_path):
