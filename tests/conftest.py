@@ -3,7 +3,7 @@ import random
 import pytest
 
 import pearl.ftl
-from pearl.bench import mixed_workload  # noqa: F401  (re-exported)
+from pearl.bench import init_device, mixed_workload  # noqa: F401  (re-exported)
 from pearl.config import desk_config
 from pearl.crypto import derive_key
 from pearl.dftl import Dftl
@@ -97,3 +97,27 @@ def assert_cache_fresh(ftl):
             checked += 1
     assert (dev.reads, dev.clock_us) == (reads, clock)
     return checked
+
+
+# -- allocation ----------------------------------------------------------
+
+
+def gc_burst(ftl, nops, seed=0, check_every=0):
+    """init_device(ftl, 0.5, seed), then nops seeded writes spread over
+    every volume's whole logical range (a quarter of them hidden when a
+    hidden volume is mounted) and no explicit gc_run, so every collection
+    runs inside allocation.  With check_every, check_invariants() must
+    be empty after every check_every-th write.  Returns ftl."""
+    init_device(ftl, fill_fraction=0.5, seed=seed)
+    rng = random.Random(seed)
+    vols = ftl.volumes()
+    main = next(iter(vols))   # "public", or the baseline's "data"
+    for i in range(1, nops + 1):
+        volume = ("hidden" if "hidden" in vols and rng.random() < 0.25
+                  else main)
+        pages, payload = vols[volume]
+        ftl.submit(volume, rng.randrange(pages), "write",
+                   rng.randbytes(payload))
+        if check_every and i % check_every == 0:
+            assert ftl.check_invariants() == [], i
+    return ftl

@@ -17,7 +17,7 @@ from pearl.flash import DESK_GEOMETRY, FlashDevice
 from pearl.ftl import PearlFtl
 from pearl.mutants import BrokenAllocatorFtl
 
-from conftest import mixed_workload
+from conftest import gc_burst, mixed_workload
 
 MIXED = "80381d06505681e48d808937b9d499dbd9de2d2e5440c130785ec5cb55ea5e9a"
 MOUNT_RECOVER = (
@@ -25,6 +25,11 @@ MOUNT_RECOVER = (
 DFTL = "ccdc456371c5128063d4d51314ea121688439d291f6d39d9495ddb0105463e83"
 BROKEN_ALLOCATOR = (
     "cd4afbe16bbc9c2bc9eac471971ec3107d98291b22a6c031425153709229ae67")
+# Collections that run inside allocation (no explicit gc_run).
+PEARL_GC_BURST = (
+    "ed3e0a4a2aa1d4eaed63db0c7bd7177eee32598a8145469fb53638d7947298c9")
+DFTL_GC_BURST = (
+    "36b6b859b0a5754907024af923a886dd342d2be8afb46852b9a618428dc63d9a")
 
 
 def _digest(ftl, *extra):
@@ -95,3 +100,16 @@ def test_dftl_fingerprint():
             assert reads[-1] == shadow[lpn]
     assert dftl.gc_runs > 0 and dftl.ledger["translation_programs"] > 0
     assert _digest(dftl, reads, sorted(dftl.full_map().items())) == DFTL
+
+
+def test_gc_inside_allocation_fingerprint(derive_key_once):
+    cfg = desk_config(cmt_capacity=64, seed=0)
+    ftl = gc_burst(PearlFtl.format(FlashDevice(cfg.geometry), cfg,
+                                   "public-pw", "hidden-pw"), nops=2000)
+    assert _digest(ftl, ftl.gc_runs) == PEARL_GC_BURST
+
+
+def test_dftl_gc_inside_allocation_fingerprint():
+    dftl = gc_burst(Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=32),
+                    nops=2000)
+    assert _digest(dftl, dftl.gc_runs) == DFTL_GC_BURST
