@@ -97,11 +97,14 @@ class MappingCore:
     Each volume's mappings live on flash in translation pages; the GTD
     (``_gtd[volume][m_vpn]``) locates them and the CMT caches hot
     entries.  A subclass sets ``device``, ``_epp`` (entries per
-    translation page, by volume) and ``_valid`` (valid pages per block),
-    calls ``_reset_mapping``, and supplies how a translation page's
-    payload is read (``_read_translation``) and written
-    (``_write_translation``, given its first ``4 * epp`` bytes) and how
-    a block is collected (``gc_run``).
+    translation page, by volume), ``_ppb`` (pages per block) and
+    ``_valid`` (valid pages per block), calls ``_reset_mapping``, and
+    supplies how a translation page's payload is read
+    (``_read_translation``) and written (``_write_translation``, given
+    its first ``4 * epp`` bytes) and how a victim block is emptied
+    (``_gc_block``); it may override ``_gc_cost`` to price victims by
+    more than their valid pages.  Pages are taken from one open block
+    per append stream (``_next_page``).
 
     Page payloads, as a cold read would return them (WOM-decoded and
     decrypted on ``PearlFtl``), are kept in ``_payloads``:
@@ -119,18 +122,23 @@ class MappingCore:
     key is.
     """
 
-    def _reset_mapping(self, volume_pages, cmt_capacity, free_blocks):
-        """Empty cache, all-unmapped GTD for {volume: logical pages}, and
-        the given blocks free.  Collection keeps at least 2% of the
-        device's blocks (and never fewer than 2) free."""
+    def _reset_mapping(self, volume_pages, cmt_capacity, blocks):
+        """Empty cache, all-unmapped GTD for {volume: logical pages}, no
+        open block, and the managed blocks given all free.  Collection
+        keeps at least 2% of the device's blocks (and never fewer than 2)
+        free."""
         self.gc_watermark = max(
             2, math.ceil(0.02 * self.device.geometry.total_blocks))
         self.cmt = CachedMappingTable(cmt_capacity)
         self._payloads = {}
         self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])
                      for vol, pages in volume_pages.items()}
-        self._set_free_blocks(free_blocks)
+        self._managed = blocks
+        self._set_free_blocks(blocks)
+        self._block = {}      # stream -> its open block
+        self._cursor = {}     # stream -> next ppn of its open block
         self._in_gc = False
+        self._gc_victim = None
         self._draining = False
 
     def _clamp_ppn(self, ppn):
@@ -239,33 +247,71 @@ class MappingCore:
                     out[lpn] = ppn
         return out
 
-    # -- free blocks and collection ------------------------------------
+    # -- blocks: allocation and collection -----------------------------
 
     def _set_free_blocks(self, blocks):
         self._fbl = list(blocks)
         heapq.heapify(self._fbl)
         self._free = set(self._fbl)
 
-    def _take_free_block(self):
-        """Collect down to the watermark, then pop the lowest free block."""
-        self._maybe_gc()
-        if not self._fbl:
-            raise DeviceFull("no free blocks remain")
-        blk = heapq.heappop(self._fbl)
-        self._free.discard(blk)
-        return blk
+    def _open_with_room(self, blk):
+        """Whether blk is a stream's open block with an unwritten page."""
+        return any(b == blk and self._cursor[stream] < (b + 1) * self._ppb
+                   for stream, b in self._block.items())
+
+    def _next_page(self, stream):
+        """Take the next page of stream's open block.  A full block is
+        replaced by the lowest free block only if it is still full after
+        collection, whose relocations may have opened a block with room.
+        So a managed block holds an unwritten page only if it is free or
+        an open block with room."""
+        if not self._open_with_room(self._block.get(stream)):
+            self._maybe_gc()
+            if not self._open_with_room(self._block.get(stream)):
+                if not self._fbl:
+                    raise DeviceFull("no free blocks remain")
+                blk = heapq.heappop(self._fbl)
+                self._free.discard(blk)
+                self._block[stream] = blk
+                self._cursor[stream] = blk * self._ppb
+        ppn = self._cursor[stream]
+        self._cursor[stream] += 1
+        return ppn
 
     def _release_block(self, blk):
         """Erase a collected block, drop its pages' cached payloads and
         return it to the free heap."""
         self.device.erase_block(blk)
-        ppb = self.device.geometry.pages_per_block
-        for ppn in range(blk * ppb, (blk + 1) * ppb):
+        for ppn in range(blk * self._ppb, (blk + 1) * self._ppb):
             for volume in self._gtd:
                 self._payloads.pop((volume, ppn), None)
         self._valid[blk] = 0
         heapq.heappush(self._fbl, blk)
         self._free.add(blk)
+
+    def _gc_cost(self, blk):
+        """Pages a collection of blk must relocate."""
+        return self._valid[blk]
+
+    def _select_victim(self):
+        """The cheapest managed block that is neither free nor open (the
+        lowest-numbered on ties), or None."""
+        return min((blk for blk in self._managed if blk not in self._free
+                    and blk not in self._block.values()),
+                   key=lambda blk: (self._gc_cost(blk), blk), default=None)
+
+    def gc_run(self):
+        """Collect the victim block; returns the reclaimed page count, or
+        None when no victim exists."""
+        victim = self._select_victim()
+        if victim is None:
+            return None
+        was = self._in_gc, self._gc_victim
+        self._in_gc, self._gc_victim = True, victim
+        try:
+            return self._gc_block(victim)
+        finally:
+            self._in_gc, self._gc_victim = was
 
     def _maybe_gc(self):
         if self._in_gc:
@@ -277,3 +323,22 @@ class MappingCore:
                 break
             if self.gc_run() is None:
                 break
+
+    def _allocation_problems(self):
+        """Free-list and allocation-rule bookkeeping that disagrees with
+        the device's program counts; returns problems."""
+        problems = []
+        if sorted(self._fbl) != sorted(self._free):
+            problems.append("free heap and free set disagree")
+        if self._free & set(self._block.values()):
+            problems.append("an open block is on the free list")
+        for blk in self._managed:
+            written = [self.device.program_count(p) > 0 for p in
+                       range(blk * self._ppb, (blk + 1) * self._ppb)]
+            if blk in self._free:
+                if any(written):
+                    problems.append(f"free block {blk} holds a programmed page")
+            elif not all(written) and not self._open_with_room(blk):
+                problems.append(f"block {blk} holds an unwritten page but is "
+                                "neither free nor open with room")
+        return problems

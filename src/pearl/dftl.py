@@ -39,22 +39,14 @@ class Dftl(MappingCore):
         self._valid = [0] * g.total_blocks
         self._reset_mapping({DATA: self.logical_pages}, cmt_capacity,
                             range(g.total_blocks))
-        self._cursor = {DATA: None, TRANS: None}
-        self._block = {DATA: None, TRANS: None}
 
     # -- allocation ----------------------------------------------------
 
     def _program(self, kind, owner, data):
-        """Program data on the next page of kind's current block and
-        record it as a valid page of that kind owned by owner (an lpn or
-        an m_vpn).  Returns the ppn."""
-        blk = self._block[kind]
-        if blk is None or self._cursor[kind] >= (blk + 1) * self._ppb:
-            blk = self._take_free_block()
-            self._block[kind] = blk
-            self._cursor[kind] = blk * self._ppb
-        ppn = self._cursor[kind]
-        self._cursor[kind] += 1
+        """Program data on the next page of kind's open block and record
+        it as a valid page of that kind owned by owner (an lpn or an
+        m_vpn).  Returns the ppn."""
+        ppn = self._next_page(kind)
         self.device.program_page(ppn, data,
                                  bytes(self.device.geometry.oob_bytes))
         self._kind[ppn] = kind
@@ -135,27 +127,6 @@ class Dftl(MappingCore):
 
     # -- garbage collection --------------------------------------------
 
-    def gc_select_victim(self):
-        g = self.device.geometry
-        candidates = [
-            blk for blk in range(g.total_blocks)
-            if blk not in self._free and blk not in self._block.values()
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda b: (self._valid[b], b))
-
-    def gc_run(self):
-        victim = self.gc_select_victim()
-        if victim is None:
-            return None
-        was = self._in_gc
-        self._in_gc = True
-        try:
-            return self._gc_block(victim)
-        finally:
-            self._in_gc = was
-
     def _gc_block(self, victim):
         self.gc_runs += 1
         pages = range(victim * self._ppb, (victim + 1) * self._ppb)
@@ -185,16 +156,12 @@ class Dftl(MappingCore):
     # -- introspection -------------------------------------------------
 
     def check_invariants(self):
-        problems = []
-        g = self.device.geometry
-        for blk in range(g.total_blocks):
+        problems = self._allocation_problems()
+        for blk in self._managed:
             n = sum(1 for p in range(blk * self._ppb, (blk + 1) * self._ppb)
                     if self._kind[p] is not None)
             if n != self._valid[blk]:
                 problems.append(f"valid count wrong for block {blk}")
-        in_use = g.total_blocks - len(self._free)
-        if len(self._free) + in_use != g.total_blocks:
-            problems.append("free-list conservation violated")
         return problems
 
     def full_map(self):

@@ -71,6 +71,8 @@ _VALID = (PageState.V1, PageState.V2)
 # Stage codes of oob.observable_stages, and the state of a live page at each.
 _EMPTY, _FIRST, _SECOND = map(STAGES.index, ("empty", "first", "second"))
 _LIVE = {_FIRST: PageState.V1, _SECOND: PageState.V2}
+# The one append stream: its open block receives every empty-page write.
+_FRONTIER = "frontier"
 
 
 def _or_bytes(a: bytes, b: bytes) -> bytes:
@@ -115,14 +117,11 @@ class PearlFtl(MappingCore):
         self._trimmed = set()    # trimmed-but-still-mapped public lpns
         self._valid = [0] * cfg.geometry.total_blocks
         self._hid_valid = [0] * cfg.geometry.total_blocks
-        self._frontier = None    # current block receiving first writes
-        self._cursor = None      # next empty ppn in the frontier block
         self.current_ui1 = None
         # The TIQ, oldest first: TI1 ppn -> the trimmed lpn still mapped to
         # it, or None for a relocation casualty (its lpn has moved on).
         self.tiq = {}
         self._slot_a = {}        # block -> set of slot-A lpn_fields in it
-        self._gc_victim = None
 
     # ------------------------------------------------------------------
     # construction: format / mount / recovery
@@ -216,7 +215,7 @@ class PearlFtl(MappingCore):
 
     def _pack_state_blob(self, volume):
         if volume == PUBLIC:
-            front = self._cursor if self._cursor is not None else 0xFFFFFFFF
+            front = self._cursor.get(_FRONTIER, 0xFFFFFFFF)
             ui1 = self.current_ui1 if self.current_ui1 is not None else 0xFFFFFFFF
             head = struct.pack("<II", front, ui1)
         else:
@@ -370,8 +369,8 @@ class PearlFtl(MappingCore):
             if not programmed:
                 free.append(blk)
             elif len(programmed) < self._ppb:
-                self._frontier = blk
-                self._cursor = programmed[-1] + 1
+                self._block[_FRONTIER] = blk
+                self._cursor[_FRONTIER] = programmed[-1] + 1
             self._valid[blk] = sum(1 for p in pages
                                    if self._state[p] in _VALID)
         self._set_free_blocks(free)
@@ -471,16 +470,6 @@ class PearlFtl(MappingCore):
             # face; only its hidden content goes out of date.
             self._hid_clear(old)
 
-    # -- allocation ----------------------------------------------------
-
-    def _alloc_empty(self):
-        if self._frontier is None or self._cursor >= (self._frontier + 1) * self._ppb:
-            self._frontier = self._take_free_block()
-            self._cursor = self._frontier * self._ppb
-        ppn = self._cursor
-        self._cursor += 1
-        return ppn
-
     # -- physical programs ---------------------------------------------
 
     def _account(self, bucket, logical_bits, physical_bits):
@@ -506,13 +495,13 @@ class PearlFtl(MappingCore):
         elif self.tiq:
             target = self._take_tiq_head()
         else:
-            target = self._alloc_empty()
+            target = self._next_page(_FRONTIER)
             second = self.current_ui1 is not None
             if second:
-                # Collection inside _alloc_empty refilled the UI1 slot,
+                # Collection inside _next_page refilled the UI1 slot,
                 # which comes first.  It ran before the empty page was
                 # taken, so the page is untouched and goes back.
-                self._cursor -= 1
+                self._cursor[_FRONTIER] -= 1
                 target = self._take_ui1()
 
         if second:
@@ -561,11 +550,7 @@ class PearlFtl(MappingCore):
     def _invalidate_public(self, ppn, reason, relocation=False):
         st = self._state[ppn]
         if st == PageState.V1 and relocation:
-            blk = self._block_of(ppn)
-            lo = blk * self._ppb
-            open_block = any(self._state[p] == PageState.EMPTY
-                             for p in range(lo, lo + self._ppb))
-            if open_block and blk != self._gc_victim:
+            if self._open_with_room(self._block_of(ppn)):
                 # A superseded first-stage page in a block that can still
                 # take first writes would look like an abandoned update
                 # casualty once its lpn is claimed again above it; queue
@@ -597,7 +582,7 @@ class PearlFtl(MappingCore):
         cloak_lpn, cloak_plain, src = cloak
         assert self.current_ui1 is None  # Requirement 3: slot filled first
         lay = self.layout
-        target = self._alloc_empty()
+        target = self._next_page(_FRONTIER)
         iv = self._fresh_iv(self.k_pub, self.k_hid)
         pub = self._pad(cloak_plain, lay.public_payload_bytes)
         hid = self._pad(hidden_plain, lay.hidden_payload_bytes)
@@ -634,7 +619,7 @@ class PearlFtl(MappingCore):
             lay.groups_per_page * self.config.code.k)
         return target
 
-    def _pick_public_source(self, exclude=()):
+    def _pick_public_source(self):
         """Public data to relocate as cover, chosen so the superseded
         source page never reads as an abandoned update casualty.
 
@@ -656,12 +641,7 @@ class PearlFtl(MappingCore):
         def candidates(blk, state):
             lo = blk * self._ppb
             return [p for p in range(lo, lo + self._ppb)
-                    if self._state[p] == state and p not in exclude]
-
-        def sealed(blk):
-            lo = blk * self._ppb
-            return all(self._state[p] != PageState.EMPTY
-                       for p in range(lo, lo + self._ppb))
+                    if self._state[p] == state]
 
         hidden_v2 = None
         for blk in blocks:
@@ -671,13 +651,13 @@ class PearlFtl(MappingCore):
                 if hidden_v2 is None:
                     hidden_v2 = p
         for blk in blocks:
-            if sealed(blk):
+            if not self._open_with_room(blk):
                 for p in candidates(blk, PageState.V1):
                     return p
         if hidden_v2 is not None:
             return hidden_v2
         for blk in blocks:
-            if not sealed(blk):
+            if self._open_with_room(blk):
                 for p in candidates(blk, PageState.V1):
                     return p
         raise NoPublicCover("no valid public page available as cloak")
@@ -728,7 +708,7 @@ class PearlFtl(MappingCore):
         """Second-write relocated public data onto each I1 page that
         take_target() hands out, until it returns None."""
         while (target := take_target()) is not None:
-            src = self._pick_public_source(exclude=(target,))
+            src = self._pick_public_source()
             lpn_field = self._pub_lpn[src]
             self._second_write_to(target, lpn_field,
                                   self._read_public_page(src), bucket)
@@ -915,33 +895,14 @@ class PearlFtl(MappingCore):
     # garbage collection
     # ------------------------------------------------------------------
 
-    def _select_victim(self):
-        candidates = [
-            blk for blk in self.config.managed_blocks
-            if blk != self._frontier and blk not in self._free
-        ]
-        if not candidates:
-            return None
-        # Rank by relocation cost: live public pages plus live hidden
-        # content.  Counting the public side alone starves the collector —
-        # a block of dead-public pages that still carry hidden data looks
-        # free but costs one empty page per hidden relocation.
-        return min(candidates,
-                   key=lambda b: (self._valid[b] + self._hid_valid[b], b))
+    gc_run = MappingCore.gc_run  # the benchmark tracer wraps it here
 
-    def gc_run(self):
-        """Reclaim the least-valid block; returns reclaimed page count or
-        None when no victim exists."""
-        victim = self._select_victim()
-        if victim is None:
-            return None
-        was_in_gc, was_victim = self._in_gc, self._gc_victim
-        self._in_gc = True
-        self._gc_victim = victim
-        try:
-            return self._gc_block(victim)
-        finally:
-            self._in_gc, self._gc_victim = was_in_gc, was_victim
+    def _gc_cost(self, blk):
+        # Live public pages plus live hidden content.  Counting the public
+        # side alone starves the collector — a block of dead-public pages
+        # that still carry hidden data looks free but costs one empty page
+        # per hidden relocation.
+        return self._valid[blk] + self._hid_valid[blk]
 
     def _gc_block(self, victim):
         self._touch()
@@ -1038,7 +999,7 @@ class PearlFtl(MappingCore):
 
     def check_invariants(self):
         """Cross-check bookkeeping against ground truth; returns problems."""
-        problems = []
+        problems = self._allocation_problems()
         ti1 = {p for p, s in enumerate(self._state) if s == PageState.TI1}
         if ti1 != set(self.tiq):
             problems.append("TIQ does not match the set of TI1 pages")

@@ -1,12 +1,13 @@
 """Baseline page-mapping FTL: translation, caching, GC."""
 
+import heapq
 import random
 import struct
 
 import pytest
 
 from conftest import (assert_cache_fresh, cold_walk,
-                      count_relocated_translation_pages)
+                      count_relocated_translation_pages, gc_burst)
 from pearl.dftl import DATA, Dftl
 from pearl.errors import PearlError, UnmappedLpn
 from pearl.flash import DESK_GEOMETRY, FlashDevice
@@ -104,11 +105,50 @@ def test_victim_is_least_valid(dftl):
     rng = random.Random(3)
     for i in range(800):
         dftl.write(rng.randrange(200), _payload(dftl, rng))
-    victim = dftl.gc_select_victim()
+    victim = dftl._select_victim()
     g = dftl.device.geometry
     candidates = [b for b in range(g.total_blocks)
                   if b not in dftl._free and b not in dftl._block.values()]
     assert victim == min(candidates, key=lambda b: (dftl._valid[b], b))
+
+
+def test_collection_inside_allocation_strands_no_block(dftl):
+    """Relocations of a collection that runs inside allocation may open
+    a block; allocation then writes to it rather than leaving it behind
+    with unwritten pages, which check_invariants reports."""
+    gc_burst(dftl, nops=2000, check_every=25)
+    assert dftl.gc_runs > 100
+
+
+@pytest.mark.parametrize("fault", ["twice-listed", "programmed-free",
+                                   "open-free", "stranded"])
+def test_check_invariants_reports_planted_fault(dftl, fault):
+    rng = random.Random(5)
+    for _ in range(100):
+        dftl.write(rng.randrange(200), _payload(dftl, rng))
+    blk = dftl._block[DATA]
+    assert dftl._open_with_room(blk) and dftl.check_invariants() == []
+
+    def list_free(b):
+        heapq.heappush(dftl._fbl, b)
+        dftl._free.add(b)
+        return f"free block {b} holds a programmed page"
+
+    if fault == "twice-listed":
+        dftl._fbl.append(dftl._fbl[0])
+        expect = ["free heap and free set disagree"]
+    elif fault == "programmed-free":
+        expect = [list_free(dftl._select_victim())]
+    elif fault == "open-free":
+        expect = ["an open block is on the free list", list_free(blk)]
+    else:
+        # The data stream moves on while its block still has room.
+        new = heapq.heappop(dftl._fbl)
+        dftl._free.discard(new)
+        dftl._block[DATA], dftl._cursor[DATA] = new, new * dftl._ppb
+        expect = [f"block {blk} holds an unwritten page but is neither "
+                  "free nor open with room"]
+    assert dftl.check_invariants() == expect
 
 
 def test_full_map_matches_reads(dftl):

@@ -27,9 +27,9 @@ BROKEN_ALLOCATOR = (
     "cd4afbe16bbc9c2bc9eac471971ec3107d98291b22a6c031425153709229ae67")
 # Collections that run inside allocation (no explicit gc_run).
 PEARL_GC_BURST = (
-    "ed3e0a4a2aa1d4eaed63db0c7bd7177eee32598a8145469fb53638d7947298c9")
+    "324c8b00891112373dab1cd85c5ed3bce6882f0230644e6be20128f226d0b48c")
 DFTL_GC_BURST = (
-    "36b6b859b0a5754907024af923a886dd342d2be8afb46852b9a618428dc63d9a")
+    "3dbcb08651ae2563a8169f13eb497215a8e586df04bd375917bc97c86f7bb3ab")
 
 
 def _digest(ftl, *extra):

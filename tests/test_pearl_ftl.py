@@ -8,7 +8,8 @@ import pytest
 
 import pearl.ftl
 from conftest import (assert_cache_fresh, cold_reader, cold_walk,
-                      count_relocated_translation_pages, mixed_workload)
+                      count_relocated_translation_pages, gc_burst,
+                      mixed_workload)
 from pearl.bench import gen_synthetic, init_device
 from pearl.cmt import UNMAPPED
 from pearl.config import RESERVED_BLOCKS, PearlConfig, desk_config
@@ -315,6 +316,14 @@ def test_check_invariants_reports_planted_fault(ftl, rng, fault, problem):
     else:
         ftl._trimmed.add(3)                 # a mapped lpn reads as trimmed
     assert ftl.check_invariants() == [problem]
+
+
+def test_collection_inside_allocation_strands_no_block(ftl):
+    """Relocations of a collection that runs inside allocation may open
+    a block; allocation then writes to it rather than leaving it behind
+    with unwritten pages, which check_invariants reports."""
+    gc_burst(ftl, nops=2000, check_every=25)
+    assert ftl.gc_runs > 50
 
 
 def test_amplification_ratios_exact(desk_cfg):
@@ -733,8 +742,8 @@ class _PerPageRecovery(PearlFtl):
             if not programmed:
                 free.append(blk)
             elif len(programmed) < self._ppb:
-                self._frontier = blk
-                self._cursor = programmed[-1] + 1
+                self._block["frontier"] = blk
+                self._cursor["frontier"] = programmed[-1] + 1
             self._valid[blk] = sum(self._state[p] in (PageState.V1,
                                                       PageState.V2)
                                    for p in pages)
@@ -744,7 +753,7 @@ class _PerPageRecovery(PearlFtl):
 
 def _recovered_state(ftl):
     names = ("_state", "_pub_lpn", "_hidden_at", "_valid", "_hid_valid",
-             "_trimmed", "_slot_a", "current_ui1", "_frontier", "_cursor",
+             "_trimmed", "_slot_a", "current_ui1", "_block", "_cursor",
              "_gtd", "_fbl", "_persist_cursor")
     state = {name: getattr(ftl, name) for name in names}
     state["tiq"] = list(ftl.tiq.items())   # in queue order
@@ -849,7 +858,7 @@ def test_collection_relocates_cached_pages_without_decode(monkeypatch,
                 + [p for p in pages if p in ftl._hidden_at])
 
     victim = max((b for b in ftl.config.managed_blocks
-                  if b not in ftl._free and b != ftl._frontier),
+                  if b not in ftl._free and b not in ftl._block.values()),
                  key=lambda b: (len(set(live(b)) & set(ftl._hidden_at)), b))
     expect = Counter(live(victim))
     assert expect and set(expect) & set(ftl._hidden_at)
