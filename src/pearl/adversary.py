@@ -12,11 +12,11 @@ None of the detectors ever consume the hidden key.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .config import RESERVED_BLOCKS
 from .errors import PearlError
@@ -297,7 +297,8 @@ def second_write_model(code: WomCode) -> dict:
 def frequency_distinguisher(snapshots, code: WomCode, model: dict = None,
                             min_groups: int = 10 ** 5) -> FrequencyReport:
     """Chi-square of observed second-write codeword counts against the
-    public-only model, over all second-write pages of all snapshots."""
+    public-only model, over all second-write pages of all snapshots; the
+    p-value is chi2_sf of the statistic."""
     if model is None:
         model = second_write_model(code)
     counts = Counter()
@@ -316,8 +317,31 @@ def frequency_distinguisher(snapshots, code: WomCode, model: dict = None,
         return FrequencyReport(dict(counts), model, total, None, None, None,
                                insufficient=True)
     support = sorted(model)
-    observed = [counts.get(cw, 0) for cw in support]
-    expected = [model[cw] * total for cw in support]
-    statistic, p = stats.chisquare(observed, expected)
-    return FrequencyReport(dict(counts), model, total, float(statistic),
-                           len(support) - 1, float(p), insufficient=False)
+    observed = np.array([counts.get(cw, 0) for cw in support], dtype=float)
+    expected = np.array([model[cw] * total for cw in support])
+    # scipy.stats.chisquare's sum check and statistic, without SciPy.
+    if abs(total - expected.sum()) > 1e-8 * min(total, expected.sum()):
+        raise ValueError(f"model expects {expected.sum()} groups, "
+                         f"observed {total}: not a distribution")
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    df = len(support) - 1
+    return FrequencyReport(dict(counts), model, total, statistic, df,
+                           chi2_sf(statistic, df), insufficient=False)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with integer df >= 1, in closed form.
+
+    With y = x / 2 this is e^-y * sum of y^a / a! over a = 0, 1, ...,
+    df/2 - 1 for even df, and erfc(sqrt(y)) plus the same sum over
+    a = 1/2, 3/2, ..., df/2 - 1 for odd df (a! = Gamma(a + 1)).  Each
+    term is taken from its logarithm, so e^-y cannot underflow alone."""
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    log_y = math.log(y)
+    terms = [math.exp(a * log_y - y - math.lgamma(a + 1))
+             for a in (df % 2 / 2 + i for i in range(df // 2))]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)

@@ -76,7 +76,11 @@ DEFAULT_TIMINGS = DeviceTimings()
 
 @dataclass
 class Snapshot:
-    """Byte-exact raw device image: data, OOB, erase and program counters."""
+    """Byte-exact raw device image: data, OOB, erase and program counters.
+
+    A snapshot parsed by from_bytes keeps each page's data as a read-only
+    memoryview of the image, not a copy; its OOBs are bytes.  Assigning
+    bytes into data is fine, and FlashDevice.restore copies every page."""
 
     geometry: DeviceGeometry
     data: list
@@ -103,7 +107,9 @@ class Snapshot:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "Snapshot":
+    def from_bytes(cls, blob) -> "Snapshot":
+        if not isinstance(blob, bytes):
+            blob = bytes(blob)
         if blob[:8] != SNAPSHOT_MAGIC:
             raise SnapshotFormatError("bad snapshot magic")
         fields = struct.unpack_from("<6I", blob, 8)
@@ -115,9 +121,10 @@ class Snapshot:
             raise SnapshotFormatError(
                 f"snapshot length {len(blob)}, expected {expect}"
             )
+        view = memoryview(blob)
         data, oob = [], []
         for _ in range(g.total_pages):
-            data.append(blob[off : off + g.page_bytes])
+            data.append(view[off : off + g.page_bytes])
             off += g.page_bytes
         for _ in range(g.total_pages):
             oob.append(blob[off : off + g.oob_bytes])

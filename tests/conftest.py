@@ -31,11 +31,14 @@ def rng():
     return random.Random(1234)
 
 
-@pytest.fixture
-def derive_key_once(monkeypatch):
-    """Opt-in: derive each (password, volume, salt) key once per test.
-    Every format of a seeded config reuses one salt, so a test that
-    formats many devices would otherwise repeat the same scrypt calls."""
+@pytest.fixture(scope="session", autouse=True)
+def derive_each_key_once():
+    """Derive each (password, volume, salt) key once per test session,
+    wherever an FTL formats or mounts.  Every format of a seeded config
+    reuses one salt, so the suite would otherwise repeat the same scrypt
+    calls hundreds of times.  A call that raises is not remembered.
+    tests/test_crypto.py calls pearl.crypto.derive_key itself, so scrypt
+    still runs there."""
     keys = {}
 
     def derive(password, volume, salt):
@@ -43,7 +46,9 @@ def derive_key_once(monkeypatch):
             keys[password, volume, salt] = derive_key(password, volume, salt)
         return keys[password, volume, salt]
 
-    monkeypatch.setattr(pearl.ftl, "derive_key", derive)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pearl.ftl, "derive_key", derive)
+        yield
 
 
 # -- page-payload cache ------------------------------------------------

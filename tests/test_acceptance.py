@@ -176,7 +176,7 @@ def test_04_indistinguishability():
 # -- 5: snapshot plausibility under real workloads ---------------------
 
 
-def test_05_transition_plausibility(derive_key_once):
+def test_05_transition_plausibility():
     cfg = desk_config(cmt_capacity=64, seed=0)
     _, snaps, _ = mixed_workload(PearlFtl, cfg, seed=42, nops=10_000)
     alarms = sum(len(ui1_inference(s, s)) for s in snaps)

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import mixed_workload
 from pearl.adversary import (PLAUSIBLE_SAME_LIFE, PageObservation,
-                             TransitionRecord, TransitionReport,
+                             TransitionRecord, TransitionReport, chi2_sf,
                              classify_snapshot, diff_transitions,
                              frequency_distinguisher, second_write_model,
                              ui1_inference)
@@ -268,6 +269,45 @@ def test_frequency_distinguishes_skewed_code():
     assert not report.insufficient
     assert report.p_value < 1e-6
     assert report.distinguishes()
+
+
+@pytest.mark.parametrize("df", range(1, 41))
+def test_chi2_tail_matches_scipy(df):
+    """The closed-form tail against SciPy's regularized incomplete gamma,
+    wherever SciPy's value is a normal double.  The codes in use only
+    reach odd df (15 for wom3x5, 7 for wom2x3), so this grid is the only
+    test of the even-df sum."""
+    xs = np.concatenate([[0.0], np.geomspace(1e-9, 2000, 400),
+                         np.arange(0.25, 120, 0.25)])
+    ref = stats.chi2.sf(xs, df)
+    got = np.array([chi2_sf(float(x), df) for x in xs])
+    keep = ref > 1e-300
+    assert keep.sum() > 300
+    assert np.allclose(got[keep], ref[keep], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("code, n_pages, seed, df", [(WOM_3_5, 31, 1, 15),
+                                                     (WOM_2_3, 19, 2, 7)])
+def test_frequency_report_matches_scipy_chisquare(code, n_pages, seed, df):
+    """The statistic is SciPy's bit for bit, and the p-value within 1e-12
+    relative."""
+    snap, _ = _full_write_snapshot(code, n_pages, seed=seed)
+    report = frequency_distinguisher([snap], code)
+    support = sorted(report.model)
+    ref = stats.chisquare([report.counts.get(cw, 0) for cw in support],
+                          [report.model[cw] * report.total_groups
+                           for cw in support])
+    assert report.statistic == float(ref.statistic)
+    assert report.df == len(support) - 1 == df
+    assert report.p_value == pytest.approx(float(ref.pvalue), rel=1e-12,
+                                           abs=0)
+
+
+def test_frequency_rejects_a_model_that_is_not_a_distribution():
+    snap, _ = _full_write_snapshot(WOM_3_5, 31, seed=1)
+    model = {cw: 0.9 * p for cw, p in second_write_model(WOM_3_5).items()}
+    with pytest.raises(ValueError):
+        frequency_distinguisher([snap], WOM_3_5, model)
 
 
 # -- batched scans against the page-by-page loops they replaced ------

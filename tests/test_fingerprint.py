@@ -102,7 +102,7 @@ def test_dftl_fingerprint():
     assert _digest(dftl, reads, sorted(dftl.full_map().items())) == DFTL
 
 
-def test_gc_inside_allocation_fingerprint(derive_key_once):
+def test_gc_inside_allocation_fingerprint():
     cfg = desk_config(cmt_capacity=64, seed=0)
     ftl = gc_burst(PearlFtl.format(FlashDevice(cfg.geometry), cfg,
                                    "public-pw", "hidden-pw"), nops=2000)

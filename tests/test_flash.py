@@ -1,6 +1,7 @@
 """Simulated NAND: write-once semantics, timing ledger, snapshots."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,63 @@ def test_snapshot_rejects_garbage():
     blob = dev.snapshot().to_bytes()
     with pytest.raises(SnapshotFormatError):
         Snapshot.from_bytes(blob[:-1])
+
+
+# -- parsed images view the blob ------------------------------------------
+
+
+def _image(geometry, seed, pages=64):
+    """A snapshot blob with `pages` random pages programmed once, with
+    random data and OOB."""
+    dev = FlashDevice(geometry)
+    rng = random.Random(seed)
+    for ppn in rng.sample(range(geometry.total_pages), pages):
+        dev.program_page(ppn, rng.randbytes(geometry.page_bytes),
+                         rng.randbytes(geometry.oob_bytes))
+    return dev.snapshot().to_bytes()
+
+
+def test_parsing_an_image_does_not_copy_its_pages():
+    g = DeviceGeometry(1, 1, 192, 32, 2048, 64)   # 6,144 pages, as examined
+    blob = _image(g, seed=3)
+    tracemalloc.start()
+    try:
+        snap = Snapshot.from_bytes(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.total_pages * g.page_bytes / 4
+    assert snap.to_bytes() == blob
+
+
+def test_parsed_pages_are_read_only():
+    snap = Snapshot.from_bytes(_image(DESK_GEOMETRY, seed=4))
+    with pytest.raises(TypeError):
+        snap.data[0][0] = 0xFF
+
+
+def test_restored_device_leaves_the_parsed_image_alone():
+    g = DESK_GEOMETRY
+    blob = _image(g, seed=5)
+    snap = Snapshot.from_bytes(blob)
+    dev = FlashDevice.restore(snap)
+    once = next(p for p in range(g.total_pages) if dev.program_count(p) == 1)
+    empty = next(p for p in range(g.total_pages) if dev.program_count(p) == 0)
+    dev.program_page(once, bytes([0xFF]) * g.page_bytes,
+                     bytes([0xFF]) * g.oob_bytes)
+    dev.program_page(empty, bytes([0x5A]) * g.page_bytes,
+                     bytes([0x5A]) * g.oob_bytes)
+    dev.erase_block(once // g.pages_per_block)
+    assert snap.to_bytes() == blob
+
+
+def test_parsed_image_outlives_changes_to_a_bytearray_blob():
+    blob = _image(DESK_GEOMETRY, seed=6)
+    buf = bytearray(blob)
+    snap = Snapshot.from_bytes(buf)
+    buf[:] = bytes(len(buf))
+    assert snap.to_bytes() == blob
+    assert Snapshot.from_bytes(snap.to_bytes()).to_bytes() == blob
 
 
 @settings(max_examples=20, deadline=None)

@@ -771,7 +771,7 @@ def _assert_recovers_as_per_page(snap, cmt_capacity):
 
 
 @pytest.mark.parametrize("ftl_cls", [PearlFtl, BrokenAllocatorFtl])
-def test_recovery_equals_the_per_page_scan(ftl_cls, derive_key_once):
+def test_recovery_equals_the_per_page_scan(ftl_cls):
     """Public-only, right-password and wrong-password mounts of every
     unmount image of a workload (with GC, trims and a UI1 page)."""
     cfg = desk_config(cmt_capacity=16, seed=0)
@@ -781,13 +781,12 @@ def test_recovery_equals_the_per_page_scan(ftl_cls, derive_key_once):
         _assert_recovers_as_per_page(snap, cmt_capacity=16)
 
 
-def test_crash_recovery_equals_the_per_page_scan(derive_key_once):
+def test_crash_recovery_equals_the_per_page_scan():
     ftl, _, _ = _crash_image_with_stale_gtd()
     _assert_recovers_as_per_page(ftl.snapshot(), cmt_capacity=4)
 
 
-def test_wrong_hidden_password_installs_no_hidden_page_off_second_stage(
-        derive_key_once):
+def test_wrong_hidden_password_installs_no_hidden_page_off_second_stage():
     """A wrong hidden password decrypts the hidden GTD to garbage.  Hidden
     content only ever lives on second-stage pages, so recovery installs
     no garbage entry that names any other page (first-stage public pages
@@ -969,8 +968,7 @@ def test_cache_holds_no_page_of_a_free_block(desk_cfg):
 
 
 @pytest.mark.parametrize("fail_at", range(1, 61, 3))
-def test_failed_program_caches_nothing_for_its_page(derive_key_once,
-                                                    monkeypatch, fail_at):
+def test_failed_program_caches_nothing_for_its_page(monkeypatch, fail_at):
     """A program that raises leaves the cache as a cold read sees the
     page: an empty page gets no entry."""
     ftl = _format_small_cmt()

@@ -27,7 +27,7 @@ def _load_tracer():
     return module
 
 
-def test_tracer_wraps_and_restores_the_program(derive_key_once):
+def test_tracer_wraps_and_restores_the_program():
     tracer = _load_tracer()
     before = dict(vars(PearlFtl))
     cfg = desk_config(cmt_capacity=64, seed=0)
