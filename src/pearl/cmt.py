@@ -99,12 +99,13 @@ class MappingCore:
     entries.  A subclass sets ``device``, ``_epp`` (entries per
     translation page, by volume), ``_ppb`` (pages per block) and
     ``_valid`` (valid pages per block), calls ``_reset_mapping``, and
-    supplies how a translation page's payload is read
-    (``_read_translation``) and written (``_write_translation``, given
-    its first ``4 * epp`` bytes) and how a victim block is emptied
-    (``_gc_block``); it may override ``_gc_cost`` to price victims by
-    more than their valid pages.  Pages are taken from one open block
-    per append stream (``_next_page``).
+    supplies how a page's payload is decoded from the device
+    (``_decode(volume, ppn, quiet)``, which every read reaches through
+    the cache, ``_payload``), how a translation page is written
+    (``_write_translation``, given its first ``4 * epp`` bytes) and how
+    a victim block is emptied (``_gc_block``); it may override
+    ``_gc_cost`` to price victims by more than their valid pages.  Pages
+    are taken from one open block per append stream (``_next_page``).
 
     Page payloads, as a cold read would return them (WOM-decoded and
     decrypted on ``PearlFtl``), are kept in ``_payloads``:
@@ -115,9 +116,9 @@ class MappingCore:
     erased since (its ``FlashDevice.page_tag``); that also covers a GTD
     recovered from a crashed device, which may name a page the FTL does
     not own.  A hit still charges the device read unless it is quiet:
-    the cache saves host work, never simulated time.  Collection drops the entries of
-    the block it erases, so there is at most one entry per volume and
-    programmed page, and mount starts empty.  The cache lives in this
+    the cache saves host work, never simulated time.  Collection drops
+    the entries of the block it erases, so there is at most one entry
+    per volume and programmed page, and mount starts empty.  The cache lives in this
     instance only, so hidden payloads are held only where the hidden
     key is.
     """
@@ -149,17 +150,17 @@ class MappingCore:
 
     # -- translation ---------------------------------------------------
 
-    def _payload(self, volume, ppn, quiet, read):
+    def _payload(self, volume, ppn, quiet=False):
         """volume's payload of the page at ppn, from the cache while its
-        tag is current, else read(ppn, quiet) and stored.  A non-quiet
-        call charges one device read, hit or miss."""
+        tag is current, else decoded (``_decode``) and stored.  A
+        non-quiet call charges one device read, hit or miss."""
         tag = self.device.page_tag(ppn)
         hit = self._payloads.get((volume, ppn))
         if hit is not None and hit[0] == tag:
             if not quiet:
                 self.device.read_page(ppn)
             return hit[1]
-        payload = read(ppn, quiet)
+        payload = self._decode(volume, ppn, quiet)
         self._payloads[volume, ppn] = (tag, payload)
         return payload
 
@@ -177,7 +178,7 @@ class MappingCore:
                 ppn = UNMAPPED
             else:
                 ppn = self._clamp_ppn(struct.unpack_from(
-                    "<I", self._read_translation(volume, t_ppn),
+                    "<I", self._payload(volume, t_ppn),
                     4 * (lpn % epp))[0])
             self.cmt.put(volume, lpn, ppn, dirty=False)
         if ppn == UNMAPPED:
@@ -193,7 +194,7 @@ class MappingCore:
         epp = self._epp[volume]
         t_ppn = self._gtd[volume][m_vpn]
         if t_ppn != UNMAPPED:
-            page = bytearray(self._read_translation(volume, t_ppn)[:4 * epp])
+            page = bytearray(self._payload(volume, t_ppn)[:4 * epp])
         else:
             page = bytearray(struct.pack("<I", UNMAPPED) * epp)
         dirty = self.cmt.dirty_in_page(volume, m_vpn, epp)
@@ -229,7 +230,7 @@ class MappingCore:
         for m, t_ppn in enumerate(self._gtd[volume]):
             if t_ppn == UNMAPPED:
                 continue
-            page = self._read_translation(volume, t_ppn, quiet=True)
+            page = self._payload(volume, t_ppn, quiet=True)
             for i, e in enumerate(struct.unpack_from(f"<{epp}I", page)):
                 if e != UNMAPPED:
                     out[m * epp + i] = self._clamp_ppn(e)
@@ -306,6 +307,7 @@ class MappingCore:
         victim = self._select_victim()
         if victim is None:
             return None
+        self.gc_runs += 1
         was = self._in_gc, self._gc_victim
         self._in_gc, self._gc_victim = True, victim
         try:

@@ -56,12 +56,10 @@ class Dftl(MappingCore):
 
     # -- mapping layer -------------------------------------------------
 
-    def _read_translation(self, volume, t_ppn, quiet=False):
-        return self._payload(volume, t_ppn, quiet, self._read_data)
-
-    def _read_data(self, ppn, quiet=False):
-        read = self.device.peek if quiet else self.device.read_page
-        return read(ppn)[0]
+    def _decode(self, volume, ppn, quiet):
+        """Raw bytes of the page at ppn (a charged read unless quiet),
+        never from the cache."""
+        return (self.device.peek if quiet else self.device.read_page)(ppn)[0]
 
     def _write_translation(self, volume, m_vpn, payload):
         payload += bytes(self.page_bytes - len(payload))
@@ -128,7 +126,6 @@ class Dftl(MappingCore):
     # -- garbage collection --------------------------------------------
 
     def _gc_block(self, victim):
-        self.gc_runs += 1
         pages = range(victim * self._ppb, (victim + 1) * self._ppb)
         reclaimed = 0
         for ppn in pages:
@@ -141,7 +138,7 @@ class Dftl(MappingCore):
                 self.ledger["gc_programs"] += 1
             elif kind == TRANS:
                 # A valid translation page is the one its GTD entry names.
-                self._write_translation(DATA, owner, self._read_translation(
+                self._write_translation(DATA, owner, self._payload(
                     DATA, self._gtd[DATA][owner]))
                 self.ledger["gc_programs"] += 1
         for ppn in pages:

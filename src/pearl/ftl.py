@@ -438,12 +438,6 @@ class PearlFtl(MappingCore):
 
     # -- mapping layer -------------------------------------------------
 
-    def _read_translation(self, volume, t_ppn, quiet=False):
-        """Payload of the translation page at t_ppn."""
-        read = (self._read_public_page if volume == PUBLIC
-                else self._read_hidden_page)
-        return read(t_ppn, quiet)
-
     def _set_loc(self, volume, lpn_field, ppn):
         """Update a mapping: translation pages go straight to the GTD,
         data pages through the CMT (dirty)."""
@@ -452,23 +446,39 @@ class PearlFtl(MappingCore):
         else:
             self.cmt.put(volume, lpn_field, ppn, dirty=True)
 
-    def _get_public_loc(self, lpn_field):
+    def _get_loc(self, volume, lpn_field):
+        """Where lpn_field of volume maps, or None: translation pages
+        through the GTD, data pages through the CMT."""
         if is_trans_field(lpn_field):
-            ppn = self._gtd[PUBLIC][lpn_field & LPN_MASK]
+            ppn = self._gtd[volume][lpn_field & LPN_MASK]
             return None if ppn == UNMAPPED else ppn
-        return self._translate(PUBLIC, lpn_field, missing_ok=True)
+        return self._translate(volume, lpn_field, missing_ok=True)
 
     def _write_translation(self, volume, m_vpn, payload):
+        field = trans_field(m_vpn)
         if volume == PUBLIC:
-            self._program_public(trans_field(m_vpn), payload,
-                                 bucket="translation")
-            return
-        old = self._gtd[HIDDEN][m_vpn]
-        self._program_full(trans_field(m_vpn), payload, bucket="translation")
-        if old != UNMAPPED:
-            # The superseded hidden translation page keeps its public
-            # face; only its hidden content goes out of date.
-            self._hid_clear(old)
+            self._program_public(field, payload, bucket="translation")
+        else:
+            self._program_full(field, payload, bucket="translation",
+                               old=self._get_loc(HIDDEN, field))
+
+    def _decode(self, volume, ppn, quiet):
+        """volume's payload of the page at ppn, decoded and decrypted from
+        the device (a charged read unless quiet), never from the cache.
+        The envelope IV is that of the page's latest write: slot B, else
+        slot A, else zero bytes."""
+        data, oob = (self.device.peek if quiet else self.device.read_page)(ppn)
+        slot_a, slot_b = parse_oob(oob)
+        slot = slot_b or slot_a
+        iv = slot.iv if slot else bytes(16)
+        if volume == PUBLIC:
+            stage = "second" if slot_b is not None else "first"
+            payload = decode_page_public(self.layout, self.config.code, data,
+                                         stage)
+            return decrypt_payload(self.k_pub, iv, payload)
+        payload = decode_page_hidden(self.layout, self.config.code, data,
+                                     strict=False)
+        return decrypt_payload(self.k_hid, iv, payload)
 
     # -- physical programs ---------------------------------------------
 
@@ -476,17 +486,72 @@ class PearlFtl(MappingCore):
         self.ledger[f"{bucket}_logical_bits"] += logical_bits
         self.ledger[f"{bucket}_physical_bits"] += physical_bits
 
+    def _program(self, target, lpn_field, plaintext, bucket, hidden=None):
+        """Program lpn_field's public plaintext onto target and record the
+        page: a first write onto an empty page, a second write onto an I1
+        page, or, given hidden = (hidden_field, hidden plaintext), a full
+        write that cloaks the hidden data in the public data on an empty
+        page.  Mappings and superseded pages are the caller's."""
+        lay, code = self.layout, self.config.code
+        oob_bytes = self.config.geometry.oob_bytes
+        first = hidden is None and self._state[target] == PageState.EMPTY
+        keys = (self.k_pub, self.k_hid) if hidden else (self.k_pub,)
+        iv = self._fresh_iv(*keys)
+        pub = self._pad(plaintext, lay.public_payload_bytes)
+        ct = encrypt_payload(self.k_pub, iv, pub)
+        if hidden is not None:
+            hidden_field, hid = hidden
+            hid = self._pad(hid, lay.hidden_payload_bytes)
+            raw = encode_page_full(lay, code, ct,
+                                   encrypt_payload(self.k_hid, iv, hid))
+            # A plausible first-write slot: full-write pages must be
+            # indistinguishable from genuinely twice-written ones.  The
+            # fake lpn avoids repeating an in-block first-write claim; a
+            # repeat would assert "this page updates that one", which
+            # in-order write reasoning could then falsify.
+            used = self._slot_a.setdefault(self._block_of(target), set())
+            while True:
+                fake_lpn = self.rng.randrange(self.config.public_pages)
+                if fake_lpn not in used:
+                    break
+            used.add(fake_lpn)
+            fake = OobSlot(self.rng.randbytes(16), fake_lpn, TAG_FIRST)
+            oob = pack_oob(oob_bytes, fake, OobSlot(iv, lpn_field, TAG_SECOND))
+        elif first:
+            raw = encode_page_first(lay, code, ct)
+            oob = pack_oob(oob_bytes, OobSlot(iv, lpn_field, TAG_FIRST), None)
+        else:
+            existing, cur_oob = self.device.read_page(target)
+            raw = encode_page_second(lay, code, ct, existing)
+            oob = _or_bytes(cur_oob, pack_oob(
+                oob_bytes, None, OobSlot(iv, lpn_field, TAG_SECOND)))
+        self.device.program_page(target, raw, oob)
+        self._store_payload(PUBLIC, target, pub)
+        if hidden is not None:
+            self._store_payload(HIDDEN, target, hid)
+        self._set_state(target, PageState.V1 if first else PageState.V2,
+                        bucket, lpn_field)
+        if first:
+            self._slot_a.setdefault(self._block_of(target), set()).add(
+                lpn_field)
+        groups = lay.groups_per_page
+        if hidden is None:
+            self._account(bucket, groups * code.k, groups * code.n)
+        else:
+            self._hid_set(target, hidden_field)
+            self._account(bucket, groups, groups * code.n)
+            self.ledger["cloak_logical_bits"] += groups * code.k
+
     def _program_public(self, lpn_field, plaintext, bucket, relocation=False):
         """Public write following the allocation priority (Fig. 7 order:
         Current UI1 page, then TIQ head, then an empty page)."""
-        old = self._get_public_loc(lpn_field)
+        old = self._get_loc(PUBLIC, lpn_field)
         trimmed_rewrite = (old is not None
                            and self._state[old] == PageState.TI1)
         if trimmed_rewrite:
             del self.tiq[old]
             self._trimmed.discard(lpn_field)
 
-        second = True
         if self.current_ui1 is not None:
             target = self._take_ui1()
         elif trimmed_rewrite:
@@ -495,36 +560,22 @@ class PearlFtl(MappingCore):
         elif self.tiq:
             target = self._take_tiq_head()
         else:
-            target = self._next_page(_FRONTIER)
-            second = self.current_ui1 is not None
-            if second:
-                # Collection inside _next_page refilled the UI1 slot,
-                # which comes first.  It ran before the empty page was
-                # taken, so the page is untouched and goes back.
-                self._cursor[_FRONTIER] -= 1
-                target = self._take_ui1()
-
-        if second:
-            self._second_write_to(target, lpn_field, plaintext, bucket)
-        else:
-            lay = self.layout
-            iv = self._fresh_iv(self.k_pub)
-            padded = self._pad(plaintext, lay.public_payload_bytes)
-            ct = encrypt_payload(self.k_pub, iv, padded)
-            raw = encode_page_first(lay, self.config.code, ct)
-            oob = pack_oob(self.config.geometry.oob_bytes,
-                           OobSlot(iv, lpn_field, TAG_FIRST), None)
-            self.device.program_page(target, raw, oob)
-            self._store_payload(PUBLIC, target, padded)
-            self._set_state(target, PageState.V1, bucket, lpn_field)
-            self._slot_a.setdefault(self._block_of(target), set()).add(lpn_field)
-            self._account(bucket, lay.groups_per_page * self.config.code.k,
-                          lay.groups_per_page * self.config.code.n)
-
+            target = self._take_empty()
+        self._program(target, lpn_field, plaintext, bucket)
         if old is not None and old != target:
             self._invalidate_public(old, reason=bucket, relocation=relocation)
         self._set_loc(PUBLIC, lpn_field, target)
-        return target
+
+    def _take_empty(self):
+        """Allocation step of a first write: the next frontier page, or the
+        UI1 page when a collection inside the allocation refilled the
+        slot, which comes first.  The collection ran before the empty
+        page was taken, so that page is untouched and goes back."""
+        target = self._next_page(_FRONTIER)
+        if self.current_ui1 is None:
+            return target
+        self._cursor[_FRONTIER] -= 1
+        return self._take_ui1()
 
     def _take_ui1(self):
         """Consume the Current UI1 slot (None when it is empty)."""
@@ -569,55 +620,33 @@ class PearlFtl(MappingCore):
         elif st == PageState.V2:
             self._set_state(ppn, PageState.I2, reason)
 
-    def _program_full(self, hidden_field, hidden_plain, bucket,
-                      cloak=None):
-        """One full write: public cloak + hidden payload, to an empty page.
+    def _program_full(self, hidden_field, hidden_plain, bucket, cloak=None,
+                      old=None, relocation=True):
+        """One full write: public cloak + hidden payload, to an empty page,
+        superseding old, the hidden page hidden_field maps to (if any).
 
-        cloak may be (lpn_field, plaintext, src_ppn_or_None); when absent a
-        public page is relocated from the least active block.
+        cloak may be (lpn_field, plaintext, src_ppn_or_None), src being the
+        public page it supersedes: a relocation source, or an update
+        casualty when relocation is False.  When absent, a public page is
+        relocated from the least active block.
         """
         self._fill_ui1()
         if cloak is None:
-            cloak = self._take_cloak()
+            src = self._pick_public_source()
+            cloak = self._pub_lpn[src], self._payload(PUBLIC, src), src
         cloak_lpn, cloak_plain, src = cloak
         assert self.current_ui1 is None  # Requirement 3: slot filled first
-        lay = self.layout
         target = self._next_page(_FRONTIER)
-        iv = self._fresh_iv(self.k_pub, self.k_hid)
-        pub = self._pad(cloak_plain, lay.public_payload_bytes)
-        hid = self._pad(hidden_plain, lay.hidden_payload_bytes)
-        raw = encode_page_full(lay, self.config.code,
-                               encrypt_payload(self.k_pub, iv, pub),
-                               encrypt_payload(self.k_hid, iv, hid))
-        # A plausible first-write slot: full-write pages must be
-        # indistinguishable from genuinely twice-written ones.  The fake
-        # lpn avoids repeating an in-block first-write claim; a repeat
-        # would assert "this page updates that one", which in-order write
-        # reasoning could then falsify.
-        used = self._slot_a.setdefault(self._block_of(target), set())
-        while True:
-            fake_lpn = self.rng.randrange(self.config.public_pages)
-            if fake_lpn not in used:
-                break
-        used.add(fake_lpn)
-        fake = OobSlot(self.rng.randbytes(16), fake_lpn, TAG_FIRST)
-        oob = pack_oob(self.config.geometry.oob_bytes, fake,
-                       OobSlot(iv, cloak_lpn, TAG_SECOND))
-        self.device.program_page(target, raw, oob)
-        self._store_payload(PUBLIC, target, pub)
-        self._store_payload(HIDDEN, target, hid)
-        self._set_state(target, PageState.V2, bucket, cloak_lpn)
-
+        self._program(target, cloak_lpn, cloak_plain, bucket,
+                      hidden=(hidden_field, hidden_plain))
         if src is not None and src != target:
-            self._invalidate_public(src, reason=bucket, relocation=True)
+            self._invalidate_public(src, reason=bucket, relocation=relocation)
         self._set_loc(PUBLIC, cloak_lpn, target)
-        self._hid_set(target, hidden_field)
         self._set_loc(HIDDEN, hidden_field, target)
-        self._account(bucket, lay.groups_per_page,
-                      lay.groups_per_page * self.config.code.n)
-        self.ledger["cloak_logical_bits"] += (
-            lay.groups_per_page * self.config.code.k)
-        return target
+        if old is not None and self._hidden_at.get(old) == hidden_field:
+            # The superseded hidden copy keeps its public face; only its
+            # hidden content goes out of date.
+            self._hid_clear(old)
 
     def _pick_public_source(self):
         """Public data to relocate as cover, chosen so the superseded
@@ -662,43 +691,6 @@ class PearlFtl(MappingCore):
                     return p
         raise NoPublicCover("no valid public page available as cloak")
 
-    def _read_page(self, ppn, quiet):
-        """Raw data, write stage and envelope IV of a page: the IV of its
-        latest write (slot B, else slot A, else zero bytes)."""
-        read = self.device.peek if quiet else self.device.read_page
-        data, oob = read(ppn)
-        slot_a, slot_b = parse_oob(oob)
-        stage = "second" if slot_b is not None else "first"
-        slot = slot_b or slot_a
-        return data, stage, slot.iv if slot else bytes(16)
-
-    def _read_public_page(self, ppn, quiet=False):
-        """Decrypted public payload of a page (a charged read unless
-        quiet)."""
-        return self._payload(PUBLIC, ppn, quiet, self._decode_public)
-
-    def _read_hidden_page(self, ppn, quiet=False):
-        """Decrypted hidden payload of a page (a charged read unless
-        quiet)."""
-        return self._payload(HIDDEN, ppn, quiet, self._decode_hidden)
-
-    def _decode_public(self, ppn, quiet=False):
-        """_read_public_page decoded from the device, never the cache."""
-        data, stage, iv = self._read_page(ppn, quiet)
-        payload = decode_page_public(self.layout, self.config.code, data, stage)
-        return decrypt_payload(self.k_pub, iv, payload)
-
-    def _decode_hidden(self, ppn, quiet=False):
-        """_read_hidden_page decoded from the device, never the cache."""
-        data, _, iv = self._read_page(ppn, quiet)
-        payload = decode_page_hidden(self.layout, self.config.code, data,
-                                     strict=False)
-        return decrypt_payload(self.k_hid, iv, payload)
-
-    def _take_cloak(self):
-        src = self._pick_public_source()
-        return self._pub_lpn[src], self._read_public_page(src), src
-
     def _fill_ui1(self):
         """Give the Current UI1 page a second write of relocated public
         data, so a following full write is allocator-clean."""
@@ -710,26 +702,10 @@ class PearlFtl(MappingCore):
         while (target := take_target()) is not None:
             src = self._pick_public_source()
             lpn_field = self._pub_lpn[src]
-            self._second_write_to(target, lpn_field,
-                                  self._read_public_page(src), bucket)
+            self._program(target, lpn_field, self._payload(PUBLIC, src),
+                          bucket)
             self._invalidate_public(src, reason=reason, relocation=True)
             self._set_loc(PUBLIC, lpn_field, target)
-
-    def _second_write_to(self, target, lpn_field, plaintext, bucket):
-        """Second write of public data onto the I1 page target."""
-        lay = self.layout
-        iv = self._fresh_iv(self.k_pub)
-        padded = self._pad(plaintext, lay.public_payload_bytes)
-        ct = encrypt_payload(self.k_pub, iv, padded)
-        existing, cur_oob = self.device.read_page(target)
-        raw = encode_page_second(lay, self.config.code, ct, existing)
-        slot = OobSlot(iv, lpn_field, TAG_SECOND)
-        oob = _or_bytes(cur_oob, pack_oob(len(cur_oob), None, slot))
-        self.device.program_page(target, raw, oob)
-        self._store_payload(PUBLIC, target, padded)
-        self._set_state(target, PageState.V2, bucket, lpn_field)
-        self._account(bucket, lay.groups_per_page * self.config.code.k,
-                      lay.groups_per_page * self.config.code.n)
 
     # ------------------------------------------------------------------
     # public API
@@ -750,7 +726,7 @@ class PearlFtl(MappingCore):
         if lpn in self._trimmed:
             raise UnmappedLpn(f"public lpn {lpn} was trimmed")
         ppn = self._translate(PUBLIC, lpn)
-        out = self._read_public_page(ppn)
+        out = self._payload(PUBLIC, ppn)
         lay = self.layout
         self.ledger["public_read_logical_bits"] += lay.groups_per_page * lay.k
         self.ledger["public_read_physical_bits"] += lay.groups_per_page * lay.n
@@ -764,20 +740,15 @@ class PearlFtl(MappingCore):
         if len(data) != self.layout.hidden_payload_bytes:
             raise PearlError("hidden write must be one hidden page payload")
         self._touch()
-        old = self._translate(HIDDEN, lpn, missing_ok=True)
-        self._program_full(lpn, data, bucket="hidden_user")
-        if old is not None:
-            # The stale hidden copy becomes out-of-date; no public-visible
-            # state changes.
-            if self._hidden_at.get(old) == lpn:
-                self._hid_clear(old)
+        self._program_full(lpn, data, bucket="hidden_user",
+                           old=self._get_loc(HIDDEN, lpn))
         self._drain_cmt()
 
     def hidden_read(self, lpn):
         self._require_hidden()
         if not 0 <= lpn < self.config.hidden_pages:
             raise PearlError(f"hidden lpn {lpn} beyond volume capacity")
-        out = self._read_hidden_page(self._translate(HIDDEN, lpn))
+        out = self._payload(HIDDEN, self._translate(HIDDEN, lpn))
         lay = self.layout
         self.ledger["hidden_read_logical_bits"] += lay.groups_per_page
         self.ledger["hidden_read_physical_bits"] += lay.groups_per_page * lay.n
@@ -872,23 +843,18 @@ class PearlFtl(MappingCore):
         if len(data) != self.layout.hidden_payload_bytes:
             raise PearlError("hidden write must be one hidden page payload")
         self._touch()
-        old_h = self._translate(HIDDEN, lpn, missing_ok=True)
-        old_p = self._get_public_loc(pub_lpn)
+        old_h = self._get_loc(HIDDEN, lpn)
+        old_p = self._get_loc(PUBLIC, pub_lpn)
         if old_p is not None and self._state[old_p] == PageState.TI1:
             # Trimmed-then-rewritten public data: normal TIQ bookkeeping.
             del self.tiq[old_p]
         self._trimmed.discard(pub_lpn)
+        # The superseded public copy is a genuine update casualty.
         self._program_full(lpn, data, bucket="hidden_user",
-                           cloak=(pub_lpn, pub_data, None))
-        self.ledger["public_user_logical_bits"] += (
-            self.layout.groups_per_page * self.config.code.k)
-        self.ledger["public_user_physical_bits"] += (
-            self.layout.groups_per_page * self.config.code.n)
-        if old_p is not None:
-            # The superseded public copy is a genuine update casualty.
-            self._invalidate_public(old_p, reason="update")
-        if old_h is not None and self._hidden_at.get(old_h) == lpn:
-            self._hid_clear(old_h)
+                           cloak=(pub_lpn, pub_data, old_p), old=old_h,
+                           relocation=False)
+        groups, code = self.layout.groups_per_page, self.config.code
+        self._account("public_user", groups * code.k, groups * code.n)
         self._drain_cmt()
 
     # ------------------------------------------------------------------
@@ -906,7 +872,6 @@ class PearlFtl(MappingCore):
 
     def _gc_block(self, victim):
         self._touch()
-        self.gc_runs += 1
         pages = range(victim * self._ppb, (victim + 1) * self._ppb)
 
         if self.current_ui1 is not None and self._block_of(self.current_ui1) == victim:
@@ -920,13 +885,13 @@ class PearlFtl(MappingCore):
             has_pub = self._state[ppn] in _VALID
             hid = self._hidden_at.get(ppn) if self.mode == PUBLIC_HIDDEN else None
             if has_pub:
-                item = (self._pub_lpn[ppn], self._read_public_page(ppn), ppn)
+                item = (self._pub_lpn[ppn], self._payload(PUBLIC, ppn), ppn)
                 if hid is not None:
-                    paired.append((item, (hid, self._read_hidden_page(ppn))))
+                    paired.append((item, (hid, self._payload(HIDDEN, ppn))))
                 else:
                     pub_only.append(item)
             elif hid is not None:
-                hid_only.append((hid, self._read_hidden_page(ppn)))
+                hid_only.append((hid, self._payload(HIDDEN, ppn)))
 
         # Public-only survivors first: they drain the UI1 slot and TIQ, so
         # the following full writes find a clean allocator.
@@ -937,19 +902,13 @@ class PearlFtl(MappingCore):
             else:
                 self._program_public(lpn_field, plain, bucket="gc_public",
                                      relocation=True)
-        for (lpn_field, plain, src), (hid, hplain) in paired:
-            self._invalidate_public(src, reason="gc", relocation=True)
-            self._hid_clear(src)
-            self._program_full(hid, hplain, bucket="gc_hidden",
-                               cloak=(lpn_field, plain, None))
+        # Each relocated hidden copy is cleared with the victim below.
+        for cloak, (hid, hplain) in paired:
+            self._program_full(hid, hplain, bucket="gc_hidden", cloak=cloak)
         for hid, hplain in hid_only:
-            if spare_cloaks:
-                lpn_field, plain, src = spare_cloaks.pop()
-                self._invalidate_public(src, reason="gc", relocation=True)
-                self._program_full(hid, hplain, bucket="gc_hidden",
-                                   cloak=(lpn_field, plain, None))
-            else:
-                self._program_full(hid, hplain, bucket="gc_hidden")
+            self._program_full(hid, hplain, bucket="gc_hidden",
+                               cloak=spare_cloaks.pop() if spare_cloaks
+                               else None)
         for lpn_field, plain, src in spare_cloaks:
             self._program_public(lpn_field, plain, bucket="gc_public",
                                  relocation=True)

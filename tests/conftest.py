@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -6,7 +7,6 @@ import pearl.ftl
 from pearl.bench import init_device, mixed_workload  # noqa: F401  (re-exported)
 from pearl.config import desk_config
 from pearl.crypto import derive_key
-from pearl.dftl import Dftl
 from pearl.flash import FlashDevice
 from pearl.ftl import PearlFtl
 
@@ -57,9 +57,7 @@ def derive_each_key_once():
 def cold_reader(ftl, volume):
     """The FTL's uncached reader of volume's page payloads:
     (ppn, quiet) -> payload, never served from the cache."""
-    if isinstance(ftl, Dftl):
-        return ftl._read_data
-    return {"public": ftl._decode_public, "hidden": ftl._decode_hidden}[volume]
+    return functools.partial(ftl._decode, volume)
 
 
 def cold_walk(ftl, volume):

@@ -232,15 +232,15 @@ def test_translation_miss_on_flushed_group_skips_decode(monkeypatch):
         dftl.write(lpn, _payload(dftl, rng))
     assert (DATA, 0) not in dftl.cmt  # evicted, so its group was flushed
     expect, = struct.unpack_from(
-        "<I", dftl._read_data(dftl._gtd[DATA][0], quiet=True))
+        "<I", dftl._decode(DATA, dftl._gtd[DATA][0], quiet=True))
 
     decodes = []
-    read_data = Dftl._read_data
+    decode = Dftl._decode
 
     def counted(self, *args, **kwargs):
         decodes.append(args)
-        return read_data(self, *args, **kwargs)
-    monkeypatch.setattr(Dftl, "_read_data", counted)
+        return decode(self, *args, **kwargs)
+    monkeypatch.setattr(Dftl, "_decode", counted)
     dev = dftl.device
     reads, clock, misses = dev.reads, dev.clock_us, dftl.cmt.misses
     assert dftl.translate(0) == expect
