@@ -105,7 +105,10 @@ class MappingCore:
     (``_write_translation``, given its first ``4 * epp`` bytes) and how
     a victim block is emptied (``_gc_block``); it may override
     ``_gc_cost`` to price victims by more than their valid pages.  Pages
-    are taken from one open block per append stream (``_next_page``).
+    are taken from one open block per append stream (``_next_page``),
+    which may collect first.  So a write resolves the page it supersedes,
+    and a ``PearlFtl`` full write its cloak source, after its page is
+    allocated, and a UI1 slot the collection refilled is served first.
 
     Page payloads, as a cold read would return them (WOM-decoded and
     decrypted on ``PearlFtl``), are kept in ``_payloads``:
@@ -140,7 +143,7 @@ class MappingCore:
         self._cursor = {}     # stream -> next ppn of its open block
         self._in_gc = False
         self._gc_victim = None
-        self._draining = False
+        self._flushing = False
 
     def _clamp_ppn(self, ppn):
         """Keep arbitrary (possibly garbage-decrypted) values addressable."""
@@ -200,27 +203,27 @@ class MappingCore:
         dirty = self.cmt.dirty_in_page(volume, m_vpn, epp)
         for lpn, ppn in dirty + list(extra):
             struct.pack_into("<I", page, 4 * (lpn % epp), ppn)
-        self._write_translation(volume, m_vpn, bytes(page))
+        # A collection inside the write does not drain the CMT: a flush
+        # nested in this one could write this page too, mark its entries
+        # clean and then be superseded by this older payload.
+        self._flushing = True
+        try:
+            self._write_translation(volume, m_vpn, bytes(page))
+        finally:
+            self._flushing = False
         # Programming the translation page may have garbage-collected and
         # re-dirtied some of these entries with newer ppns; leave those dirty.
         for lpn, ppn in dirty:
             self.cmt.mark_clean(volume, lpn, expected_ppn=ppn)
 
     def _drain_cmt(self):
-        if self._draining:
+        if self._flushing:
             return
-        self._draining = True
-        try:
-            while True:
-                item = self.cmt.pop_excess()
-                if item is None:
-                    break
-                (vol, lpn), ppn, dirty = item
-                if dirty:
-                    self._flush_group(vol, lpn // self._epp[vol],
-                                      extra=[(lpn, ppn)])
-        finally:
-            self._draining = False
+        while (item := self.cmt.pop_excess()) is not None:
+            (vol, lpn), ppn, dirty = item
+            if dirty:
+                self._flush_group(vol, lpn // self._epp[vol],
+                                  extra=[(lpn, ppn)])
 
     def _walk_volume(self, volume):
         """Quiet {lpn: ppn} map from the on-flash translation pages (no
@@ -325,6 +328,15 @@ class MappingCore:
                 break
             if self.gc_run() is None:
                 break
+
+    def _misplaced(self, volume, pages):
+        """Quietly (no clock, no counts) check that every valid page of
+        volume sits where its owner maps; pages yields (ppn, lpn or m_vpn,
+        whether it is a translation page).  Returns problems."""
+        mapped, gtd = self._mapped(volume), self._gtd[volume]
+        return [f"valid {volume} page {ppn} is not where its lpn maps"
+                for ppn, owner, trans in pages
+                if (gtd[owner] if trans else mapped.get(owner)) != ppn]
 
     def _allocation_problems(self):
         """Free-list and allocation-rule bookkeeping that disagrees with

@@ -72,9 +72,12 @@ class Dftl(MappingCore):
         self.ledger["translation_programs"] += 1
 
     def translate(self, lpn, missing_ok=False):
+        return self._translate(DATA, self._check_lpn(lpn), missing_ok)
+
+    def _check_lpn(self, lpn):
         if not 0 <= lpn < self.logical_pages:
             raise PearlError(f"lpn {lpn} beyond logical capacity")
-        return self._translate(DATA, lpn, missing_ok)
+        return lpn
 
     def _invalidate(self, ppn):
         if self._kind[ppn] is not None:
@@ -87,8 +90,10 @@ class Dftl(MappingCore):
     def write(self, lpn, data):
         if len(data) != self.page_bytes:
             raise PearlError("write must be one page payload")
-        old = self.translate(lpn, missing_ok=True)
-        ppn = self._program(DATA, lpn, data)
+        ppn = self._program(DATA, self._check_lpn(lpn), data)
+        # Resolved only now: a collection inside the allocation may have
+        # moved the page lpn mapped to.
+        old = self._translate(DATA, lpn, missing_ok=True)
         if old is not None:
             self._invalidate(old)
         self.cmt.put(DATA, lpn, ppn, dirty=True)
@@ -159,7 +164,10 @@ class Dftl(MappingCore):
                     if self._kind[p] is not None)
             if n != self._valid[blk]:
                 problems.append(f"valid count wrong for block {blk}")
-        return problems
+        return problems + self._misplaced(DATA, (
+            (ppn, owner, kind == TRANS)
+            for ppn, (kind, owner) in enumerate(zip(self._kind, self._owner))
+            if kind is not None))
 
     def full_map(self):
         """Quiet {lpn: ppn} view combining flash and dirty CMT entries."""

@@ -464,9 +464,8 @@ class PearlFtl(MappingCore):
 
     def _decode(self, volume, ppn, quiet):
         """volume's payload of the page at ppn, decoded and decrypted from
-        the device (a charged read unless quiet), never from the cache.
-        The envelope IV is that of the page's latest write: slot B, else
-        slot A, else zero bytes."""
+        the device (a charged read unless quiet), never from the cache,
+        with the IV of its latest write (slot B, else A, else zeros)."""
         data, oob = (self.device.peek if quiet else self.device.read_page)(ppn)
         slot_a, slot_b = parse_oob(oob)
         slot = slot_b or slot_a
@@ -494,9 +493,11 @@ class PearlFtl(MappingCore):
         page.  Mappings and superseded pages are the caller's."""
         lay, code = self.layout, self.config.code
         oob_bytes = self.config.geometry.oob_bytes
-        first = hidden is None and self._state[target] == PageState.EMPTY
-        keys = (self.k_pub, self.k_hid) if hidden else (self.k_pub,)
-        iv = self._fresh_iv(*keys)
+        empty = self._state[target] == PageState.EMPTY
+        # Requirement 3: the UI1 slot is filled before any empty page.
+        assert not empty or self.current_ui1 is None
+        first = empty and hidden is None
+        iv = self._fresh_iv(self.k_pub, *([self.k_hid] if hidden else []))
         pub = self._pad(plaintext, lay.public_payload_bytes)
         ct = encrypt_payload(self.k_pub, iv, pub)
         if hidden is not None:
@@ -561,21 +562,36 @@ class PearlFtl(MappingCore):
             target = self._take_tiq_head()
         else:
             target = self._take_empty()
+            old = self._resolved(PUBLIC, old, lpn_field)
         self._program(target, lpn_field, plaintext, bucket)
         if old is not None and old != target:
             self._invalidate_public(old, reason=bucket, relocation=relocation)
         self._set_loc(PUBLIC, lpn_field, target)
 
-    def _take_empty(self):
-        """Allocation step of a first write: the next frontier page, or the
-        UI1 page when a collection inside the allocation refilled the
-        slot, which comes first.  The collection ran before the empty
-        page was taken, so that page is untouched and goes back."""
-        target = self._next_page(_FRONTIER)
-        if self.current_ui1 is None:
-            return target
-        self._cursor[_FRONTIER] -= 1
-        return self._take_ui1()
+    def _take_empty(self, full=False):
+        """The allocation step of every write that takes an empty page: the
+        next frontier page.  A collection inside the allocation may
+        refill the UI1 slot, which comes first.  The collection ran before
+        the empty page was taken, so that page is untouched and goes back;
+        a public write then takes the slot, and a full write fills it by
+        relocation and allocates again."""
+        while True:
+            target = self._next_page(_FRONTIER)
+            if self.current_ui1 is None:
+                return target
+            self._cursor[_FRONTIER] -= 1
+            if not full:
+                return self._take_ui1()
+            self._fill_ui1()
+
+    def _resolved(self, volume, ppn, lpn_field):
+        """ppn, where lpn_field of volume mapped before an allocation, or
+        where it maps now if a collection inside the allocation moved it:
+        ppn no longer holds its valid public page or live hidden data."""
+        holder = self._pub_lpn if volume == PUBLIC else self._hidden_at
+        if ppn is None or holder.get(ppn) == lpn_field:
+            return ppn
+        return self._get_loc(volume, lpn_field)
 
     def _take_ui1(self):
         """Consume the Current UI1 slot (None when it is empty)."""
@@ -628,18 +644,23 @@ class PearlFtl(MappingCore):
         cloak may be (lpn_field, plaintext, src_ppn_or_None), src being the
         public page it supersedes: a relocation source, or an update
         casualty when relocation is False.  When absent, a public page is
-        relocated from the least active block.
+        chosen from the least active block, and its payload is read once
+        the target is allocated.  Both superseded pages are resolved
+        after the allocation, which may collect.
         """
         self._fill_ui1()
         if cloak is None:
             src = self._pick_public_source()
-            cloak = self._pub_lpn[src], self._payload(PUBLIC, src), src
+            cloak = self._pub_lpn[src], None, src
         cloak_lpn, cloak_plain, src = cloak
-        assert self.current_ui1 is None  # Requirement 3: slot filled first
-        target = self._next_page(_FRONTIER)
+        target = self._take_empty(full=True)
+        src = self._resolved(PUBLIC, src, cloak_lpn)
+        old = self._resolved(HIDDEN, old, hidden_field)
+        if cloak_plain is None:
+            cloak_plain = self._payload(PUBLIC, src)
         self._program(target, cloak_lpn, cloak_plain, bucket,
                       hidden=(hidden_field, hidden_plain))
-        if src is not None and src != target:
+        if src is not None:
             self._invalidate_public(src, reason=bucket, relocation=relocation)
         self._set_loc(PUBLIC, cloak_lpn, target)
         self._set_loc(HIDDEN, hidden_field, target)
@@ -711,18 +732,25 @@ class PearlFtl(MappingCore):
     # public API
     # ------------------------------------------------------------------
 
+    def _check_request(self, volume, lpn, data=None):
+        """Reject a request to an unmounted volume, an lpn beyond its
+        capacity and write data that is not one page payload of it."""
+        if volume == HIDDEN:
+            self._require_hidden()
+        pages, payload = self.volumes()[volume]
+        if not 0 <= lpn < pages:
+            raise PearlError(f"{volume} lpn {lpn} beyond volume capacity")
+        if data is not None and len(data) != payload:
+            raise PearlError(f"{volume} write must be one page payload")
+
     def public_write(self, lpn, data):
-        if not 0 <= lpn < self.config.public_pages:
-            raise PearlError(f"public lpn {lpn} beyond volume capacity")
-        if len(data) != self.layout.public_payload_bytes:
-            raise PearlError("public write must be one page payload")
+        self._check_request(PUBLIC, lpn, data)
         self._touch()
         self._program_public(lpn, data, bucket="public_user")
         self._drain_cmt()
 
     def public_read(self, lpn):
-        if not 0 <= lpn < self.config.public_pages:
-            raise PearlError(f"public lpn {lpn} beyond volume capacity")
+        self._check_request(PUBLIC, lpn)
         if lpn in self._trimmed:
             raise UnmappedLpn(f"public lpn {lpn} was trimmed")
         ppn = self._translate(PUBLIC, lpn)
@@ -734,20 +762,14 @@ class PearlFtl(MappingCore):
         return out
 
     def hidden_write(self, lpn, data):
-        self._require_hidden()
-        if not 0 <= lpn < self.config.hidden_pages:
-            raise PearlError(f"hidden lpn {lpn} beyond volume capacity")
-        if len(data) != self.layout.hidden_payload_bytes:
-            raise PearlError("hidden write must be one hidden page payload")
+        self._check_request(HIDDEN, lpn, data)
         self._touch()
         self._program_full(lpn, data, bucket="hidden_user",
                            old=self._get_loc(HIDDEN, lpn))
         self._drain_cmt()
 
     def hidden_read(self, lpn):
-        self._require_hidden()
-        if not 0 <= lpn < self.config.hidden_pages:
-            raise PearlError(f"hidden lpn {lpn} beyond volume capacity")
+        self._check_request(HIDDEN, lpn)
         out = self._payload(HIDDEN, self._translate(HIDDEN, lpn))
         lay = self.layout
         self.ledger["hidden_read_logical_bits"] += lay.groups_per_page
@@ -834,21 +856,17 @@ class PearlFtl(MappingCore):
     def _hidden_write_with_incoming(self, lpn, data, pub_lpn, pub_data):
         """Full write carrying a hidden page plus an incoming public user
         write as its cloak."""
-        self._require_hidden()
-        if not (0 <= lpn < self.config.hidden_pages
-                and 0 <= pub_lpn < self.config.public_pages):
-            raise PearlError(f"lpn {lpn} or {pub_lpn} beyond volume capacity")
-        if len(pub_data) != self.layout.public_payload_bytes:
-            raise PearlError("public write must be one page payload")
-        if len(data) != self.layout.hidden_payload_bytes:
-            raise PearlError("hidden write must be one hidden page payload")
+        self._check_request(HIDDEN, lpn, data)
+        self._check_request(PUBLIC, pub_lpn, pub_data)
         self._touch()
         old_h = self._get_loc(HIDDEN, lpn)
         old_p = self._get_loc(PUBLIC, pub_lpn)
-        if old_p is not None and self._state[old_p] == PageState.TI1:
-            # Trimmed-then-rewritten public data: normal TIQ bookkeeping.
-            del self.tiq[old_p]
-        self._trimmed.discard(pub_lpn)
+        if pub_lpn in self._trimmed:
+            # Its trimmed copy stays queued for a second write, now as a
+            # relocation casualty: the lpn moves on to the full write.
+            self.tiq[old_p] = None
+            self._trimmed.discard(pub_lpn)
+            old_p = None
         # The superseded public copy is a genuine update casualty.
         self._program_full(lpn, data, bucket="hidden_user",
                            cloak=(pub_lpn, pub_data, old_p), old=old_h,
@@ -894,14 +912,12 @@ class PearlFtl(MappingCore):
                 hid_only.append((hid, self._payload(HIDDEN, ppn)))
 
         # Public-only survivors first: they drain the UI1 slot and TIQ, so
-        # the following full writes find a clean allocator.
-        spare_cloaks = []
-        for lpn_field, plain, src in pub_only:
-            if hid_only:
-                spare_cloaks.append((lpn_field, plain, src))
-            else:
-                self._program_public(lpn_field, plain, bucket="gc_public",
-                                     relocation=True)
+        # the following full writes find a clean allocator.  Hidden-only
+        # survivors take them as cloaks instead, while they last.
+        pub_first, spare_cloaks = ([], pub_only) if hid_only else (pub_only, [])
+        for lpn_field, plain, _ in pub_first:
+            self._program_public(lpn_field, plain, bucket="gc_public",
+                                 relocation=True)
         # Each relocated hidden copy is cleared with the victim below.
         for cloak, (hid, hplain) in paired:
             self._program_full(hid, hplain, bucket="gc_hidden", cloak=cloak)
@@ -909,7 +925,7 @@ class PearlFtl(MappingCore):
             self._program_full(hid, hplain, bucket="gc_hidden",
                                cloak=spare_cloaks.pop() if spare_cloaks
                                else None)
-        for lpn_field, plain, src in spare_cloaks:
+        for lpn_field, plain, _ in spare_cloaks:
             self._program_public(lpn_field, plain, bucket="gc_public",
                                  relocation=True)
 
@@ -970,15 +986,19 @@ class PearlFtl(MappingCore):
         ui1 = [p for p, s in enumerate(self._state) if s == PageState.UI1]
         if len(ui1) > 1 or (ui1 and ui1[0] != self.current_ui1):
             problems.append("UI1 bookkeeping inconsistent")
+        per_block = Counter(self._block_of(p) for p in valid)
+        hid_per_block = Counter(map(self._block_of, self._hidden_at))
         for blk in self.config.managed_blocks:
-            n = sum(1 for p in range(blk * self._ppb, (blk + 1) * self._ppb)
-                    if p in valid)
-            if n != self._valid[blk]:
+            if per_block[blk] != self._valid[blk]:
                 problems.append(f"valid count wrong for block {blk}")
-            h = sum(1 for p in range(blk * self._ppb, (blk + 1) * self._ppb)
-                    if p in self._hidden_at)
-            if h != self._hid_valid[blk]:
+            if hid_per_block[blk] != self._hid_valid[blk]:
                 problems.append(f"hidden-live count wrong for block {blk}")
+        # _hidden_at is empty unless the hidden volume is mounted.
+        for volume, holder in ((PUBLIC, self._pub_lpn),
+                               (HIDDEN, self._hidden_at)):
+            problems += self._misplaced(volume, (
+                (ppn, field & LPN_MASK, is_trans_field(field))
+                for ppn, field in holder.items()))
         return problems
 
     def amplification(self, bucket):

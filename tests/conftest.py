@@ -105,22 +105,46 @@ def assert_cache_fresh(ftl):
 # -- allocation ----------------------------------------------------------
 
 
-def gc_burst(ftl, nops, seed=0, check_every=0):
+def gc_burst(ftl, nops, seed=0, check_every=0, snap_every=0):
     """init_device(ftl, 0.5, seed), then nops seeded writes spread over
     every volume's whole logical range (a quarter of them hidden when a
     hidden volume is mounted) and no explicit gc_run, so every collection
     runs inside allocation.  With check_every, check_invariants() must
-    be empty after every check_every-th write.  Returns ftl."""
-    init_device(ftl, fill_fraction=0.5, seed=seed)
+    be empty after every check_every-th write; with snap_every, the FTL
+    is unmounted and its image kept after every snap_every-th write.
+    Returns (ftl, snapshots, shadow); shadow maps (volume, lpn) to the
+    last payload written, init_device's writes included."""
+    shadow = {}
+    submit = ftl.submit
+
+    def write(volume, lpn, op, data):
+        submit(volume, lpn, op, data)
+        shadow[volume, lpn] = data
+    ftl.submit = write
+    try:
+        init_device(ftl, fill_fraction=0.5, seed=seed)
+    finally:
+        del ftl.submit
     rng = random.Random(seed)
     vols = ftl.volumes()
     main = next(iter(vols))   # "public", or the baseline's "data"
+    snaps = []
     for i in range(1, nops + 1):
         volume = ("hidden" if "hidden" in vols and rng.random() < 0.25
                   else main)
         pages, payload = vols[volume]
-        ftl.submit(volume, rng.randrange(pages), "write",
-                   rng.randbytes(payload))
+        lpn, data = rng.randrange(pages), rng.randbytes(payload)
+        ftl.submit(volume, lpn, "write", data)
+        shadow[volume, lpn] = data
         if check_every and i % check_every == 0:
             assert ftl.check_invariants() == [], i
-    return ftl
+        if snap_every and i % snap_every == 0:
+            ftl.prepare_unmount()
+            snaps.append(ftl.snapshot())
+    return ftl, snaps, shadow
+
+
+def assert_reads_back(ftl, shadow):
+    """Every (volume, lpn) of shadow reads back its payload."""
+    for (volume, lpn), data in shadow.items():
+        assert ftl.submit(volume, lpn, "read") == data, (volume, lpn)

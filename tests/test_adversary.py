@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import mixed_workload
+from conftest import gc_burst, mixed_workload
 from pearl.adversary import (PLAUSIBLE_SAME_LIFE, PageObservation,
                              TransitionRecord, TransitionReport, chi2_sf,
                              classify_snapshot, diff_transitions,
@@ -220,6 +220,20 @@ def test_compliant_device_raises_no_alarms(desk_cfg):
     for s1, s2 in zip(snaps, snaps[1:]):
         assert diff_transitions(s1, s2).ok
     assert ftl.check_invariants() == []
+
+
+def test_compliant_device_raises_no_alarms_on_gc_heavy_traffic():
+    """Writes over both volumes' whole ranges, so collections run inside
+    allocation, where they may refill the UI1 slot before a full write
+    takes its empty page."""
+    cfg = desk_config(cmt_capacity=64, seed=1)
+    ftl = PearlFtl.format(FlashDevice(cfg.geometry), cfg, "public-pw",
+                          "hidden-pw")
+    _, snaps, _ = gc_burst(ftl, nops=3000, seed=1, snap_every=250)
+    for snap in snaps:
+        assert ui1_inference(snap, snap) == []
+    for s1, s2 in zip(snaps, snaps[1:]):
+        assert diff_transitions(s1, s2).implausible == []
 
 
 def test_broken_allocator_is_detected(desk_cfg):

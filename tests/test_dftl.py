@@ -6,8 +6,9 @@ import struct
 
 import pytest
 
-from conftest import (assert_cache_fresh, cold_walk,
+from conftest import (assert_cache_fresh, assert_reads_back, cold_walk,
                       count_relocated_translation_pages, gc_burst)
+from pearl.cmt import UNMAPPED
 from pearl.dftl import DATA, Dftl
 from pearl.errors import PearlError, UnmappedLpn
 from pearl.flash import DESK_GEOMETRY, FlashDevice
@@ -115,13 +116,16 @@ def test_victim_is_least_valid(dftl):
 def test_collection_inside_allocation_strands_no_block(dftl):
     """Relocations of a collection that runs inside allocation may open
     a block; allocation then writes to it rather than leaving it behind
-    with unwritten pages, which check_invariants reports."""
-    gc_burst(dftl, nops=2000, check_every=25)
+    with unwritten pages, which check_invariants reports.  A collection
+    may also move the page a write supersedes; every lpn still reads
+    back its last write."""
+    _, _, shadow = gc_burst(dftl, nops=4000, check_every=25)
     assert dftl.gc_runs > 100
+    assert_reads_back(dftl, shadow)
 
 
 @pytest.mark.parametrize("fault", ["twice-listed", "programmed-free",
-                                   "open-free", "stranded"])
+                                   "open-free", "stranded", "orphan"])
 def test_check_invariants_reports_planted_fault(dftl, fault):
     rng = random.Random(5)
     for _ in range(100):
@@ -141,6 +145,11 @@ def test_check_invariants_reports_planted_fault(dftl, fault):
         expect = [list_free(dftl._select_victim())]
     elif fault == "open-free":
         expect = ["an open block is on the free list", list_free(blk)]
+    elif fault == "orphan":
+        # An lpn maps elsewhere while its page stays valid.
+        lpn, ppn = min(dftl.full_map().items())
+        dftl.cmt.put(DATA, lpn, UNMAPPED, dirty=True)
+        expect = [f"valid data page {ppn} is not where its lpn maps"]
     else:
         # The data stream moves on while its block still has room.
         new = heapq.heappop(dftl._fbl)

@@ -27,9 +27,9 @@ BROKEN_ALLOCATOR = (
     "cd4afbe16bbc9c2bc9eac471971ec3107d98291b22a6c031425153709229ae67")
 # Collections that run inside allocation (no explicit gc_run).
 PEARL_GC_BURST = (
-    "324c8b00891112373dab1cd85c5ed3bce6882f0230644e6be20128f226d0b48c")
+    "3a4bf7401e22523738f331354ce2d2cfda689d2336f42b0bf1e1031bd04241f4")
 DFTL_GC_BURST = (
-    "3dbcb08651ae2563a8169f13eb497215a8e586df04bd375917bc97c86f7bb3ab")
+    "a172ae90404b4bc2b6b61f7203024e15c36101763e75e667198df31adb589a11")
 
 
 def _digest(ftl, *extra):
@@ -104,12 +104,12 @@ def test_dftl_fingerprint():
 
 def test_gc_inside_allocation_fingerprint():
     cfg = desk_config(cmt_capacity=64, seed=0)
-    ftl = gc_burst(PearlFtl.format(FlashDevice(cfg.geometry), cfg,
-                                   "public-pw", "hidden-pw"), nops=2000)
+    ftl, _, _ = gc_burst(PearlFtl.format(FlashDevice(cfg.geometry), cfg,
+                                         "public-pw", "hidden-pw"), nops=2000)
     assert _digest(ftl, ftl.gc_runs) == PEARL_GC_BURST
 
 
 def test_dftl_gc_inside_allocation_fingerprint():
-    dftl = gc_burst(Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=32),
-                    nops=2000)
+    dftl, _, _ = gc_burst(Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=32),
+                          nops=2000)
     assert _digest(dftl, dftl.gc_runs) == DFTL_GC_BURST

@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 import pearl.ftl
-from conftest import (assert_cache_fresh, cold_reader, cold_walk,
-                      count_relocated_translation_pages, gc_burst,
+from conftest import (assert_cache_fresh, assert_reads_back, cold_reader,
+                      cold_walk, count_relocated_translation_pages, gc_burst,
                       mixed_workload)
 from pearl.bench import gen_synthetic, init_device
 from pearl.cmt import UNMAPPED
@@ -300,30 +300,44 @@ def test_reverse_map_names_exactly_the_valid_pages(seed):
     assert ftl.gc_runs > 0
 
 
-@pytest.mark.parametrize("fault, problem", [
-    ("reverse map", "reverse map does not match the set of valid pages"),
-    ("trimmed", "trimmed lpns do not match the TIQ"),
-], ids=["reverse-map", "trimmed"])
-def test_check_invariants_reports_planted_fault(ftl, rng, fault, problem):
+_ORPHAN = "valid public page {ppn} is not where its lpn maps"
+
+
+@pytest.mark.parametrize("fault, problems", [
+    # The invalid page also reads as a valid page its lpn does not map to.
+    ("reverse map", ["reverse map does not match the set of valid pages",
+                     _ORPHAN]),
+    ("trimmed", ["trimmed lpns do not match the TIQ"]),
+    ("orphan", [_ORPHAN]),
+], ids=["reverse-map", "trimmed", "orphan"])
+def test_check_invariants_reports_planted_fault(ftl, rng, fault, problems):
     lay = ftl.layout
     for lpn in range(4):
         ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
     ftl.trim(0)
     ftl.public_write(1, rng.randbytes(lay.public_payload_bytes))
     assert ftl.current_ui1 is not None and ftl.check_invariants() == []
+    ppn = ftl.current_ui1
     if fault == "reverse map":
-        ftl._pub_lpn[ftl.current_ui1] = 1   # an invalid page keeps its lpn
-    else:
+        ftl._pub_lpn[ppn] = 1               # an invalid page keeps its lpn
+    elif fault == "trimmed":
         ftl._trimmed.add(3)                 # a mapped lpn reads as trimmed
-    assert ftl.check_invariants() == [problem]
+    else:
+        # lpn 2 maps elsewhere while its page stays valid.
+        ppn = ftl._translate("public", 2)
+        ftl.cmt.put("public", 2, ftl._translate("public", 3), dirty=True)
+    assert ftl.check_invariants() == [p.format(ppn=ppn) for p in problems]
 
 
 def test_collection_inside_allocation_strands_no_block(ftl):
     """Relocations of a collection that runs inside allocation may open
     a block; allocation then writes to it rather than leaving it behind
-    with unwritten pages, which check_invariants reports."""
-    gc_burst(ftl, nops=2000, check_every=25)
+    with unwritten pages, which check_invariants reports.  A collection
+    may also move a page a write has already looked up; every lpn still
+    reads back its last write."""
+    _, _, shadow = gc_burst(ftl, nops=2000, check_every=25)
     assert ftl.gc_runs > 50
+    assert_reads_back(ftl, shadow)
 
 
 def test_amplification_ratios_exact(desk_cfg):
@@ -372,6 +386,27 @@ def test_batch_hidden_write_uses_incoming_public_write(ftl, rng):
     assert ftl.hidden_read(3) == sec
     # paired into a single page program (plus possible metadata traffic)
     assert ftl._translate("public", 9) == ftl._translate("hidden", 3)
+
+
+def test_batches_survive_collections_inside_allocation(ftl):
+    """Batched writes on GC-heavy traffic: a collection inside a full
+    write's allocation may refill the UI1 slot or move the public page
+    its incoming cloak supersedes."""
+    init_device(ftl, fill_fraction=0.5, seed=0)
+    rng = random.Random(0)
+    vols = ftl.volumes()
+    shadow = {}
+    for _ in range(1500):
+        batch = []
+        for _ in range(3):
+            volume = "hidden" if rng.random() < 0.3 else "public"
+            pages, payload = vols[volume]
+            batch.append((volume, rng.randrange(pages), "write",
+                          rng.randbytes(payload)))
+        ftl.submit_batch(batch)
+        shadow.update(((volume, lpn), data) for volume, lpn, _, data in batch)
+    assert ftl.check_invariants() == []
+    assert_reads_back(ftl, shadow)
 
 
 def test_batch_rejects_lpns_beyond_capacity(ftl, rng):
