@@ -3,7 +3,9 @@
 Programs may only set bits 0 -> 1 and a page accepts at most two programs
 between erases (the 2-write WOM operating envelope).  Erases work on whole
 blocks.  A serial busy-clock accumulates per-op service time; queuing is
-modeled one layer up, in the benchmark engine.
+modeled one layer up, in the benchmark engine.  Pages are immutable values
+(bytes, or read-only views of a bytes image), shared between devices and
+snapshots and replaced, never mutated, by a program or an erase.
 """
 
 from __future__ import annotations
@@ -78,9 +80,12 @@ DEFAULT_TIMINGS = DeviceTimings()
 class Snapshot:
     """Byte-exact raw device image: data, OOB, erase and program counters.
 
-    A snapshot parsed by from_bytes keeps each page's data as a read-only
-    memoryview of the image, not a copy; its OOBs are bytes.  Assigning
-    bytes into data is fine, and FlashDevice.restore copies every page."""
+    Every page's data and OOB is an immutable value: bytes, or a read-only
+    memoryview of a bytes object.  FlashDevice.snapshot and restore share
+    page objects with the device and do not check this, so a page changes
+    only by assigning a new value into data or oob.  from_bytes keeps each
+    page's data as a view of the image and each OOB as bytes, copying no
+    page."""
 
     geometry: DeviceGeometry
     data: list
@@ -99,12 +104,11 @@ class Snapshot:
             g.page_bytes,
             g.oob_bytes,
         )
-        parts = [head]
-        parts += [bytes(d) for d in self.data]
-        parts += [bytes(o) for o in self.oob]
-        parts.append(struct.pack(f"<{g.total_blocks}I", *self.erase_counts))
-        parts.append(bytes(self.programmed))
-        return b"".join(parts)
+        return b"".join([
+            head, *self.data, *self.oob,
+            struct.pack(f"<{g.total_blocks}I", *self.erase_counts),
+            bytes(self.programmed),
+        ])
 
     @classmethod
     def from_bytes(cls, blob) -> "Snapshot":
@@ -114,24 +118,21 @@ class Snapshot:
             raise SnapshotFormatError("bad snapshot magic")
         fields = struct.unpack_from("<6I", blob, 8)
         g = DeviceGeometry(*fields)
+        n, pb, ob = g.total_pages, g.page_bytes, g.oob_bytes
         off = 8 + 24
-        expect = off + g.total_pages * (g.page_bytes + g.oob_bytes)
-        expect += 4 * g.total_blocks + g.total_pages
+        expect = off + n * (pb + ob) + 4 * g.total_blocks + n
         if len(blob) != expect:
             raise SnapshotFormatError(
                 f"snapshot length {len(blob)}, expected {expect}"
             )
         view = memoryview(blob)
-        data, oob = [], []
-        for _ in range(g.total_pages):
-            data.append(view[off : off + g.page_bytes])
-            off += g.page_bytes
-        for _ in range(g.total_pages):
-            oob.append(blob[off : off + g.oob_bytes])
-            off += g.oob_bytes
+        data = [view[o : o + pb] for o in range(off, off + n * pb, pb)]
+        off += n * pb
+        oob = [blob[o : o + ob] for o in range(off, off + n * ob, ob)]
+        off += n * ob
         erase = list(struct.unpack_from(f"<{g.total_blocks}I", blob, off))
         off += 4 * g.total_blocks
-        programmed = list(blob[off : off + g.total_pages])
+        programmed = list(blob[off : off + n])
         return cls(g, data, oob, erase, programmed)
 
     def save(self, path):
@@ -145,17 +146,21 @@ class Snapshot:
 
 
 class FlashDevice:
-    """Array of blocks of write-once pages with a timing ledger."""
+    """Array of blocks of write-once pages with a timing ledger.
+
+    Pages are immutable values (see Snapshot): a program stores new bytes
+    in the page's slot and an erase points the block's slots at one shared
+    blank page, so the device never mutates a page object.  snapshot and
+    restore therefore share pages instead of copying them."""
 
     def __init__(self, geometry: DeviceGeometry, timings: DeviceTimings = DEFAULT_TIMINGS):
         n = geometry.total_pages
-        self._attach(geometry, timings,
-                     [bytearray(geometry.page_bytes) for _ in range(n)],
-                     [bytearray(geometry.oob_bytes) for _ in range(n)],
+        self._attach(geometry, timings, [bytes(geometry.page_bytes)] * n,
+                     [bytes(geometry.oob_bytes)] * n,
                      [0] * n, [0] * geometry.total_blocks)
 
     def _attach(self, geometry, timings, data, oob, programmed, erase_counts):
-        """Take the given page buffers and counters, with a zero ledger."""
+        """Take the given page lists and counters, with a zero ledger."""
         self.geometry = geometry
         self.timings = timings
         self._data = data
@@ -188,17 +193,16 @@ class FlashDevice:
             raise ValueError("program size mismatch")
         if self._programmed[ppn] >= 2:
             raise DoubleProgramLimit(f"page {ppn} already programmed twice")
-        cur_d = self._data[ppn]
-        cur_o = self._oob[ppn]
-        for cur, new, what in ((cur_d, data, "data"), (cur_o, oob, "oob")):
+        for cur, new, what in ((self._data[ppn], data, "data"),
+                               (self._oob[ppn], oob, "oob")):
             old_i = int.from_bytes(cur, "big")
             new_i = int.from_bytes(new, "big")
             if old_i | new_i != new_i:
                 raise WomInvariantViolation(
                     f"program of page {ppn} {what} would clear set bits"
                 )
-        cur_d[:] = data
-        cur_o[:] = oob
+        self._data[ppn] = bytes(data)
+        self._oob[ppn] = bytes(oob)
         self._programmed[ppn] += 1
         self.programs += 1
         self.clock_us += self.timings.program_us
@@ -206,11 +210,12 @@ class FlashDevice:
     def erase_block(self, block_id: int):
         if not 0 <= block_id < self.geometry.total_blocks:
             raise IndexError(f"block {block_id} out of range")
-        ppb = self.geometry.pages_per_block
-        for ppn in range(block_id * ppb, (block_id + 1) * ppb):
-            self._data[ppn][:] = bytes(self.geometry.page_bytes)
-            self._oob[ppn][:] = bytes(self.geometry.oob_bytes)
-            self._programmed[ppn] = 0
+        g = self.geometry
+        ppb = g.pages_per_block
+        pages = slice(block_id * ppb, (block_id + 1) * ppb)
+        self._data[pages] = [bytes(g.page_bytes)] * ppb
+        self._oob[pages] = [bytes(g.oob_bytes)] * ppb
+        self._programmed[pages] = [0] * ppb
         self._erase_counts[block_id] += 1
         self.erases += 1
         self.clock_us += self.timings.erase_us
@@ -225,7 +230,7 @@ class FlashDevice:
     def peek_oobs(self, start: int = 0) -> list:
         """The OOBs of pages start onwards, without timing: for
         whole-device recovery scans."""
-        return [bytes(o) for o in self._oob[start:]]
+        return self._oob[start:]
 
     def program_count(self, ppn: int) -> int:
         self._check_ppn(ppn)
@@ -243,19 +248,12 @@ class FlashDevice:
                 self._programmed[ppn])
 
     def snapshot(self) -> Snapshot:
-        return Snapshot(
-            self.geometry,
-            [bytes(d) for d in self._data],
-            [bytes(o) for o in self._oob],
-            list(self._erase_counts),
-            list(self._programmed),
-        )
+        return Snapshot(self.geometry, list(self._data), list(self._oob),
+                        list(self._erase_counts), list(self._programmed))
 
     @classmethod
     def restore(cls, snap: Snapshot, timings: DeviceTimings = DEFAULT_TIMINGS):
         dev = cls.__new__(cls)
-        dev._attach(snap.geometry, timings,
-                    [bytearray(d) for d in snap.data],
-                    [bytearray(o) for o in snap.oob],
+        dev._attach(snap.geometry, timings, list(snap.data), list(snap.oob),
                     list(snap.programmed), list(snap.erase_counts))
         return dev

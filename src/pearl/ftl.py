@@ -827,7 +827,9 @@ class PearlFtl(MappingCore):
 
         A hidden write looks ahead for the next unconsumed public write in
         the batch and uses it as its cloak, saving one relocation; the
-        public write is then complete and skipped when its turn comes.
+        public write is then complete and skipped when its turn comes.  A
+        public write whose lpn an unconsumed public request before it names
+        is passed over, so no request sees its lpn out of order.
         """
         results = []
         consumed = set()
@@ -837,10 +839,14 @@ class PearlFtl(MappingCore):
                 results.append(None)
                 continue
             if op == "write" and volume == HIDDEN:
-                # the next unconsumed public write, if any
-                j = next((j for j in range(i + 1, len(reqs))
-                          if j not in consumed and reqs[j][0] == PUBLIC
-                          and reqs[j][2] == "write"), None)
+                j, named = None, set()
+                for k in range(i + 1, len(reqs)):
+                    if k in consumed or reqs[k][0] != PUBLIC:
+                        continue
+                    if reqs[k][2] == "write" and reqs[k][1] not in named:
+                        j = k
+                        break
+                    named.add(reqs[k][1])
                 if j is None:
                     self.hidden_write(lpn, data)
                 else:

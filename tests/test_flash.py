@@ -186,17 +186,42 @@ def _image(geometry, seed, pages=64):
     return dev.snapshot().to_bytes()
 
 
-def test_parsing_an_image_does_not_copy_its_pages():
-    g = DeviceGeometry(1, 1, 192, 32, 2048, 64)   # 6,144 pages, as examined
-    blob = _image(g, seed=3)
+EXAMINED = DeviceGeometry(1, 1, 192, 32, 2048, 64)   # 6,144 pages
+
+
+def _peak_bytes(make):
+    """make() and the peak memory traced while it ran."""
     tracemalloc.start()
     try:
-        snap = Snapshot.from_bytes(blob)
+        made = make()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return made, peak
+
+
+def test_parsing_an_image_does_not_copy_its_pages():
+    g = EXAMINED
+    blob = _image(g, seed=3)
+    snap, peak = _peak_bytes(lambda: Snapshot.from_bytes(blob))
     assert peak < g.total_pages * g.page_bytes / 4
     assert snap.to_bytes() == blob
+
+
+def test_device_restore_and_snapshot_copy_no_page():
+    g = EXAMINED
+    blob = _image(g, seed=7)
+    snap = Snapshot.from_bytes(blob)
+    budget = g.total_pages * g.page_bytes / 4
+    dev, peak = _peak_bytes(lambda: FlashDevice.restore(snap))
+    assert peak < budget
+    again, peak = _peak_bytes(dev.snapshot)
+    assert peak < budget
+    assert again.to_bytes() == blob
+    blank, peak = _peak_bytes(lambda: FlashDevice(g))
+    assert peak < budget
+    assert blank.peek(g.total_pages - 1) == (bytes(g.page_bytes),
+                                             bytes(g.oob_bytes))
 
 
 def test_parsed_pages_are_read_only():
@@ -210,6 +235,7 @@ def test_restored_device_leaves_the_parsed_image_alone():
     blob = _image(g, seed=5)
     snap = Snapshot.from_bytes(blob)
     dev = FlashDevice.restore(snap)
+    taken = dev.snapshot()
     once = next(p for p in range(g.total_pages) if dev.program_count(p) == 1)
     empty = next(p for p in range(g.total_pages) if dev.program_count(p) == 0)
     dev.program_page(once, bytes([0xFF]) * g.page_bytes,
@@ -218,6 +244,20 @@ def test_restored_device_leaves_the_parsed_image_alone():
                      bytes([0x5A]) * g.oob_bytes)
     dev.erase_block(once // g.pages_per_block)
     assert snap.to_bytes() == blob
+    assert taken.to_bytes() == blob
+
+
+def test_restored_page_still_refuses_to_clear_a_bit():
+    g = DESK_GEOMETRY
+    dev = FlashDevice(g)
+    dev.program_page(7, bytes([0xF0]) * g.page_bytes, bytes(g.oob_bytes))
+    clone = FlashDevice.restore(Snapshot.from_bytes(dev.snapshot().to_bytes()))
+    with pytest.raises(WomInvariantViolation, match="page 7 data"):
+        clone.program_page(7, bytes([0x0F]) * g.page_bytes,
+                           bytes(g.oob_bytes))
+    assert clone.program_count(7) == 1
+    clone.program_page(7, bytes([0xFF]) * g.page_bytes, bytes(g.oob_bytes))
+    assert clone.peek(7)[0] == bytes([0xFF]) * g.page_bytes
 
 
 def test_parsed_image_outlives_changes_to_a_bytearray_blob():

@@ -388,6 +388,32 @@ def test_batch_hidden_write_uses_incoming_public_write(ftl, rng):
     assert ftl._translate("public", 9) == ftl._translate("hidden", 3)
 
 
+def test_batch_cloak_never_runs_ahead_of_a_request_on_its_lpn(ftl, rng):
+    """A public write named by a read or trim between it and the hidden
+    write is not taken as the cloak; a later write of another lpn is."""
+    lay = ftl.layout
+    old = {lpn: rng.randbytes(lay.public_payload_bytes) for lpn in (5, 6, 7)}
+    for lpn, data in old.items():
+        ftl.public_write(lpn, data)
+    new5, new6, new7 = (rng.randbytes(lay.public_payload_bytes)
+                        for _ in range(3))
+    sec = rng.randbytes(lay.hidden_payload_bytes)
+    got = ftl.submit_batch([("hidden", 1, "write", sec),
+                            ("public", 5, "read", None),
+                            ("public", 5, "write", new5)])
+    assert got[1] == old[5]
+    assert ftl.public_read(5) == new5
+    ftl.submit_batch([("hidden", 2, "write", sec),
+                      ("public", 6, "trim", None),
+                      ("public", 6, "write", new6),
+                      ("public", 7, "write", new7)])
+    assert ftl.public_read(6) == new6
+    assert ftl.public_read(7) == new7
+    assert ftl._translate("public", 7) == ftl._translate("hidden", 2)
+    assert ftl.hidden_read(1) == ftl.hidden_read(2) == sec
+    assert ftl.check_invariants() == []
+
+
 def test_batches_survive_collections_inside_allocation(ftl):
     """Batched writes on GC-heavy traffic: a collection inside a full
     write's allocation may refill the UI1 slot or move the public page
