@@ -9,12 +9,12 @@ paths.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from .errors import DeviceFull, UnmappedLpn
+from .oob import LPN_MASK, is_trans_field
 
 UNMAPPED = 0xFFFF_FFFF
 
@@ -97,18 +97,23 @@ class MappingCore:
     Each volume's mappings live on flash in translation pages; the GTD
     (``_gtd[volume][m_vpn]``) locates them and the CMT caches hot
     entries.  A subclass sets ``device``, ``_epp`` (entries per
-    translation page, by volume), ``_ppb`` (pages per block) and
-    ``_valid`` (valid pages per block), calls ``_reset_mapping``, and
-    supplies how a page's payload is decoded from the device
-    (``_decode(volume, ppn, quiet)``, which every read reaches through
-    the cache, ``_payload``), how a translation page is written
-    (``_write_translation``, given its first ``4 * epp`` bytes) and how
-    a victim block is emptied (``_gc_block``); it may override
+    translation page, by volume) and ``_ppb`` (pages per block), calls
+    ``_reset_mapping``, and supplies how a page's payload is decoded
+    from the device (``_decode(volume, ppn, quiet)``, which every read
+    reaches through the cache, ``_payload``), how a translation page is
+    written (``_write_translation``, given its first ``4 * epp`` bytes)
+    and how a victim block is emptied (``_gc_block``); it may override
     ``_gc_cost`` to price victims by more than their valid pages.  Pages
     are taken from one open block per append stream (``_next_page``),
     which may collect first.  So a write resolves the page it supersedes,
     and a ``PearlFtl`` full write its cloak source, after its page is
     allocated, and a UI1 slot the collection refilled is served first.
+
+    The main volume (the first one given to ``_reset_mapping``) keeps a
+    live-page ledger here: ``_owner`` maps each of its valid pages to
+    its lpn_field (``oob.trans_field`` of the m_vpn for a translation
+    page) and ``_valid`` counts them per block.  Only ``_hold`` and
+    ``_drop`` change them, and ``check_invariants`` recounts them.
 
     Page payloads, as a cold read would return them (WOM-decoded and
     decrypted on ``PearlFtl``), are kept in ``_payloads``:
@@ -128,17 +133,19 @@ class MappingCore:
 
     def _reset_mapping(self, volume_pages, cmt_capacity, blocks):
         """Empty cache, all-unmapped GTD for {volume: logical pages}, no
-        open block, and the managed blocks given all free.  Collection
-        keeps at least 2% of the device's blocks (and never fewer than 2)
-        free."""
+        valid page, no open block, and the managed blocks given all free.
+        Collection keeps at least 2% of the device's blocks (and never
+        fewer than 2) free."""
         self.gc_watermark = max(
             2, math.ceil(0.02 * self.device.geometry.total_blocks))
         self.cmt = CachedMappingTable(cmt_capacity)
         self._payloads = {}
         self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])
                      for vol, pages in volume_pages.items()}
+        self._owner = {}      # valid page of the main volume -> lpn_field
+        self._valid = [0] * self.device.geometry.total_blocks
         self._managed = blocks
-        self._set_free_blocks(blocks)
+        self._free = set(blocks)
         self._block = {}      # stream -> its open block
         self._cursor = {}     # stream -> next ppn of its open block
         self._in_gc = False
@@ -251,12 +258,20 @@ class MappingCore:
                     out[lpn] = ppn
         return out
 
-    # -- blocks: allocation and collection -----------------------------
+    # -- the live-page ledger -----------------------------------------
 
-    def _set_free_blocks(self, blocks):
-        self._fbl = list(blocks)
-        heapq.heapify(self._fbl)
-        self._free = set(self._fbl)
+    def _hold(self, ppn, lpn_field):
+        """Record ppn as a valid page of the main volume's lpn_field."""
+        if ppn not in self._owner:
+            self._valid[ppn // self._ppb] += 1
+        self._owner[ppn] = lpn_field
+
+    def _drop(self, ppn):
+        """Record that ppn holds no valid page (a no-op if it held none)."""
+        if self._owner.pop(ppn, None) is not None:
+            self._valid[ppn // self._ppb] -= 1
+
+    # -- blocks: allocation and collection -----------------------------
 
     def _open_with_room(self, blk):
         """Whether blk is a stream's open block with an unwritten page."""
@@ -272,10 +287,10 @@ class MappingCore:
         if not self._open_with_room(self._block.get(stream)):
             self._maybe_gc()
             if not self._open_with_room(self._block.get(stream)):
-                if not self._fbl:
+                if not self._free:
                     raise DeviceFull("no free blocks remain")
-                blk = heapq.heappop(self._fbl)
-                self._free.discard(blk)
+                blk = min(self._free)
+                self._free.remove(blk)
                 self._block[stream] = blk
                 self._cursor[stream] = blk * self._ppb
         ppn = self._cursor[stream]
@@ -283,14 +298,13 @@ class MappingCore:
         return ppn
 
     def _release_block(self, blk):
-        """Erase a collected block, drop its pages' cached payloads and
-        return it to the free heap."""
+        """Erase a collected block, drop its pages and their cached
+        payloads and return it to the free set."""
         self.device.erase_block(blk)
         for ppn in range(blk * self._ppb, (blk + 1) * self._ppb):
+            self._drop(ppn)
             for volume in self._gtd:
                 self._payloads.pop((volume, ppn), None)
-        self._valid[blk] = 0
-        heapq.heappush(self._fbl, blk)
         self._free.add(blk)
 
     def _gc_cost(self, blk):
@@ -322,28 +336,29 @@ class MappingCore:
         if self._in_gc:
             return
         attempts = 0
-        while len(self._fbl) <= self.gc_watermark:
+        while len(self._free) <= self.gc_watermark:
             attempts += 1
             if attempts > self.device.geometry.total_blocks:
                 break
             if self.gc_run() is None:
                 break
 
+    # -- introspection -------------------------------------------------
+
     def _misplaced(self, volume, pages):
         """Quietly (no clock, no counts) check that every valid page of
-        volume sits where its owner maps; pages yields (ppn, lpn or m_vpn,
-        whether it is a translation page).  Returns problems."""
+        volume sits where its owner maps; pages yields (ppn, lpn_field).
+        Returns problems."""
         mapped, gtd = self._mapped(volume), self._gtd[volume]
         return [f"valid {volume} page {ppn} is not where its lpn maps"
-                for ppn, owner, trans in pages
-                if (gtd[owner] if trans else mapped.get(owner)) != ppn]
+                for ppn, field in pages
+                if (gtd[field & LPN_MASK] if is_trans_field(field)
+                    else mapped.get(field)) != ppn]
 
-    def _allocation_problems(self):
-        """Free-list and allocation-rule bookkeeping that disagrees with
-        the device's program counts; returns problems."""
+    def check_invariants(self):
+        """Cross-check the free set, the allocation rule and the live-page
+        ledger against the device and the mappings; returns problems."""
         problems = []
-        if sorted(self._fbl) != sorted(self._free):
-            problems.append("free heap and free set disagree")
         if self._free & set(self._block.values()):
             problems.append("an open block is on the free list")
         for blk in self._managed:
@@ -355,4 +370,9 @@ class MappingCore:
             elif not all(written) and not self._open_with_room(blk):
                 problems.append(f"block {blk} holds an unwritten page but is "
                                 "neither free nor open with room")
-        return problems
+        per_block = Counter(ppn // self._ppb for ppn in self._owner)
+        problems += [f"valid count wrong for block {blk}"
+                     for blk in self._managed
+                     if per_block[blk] != self._valid[blk]]
+        return problems + self._misplaced(next(iter(self._gtd)),
+                                          self._owner.items())

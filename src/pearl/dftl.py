@@ -14,6 +14,7 @@ from collections import Counter
 from .cmt import UNMAPPED, MappingCore
 from .errors import PearlError
 from .flash import FlashDevice
+from .oob import LPN_MASK, is_trans_field, trans_field
 
 DATA, TRANS = "data", "trans"
 
@@ -32,26 +33,19 @@ class Dftl(MappingCore):
         self._epp = {DATA: self.entries_per_page}
         self.gc_runs = 0
         self.ledger = Counter()
-
-        total = g.total_pages
-        self._owner = [None] * total     # lpn or m_vpn of a valid page
-        self._kind = [None] * total      # DATA | TRANS | None
-        self._valid = [0] * g.total_blocks
         self._reset_mapping({DATA: self.logical_pages}, cmt_capacity,
                             range(g.total_blocks))
 
     # -- allocation ----------------------------------------------------
 
-    def _program(self, kind, owner, data):
-        """Program data on the next page of kind's open block and record
-        it as a valid page of that kind owned by owner (an lpn or an
-        m_vpn).  Returns the ppn."""
-        ppn = self._next_page(kind)
+    def _program(self, lpn_field, data):
+        """Program data on the next page of the open block of its stream
+        (translation pages apart from data pages) and hold it as the
+        valid page of lpn_field.  Returns the ppn."""
+        ppn = self._next_page(TRANS if is_trans_field(lpn_field) else DATA)
         self.device.program_page(ppn, data,
                                  bytes(self.device.geometry.oob_bytes))
-        self._kind[ppn] = kind
-        self._owner[ppn] = owner
-        self._valid[ppn // self._ppb] += 1
+        self._hold(ppn, lpn_field)
         return ppn
 
     # -- mapping layer -------------------------------------------------
@@ -63,11 +57,11 @@ class Dftl(MappingCore):
 
     def _write_translation(self, volume, m_vpn, payload):
         payload += bytes(self.page_bytes - len(payload))
-        ppn = self._program(TRANS, m_vpn, payload)
+        ppn = self._program(trans_field(m_vpn), payload)
         self._store_payload(volume, ppn, payload)
         old = self._gtd[volume][m_vpn]
         if old != UNMAPPED:
-            self._invalidate(old)
+            self._drop(old)
         self._gtd[volume][m_vpn] = ppn
         self.ledger["translation_programs"] += 1
 
@@ -79,23 +73,17 @@ class Dftl(MappingCore):
             raise PearlError(f"lpn {lpn} beyond logical capacity")
         return lpn
 
-    def _invalidate(self, ppn):
-        if self._kind[ppn] is not None:
-            self._kind[ppn] = None
-            self._owner[ppn] = None
-            self._valid[ppn // self._ppb] -= 1
-
     # -- logical block API ---------------------------------------------
 
     def write(self, lpn, data):
         if len(data) != self.page_bytes:
             raise PearlError("write must be one page payload")
-        ppn = self._program(DATA, self._check_lpn(lpn), data)
+        ppn = self._program(self._check_lpn(lpn), data)
         # Resolved only now: a collection inside the allocation may have
         # moved the page lpn mapped to.
         old = self._translate(DATA, lpn, missing_ok=True)
         if old is not None:
-            self._invalidate(old)
+            self._drop(old)
         self.cmt.put(DATA, lpn, ppn, dirty=True)
         self.ledger["data_programs"] += 1
         self._drain_cmt()
@@ -108,7 +96,7 @@ class Dftl(MappingCore):
 
     def trim(self, lpn):
         ppn = self.translate(lpn)
-        self._invalidate(ppn)
+        self._drop(ppn)
         self.cmt.put(DATA, lpn, UNMAPPED, dirty=True)
         self._drain_cmt()
 
@@ -132,42 +120,27 @@ class Dftl(MappingCore):
 
     def _gc_block(self, victim):
         pages = range(victim * self._ppb, (victim + 1) * self._ppb)
-        reclaimed = 0
         for ppn in pages:
-            kind, owner = self._kind[ppn], self._owner[ppn]
-            if kind == DATA:
-                data, _ = self.device.read_page(ppn)
-                new = self._program(DATA, owner, data)
-                self._invalidate(ppn)
-                self.cmt.put(DATA, owner, new, dirty=True)
-                self.ledger["gc_programs"] += 1
-            elif kind == TRANS:
+            field = self._owner.get(ppn)
+            if field is None:
+                continue
+            if is_trans_field(field):
                 # A valid translation page is the one its GTD entry names.
-                self._write_translation(DATA, owner, self._payload(
-                    DATA, self._gtd[DATA][owner]))
-                self.ledger["gc_programs"] += 1
-        for ppn in pages:
-            if self.device.program_count(ppn):
-                reclaimed += 1
-            self._kind[ppn] = None
-            self._owner[ppn] = None
+                m_vpn = field & LPN_MASK
+                self._write_translation(DATA, m_vpn, self._payload(
+                    DATA, self._gtd[DATA][m_vpn]))
+            else:
+                data, _ = self.device.read_page(ppn)
+                new = self._program(field, data)
+                self._drop(ppn)
+                self.cmt.put(DATA, field, new, dirty=True)
+            self.ledger["gc_programs"] += 1
+        reclaimed = sum(1 for ppn in pages if self.device.program_count(ppn))
         self._release_block(victim)
         self._drain_cmt()
         return reclaimed
 
     # -- introspection -------------------------------------------------
-
-    def check_invariants(self):
-        problems = self._allocation_problems()
-        for blk in self._managed:
-            n = sum(1 for p in range(blk * self._ppb, (blk + 1) * self._ppb)
-                    if self._kind[p] is not None)
-            if n != self._valid[blk]:
-                problems.append(f"valid count wrong for block {blk}")
-        return problems + self._misplaced(DATA, (
-            (ppn, owner, kind == TRANS)
-            for ppn, (kind, owner) in enumerate(zip(self._kind, self._owner))
-            if kind is not None))
 
     def full_map(self):
         """Quiet {lpn: ppn} view combining flash and dirty CMT entries."""

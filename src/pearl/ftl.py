@@ -112,10 +112,8 @@ class PearlFtl(MappingCore):
             {PUBLIC: cfg.public_pages, HIDDEN: cfg.hidden_pages},
             cfg.cmt_capacity, cfg.managed_blocks)
         self._state = [PageState.EMPTY] * total
-        self._pub_lpn = {}       # ppn -> public lpn_field (data or translation)
         self._hidden_at = {}     # ppn -> hidden lpn_field with up-to-date data
         self._trimmed = set()    # trimmed-but-still-mapped public lpns
-        self._valid = [0] * cfg.geometry.total_blocks
         self._hid_valid = [0] * cfg.geometry.total_blocks
         self.current_ui1 = None
         # The TIQ, oldest first: TI1 ppn -> the trimmed lpn still mapped to
@@ -319,11 +317,11 @@ class PearlFtl(MappingCore):
         for lpn_field, ppn in pub_map.items():
             if stage[ppn] == _EMPTY:
                 continue  # garbage entry (or pre-persist loss); ignore
-            self._pub_lpn[ppn] = lpn_field
+            self._hold(ppn, lpn_field)
             self._state[ppn] = _LIVE[stage[ppn]]
         for m, t_ppn in enumerate(self._gtd[PUBLIC]):
             if t_ppn != UNMAPPED and stage[t_ppn] != _EMPTY:
-                self._pub_lpn[t_ppn] = trans_field(m)
+                self._hold(t_ppn, trans_field(m))
                 self._state[t_ppn] = _LIVE[stage[t_ppn]]
         if self.mode == PUBLIC_HIDDEN:
             # Hidden content lives on second-stage pages only, so an entry
@@ -358,7 +356,7 @@ class PearlFtl(MappingCore):
                 self._state[ppn] = PageState.I2
 
         # Allocator: the frontier is the partially programmed managed block.
-        free = []
+        self._free = set()
         for blk in cfg.managed_blocks:
             pages = range(blk * self._ppb, (blk + 1) * self._ppb)
             fields = set(claims[pages.start - first:pages.stop - first])
@@ -367,13 +365,10 @@ class PearlFtl(MappingCore):
                 self._slot_a[blk] = fields
             programmed = [p for p in pages if stage[p] != _EMPTY]
             if not programmed:
-                free.append(blk)
+                self._free.add(blk)
             elif len(programmed) < self._ppb:
                 self._block[_FRONTIER] = blk
                 self._cursor[_FRONTIER] = programmed[-1] + 1
-            self._valid[blk] = sum(1 for p in pages
-                                   if self._state[p] in _VALID)
-        self._set_free_blocks(free)
         self._persist_clean = True
 
     def translation_map(self, volume):
@@ -402,16 +397,14 @@ class PearlFtl(MappingCore):
         self._persist_clean = False
 
     def _set_state(self, ppn, new, reason, lpn_field=None):
-        """Move a page to a new state, keeping its block's valid count and
-        the reverse map (lpn_field of each valid page) in step."""
-        old = self._state[ppn]
-        self.monitor.record(ppn, old, new, reason)
+        """Move a page to a new state, holding it as lpn_field's page in
+        the live-page ledger while it is valid."""
+        self.monitor.record(ppn, self._state[ppn], new, reason)
         self._state[ppn] = new
-        self._valid[self._block_of(ppn)] += (new in _VALID) - (old in _VALID)
         if new in _VALID:
-            self._pub_lpn[ppn] = lpn_field
+            self._hold(ppn, lpn_field)
         else:
-            self._pub_lpn.pop(ppn, None)
+            self._drop(ppn)
 
     def _block_of(self, ppn):
         return ppn // self._ppb
@@ -588,7 +581,7 @@ class PearlFtl(MappingCore):
         """ppn, where lpn_field of volume mapped before an allocation, or
         where it maps now if a collection inside the allocation moved it:
         ppn no longer holds its valid public page or live hidden data."""
-        holder = self._pub_lpn if volume == PUBLIC else self._hidden_at
+        holder = self._owner if volume == PUBLIC else self._hidden_at
         if ppn is None or holder.get(ppn) == lpn_field:
             return ppn
         return self._get_loc(volume, lpn_field)
@@ -651,7 +644,7 @@ class PearlFtl(MappingCore):
         self._fill_ui1()
         if cloak is None:
             src = self._pick_public_source()
-            cloak = self._pub_lpn[src], None, src
+            cloak = self._owner[src], None, src
         cloak_lpn, cloak_plain, src = cloak
         target = self._take_empty(full=True)
         src = self._resolved(PUBLIC, src, cloak_lpn)
@@ -722,7 +715,7 @@ class PearlFtl(MappingCore):
         take_target() hands out, until it returns None."""
         while (target := take_target()) is not None:
             src = self._pick_public_source()
-            lpn_field = self._pub_lpn[src]
+            lpn_field = self._owner[src]
             self._program(target, lpn_field, self._payload(PUBLIC, src),
                           bucket)
             self._invalidate_public(src, reason=reason, relocation=True)
@@ -909,7 +902,7 @@ class PearlFtl(MappingCore):
             has_pub = self._state[ppn] in _VALID
             hid = self._hidden_at.get(ppn) if self.mode == PUBLIC_HIDDEN else None
             if has_pub:
-                item = (self._pub_lpn[ppn], self._payload(PUBLIC, ppn), ppn)
+                item = (self._owner[ppn], self._payload(PUBLIC, ppn), ppn)
                 if hid is not None:
                     paired.append((item, (hid, self._payload(HIDDEN, ppn))))
                 else:
@@ -980,32 +973,24 @@ class PearlFtl(MappingCore):
 
     def check_invariants(self):
         """Cross-check bookkeeping against ground truth; returns problems."""
-        problems = self._allocation_problems()
+        problems = super().check_invariants()
         ti1 = {p for p, s in enumerate(self._state) if s == PageState.TI1}
         if ti1 != set(self.tiq):
             problems.append("TIQ does not match the set of TI1 pages")
         if self._trimmed != set(self.tiq.values()) - {None}:
             problems.append("trimmed lpns do not match the TIQ")
-        valid = {p for p, s in enumerate(self._state) if s in _VALID}
-        if set(self._pub_lpn) != valid:
+        if set(self._owner) != {p for p, s in enumerate(self._state)
+                                if s in _VALID}:
             problems.append("reverse map does not match the set of valid pages")
         ui1 = [p for p, s in enumerate(self._state) if s == PageState.UI1]
         if len(ui1) > 1 or (ui1 and ui1[0] != self.current_ui1):
             problems.append("UI1 bookkeeping inconsistent")
-        per_block = Counter(self._block_of(p) for p in valid)
         hid_per_block = Counter(map(self._block_of, self._hidden_at))
-        for blk in self.config.managed_blocks:
-            if per_block[blk] != self._valid[blk]:
-                problems.append(f"valid count wrong for block {blk}")
-            if hid_per_block[blk] != self._hid_valid[blk]:
-                problems.append(f"hidden-live count wrong for block {blk}")
+        problems += [f"hidden-live count wrong for block {blk}"
+                     for blk in self.config.managed_blocks
+                     if hid_per_block[blk] != self._hid_valid[blk]]
         # _hidden_at is empty unless the hidden volume is mounted.
-        for volume, holder in ((PUBLIC, self._pub_lpn),
-                               (HIDDEN, self._hidden_at)):
-            problems += self._misplaced(volume, (
-                (ppn, field & LPN_MASK, is_trans_field(field))
-                for ppn, field in holder.items()))
-        return problems
+        return problems + self._misplaced(HIDDEN, self._hidden_at.items())
 
     def amplification(self, bucket):
         """physical/logical bit ratio for one ledger bucket."""

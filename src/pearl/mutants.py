@@ -7,7 +7,7 @@ are calibrated against variants that break exactly one deniability rule.
 from __future__ import annotations
 
 from .ftl import PearlFtl
-from .states import PageState, TransitionMonitor
+from .states import PageState
 
 
 class BrokenAllocatorFtl(PearlFtl):
@@ -19,12 +19,6 @@ class BrokenAllocatorFtl(PearlFtl):
     update-invalidated page sits unconsumed — the in-block write-order
     pattern the UI1 inference detector looks for.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # The variant intentionally violates the five-state discipline's
-        # spirit (not its letter), so keep the monitor non-strict.
-        self.monitor = TransitionMonitor(strict=False)
 
     def _invalidate_public(self, ppn, reason, relocation=False):
         st = self._state[ppn]

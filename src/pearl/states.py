@@ -50,19 +50,11 @@ class TransitionViolation(PearlError):
 
 
 class TransitionMonitor:
-    """Checks every observable page state transition and records the
-    ones that are not allowed."""
-
-    def __init__(self, strict: bool = True):
-        self.strict = strict
-        self.violations = []
+    """Checks every observable page state transition and raises
+    TransitionViolation on one that is not allowed."""
 
     def record(self, ppn: int, old: PageState, new: PageState, reason: str):
         a, b = old.observable, new.observable
-        if a == b:
-            return
-        if (a, b) not in ALLOWED_EDGES:
-            msg = f"page {ppn}: {a} -> {b} ({reason}) is not an allowed transition"
-            self.violations.append(msg)
-            if self.strict:
-                raise TransitionViolation(msg)
+        if a != b and (a, b) not in ALLOWED_EDGES:
+            raise TransitionViolation(
+                f"page {ppn}: {a} -> {b} ({reason}) is not an allowed transition")

@@ -550,22 +550,16 @@ def decode_page_public(
     return _pack_groups(msgs, code.k, layout.public_payload_bytes * 8)
 
 
-def _decode_pages_lanes(layout, code, raw, second):
-    """decode_pages_public one group per lane: the reference of the chunk
-    kernel, and its error path (it names the first bad group)."""
+def _pages_codeword_error(layout, code, raw, second):
+    """WomError naming the first group of raw, pages as decode_pages_public
+    takes them, that is no codeword of its page's stage (one must be)."""
     runs = layout.groups_per_page // 8
     cw = _unpack_runs(raw[:, :runs * code.n], code.n)
     stage = np.repeat(np.asarray(second, dtype=np.int64) << code.n, runs)
-    msgs = np.concatenate((code._d1_arr, code._d2_arr))[cw | stage]
-    if msgs.min(initial=0) < 0:
-        bad = msgs < 0
-        page = _first_group(bad) // layout.groups_per_page
-        what = "second-write" if second[page] else "first-write"
-        raise _codeword_error(layout, code, cw, bad, what)
-    packed = _pack_groups(msgs, code.k,
-                          len(raw) * layout.public_payload_bytes * 8)
-    return np.frombuffer(packed, dtype=np.uint8).reshape(
-        len(raw), layout.public_payload_bytes)
+    bad = np.concatenate((code._d1_arr, code._d2_arr))[cw | stage] < 0
+    page = _first_group(bad) // layout.groups_per_page
+    what = "second-write" if second[page] else "first-write"
+    return _codeword_error(layout, code, cw, bad, what)
 
 
 def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
@@ -575,8 +569,7 @@ def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
     first stage: (n, public_payload_bytes) uint8 rows.
 
     One table lookup decodes c groups of either stage (_ChunkTables); a
-    chunk holding a bad codeword sends the batch to the group-lane path,
-    which raises the error of the first bad row.
+    chunk holding a bad codeword raises the error of the first bad row.
     """
     if raw.shape[1:] != (layout.page_bytes,):
         raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
@@ -586,7 +579,7 @@ def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
     index |= np.repeat(np.asarray(second, dtype=np.int64) << t.bits, runs)
     msgs = t.decode[index]
     if msgs.min(initial=0) < 0:
-        return _decode_pages_lanes(layout, code, raw, second)
+        raise _pages_codeword_error(layout, code, raw, second)
     # Each word's k-byte run of messages, copied out as one k-byte item.
     words = (t.out_weights @ msgs).astype(">u8")
     out = np.ndarray(words.shape, dtype=f"V{code.k}", buffer=words,
@@ -639,9 +632,8 @@ def codeword_histogram(pages, code: WomCode, layout: PageLayout) -> Counter:
             _chunk_index(t, _run_words(grid, code.n, runs)).ravel(),
             minlength=1 << t.bits)
         if part[t.bad].any():
-            cw = _unpack_runs(grid[:, :runs * code.n], code.n)
-            raise _codeword_error(layout, code, cw, code._d2_arr[cw] < 0,
-                                  "second-write")
+            raise _pages_codeword_error(layout, code, grid,
+                                        np.ones(len(batch), dtype=bool))
         chunks += part
     counts = chunks @ t.counts
     return Counter({int(c): int(v) for c, v in enumerate(counts) if v})

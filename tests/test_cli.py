@@ -234,6 +234,13 @@ def test_attack_finds_nothing_on_compliant_ftl(run):
     assert "no distinguisher" in out
 
 
+def test_attack_finds_no_implausible_transition_on_compliant_ftl(run):
+    rc, out = run("attack", "--experiment", "transitions", "--ftl", "pearl",
+                  "--trials", "1")
+    assert rc == EXIT_OK
+    assert "no distinguisher" in out
+
+
 def test_attack_detects_broken_allocator(run):
     rc, out = run("attack", "--experiment", "ui1", "--ftl", "mutant",
                   "--trials", "1")

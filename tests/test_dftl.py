@@ -1,6 +1,5 @@
 """Baseline page-mapping FTL: translation, caching, GC."""
 
-import heapq
 import random
 import struct
 
@@ -94,10 +93,10 @@ def test_gc_preserves_data_and_reclaims(dftl):
         data = _payload(dftl, rng)
         dftl.write(lpn, data)
         shadow[lpn] = data
-    free_before = len(dftl._fbl)
+    free_before = len(dftl._free)
     reclaimed = dftl.gc_run()
     assert reclaimed is not None and reclaimed > 0
-    assert len(dftl._fbl) >= free_before
+    assert len(dftl._free) >= free_before
     for lpn, data in shadow.items():
         assert dftl.read(lpn) == data
 
@@ -124,8 +123,8 @@ def test_collection_inside_allocation_strands_no_block(dftl):
     assert_reads_back(dftl, shadow)
 
 
-@pytest.mark.parametrize("fault", ["twice-listed", "programmed-free",
-                                   "open-free", "stranded", "orphan"])
+@pytest.mark.parametrize("fault", ["programmed-free", "open-free", "stranded",
+                                   "orphan"])
 def test_check_invariants_reports_planted_fault(dftl, fault):
     rng = random.Random(5)
     for _ in range(100):
@@ -134,14 +133,10 @@ def test_check_invariants_reports_planted_fault(dftl, fault):
     assert dftl._open_with_room(blk) and dftl.check_invariants() == []
 
     def list_free(b):
-        heapq.heappush(dftl._fbl, b)
         dftl._free.add(b)
         return f"free block {b} holds a programmed page"
 
-    if fault == "twice-listed":
-        dftl._fbl.append(dftl._fbl[0])
-        expect = ["free heap and free set disagree"]
-    elif fault == "programmed-free":
+    if fault == "programmed-free":
         expect = [list_free(dftl._select_victim())]
     elif fault == "open-free":
         expect = ["an open block is on the free list", list_free(blk)]
@@ -152,8 +147,8 @@ def test_check_invariants_reports_planted_fault(dftl, fault):
         expect = [f"valid data page {ppn} is not where its lpn maps"]
     else:
         # The data stream moves on while its block still has room.
-        new = heapq.heappop(dftl._fbl)
-        dftl._free.discard(new)
+        new = min(dftl._free)
+        dftl._free.remove(new)
         dftl._block[DATA], dftl._cursor[DATA] = new, new * dftl._ppb
         expect = [f"block {blk} holds an unwritten page but is neither "
                   "free nor open with room"]

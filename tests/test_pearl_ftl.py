@@ -19,7 +19,7 @@ from pearl.flash import (DEFAULT_TIMINGS, DESK_GEOMETRY, DeviceGeometry,
 from pearl.ftl import PUBLIC_HIDDEN, PearlFtl
 from pearl.mutants import BrokenAllocatorFtl
 from pearl.oob import observable_stage, parse_oob, trans_field
-from pearl.states import PageState
+from pearl.states import PageState, TransitionMonitor, TransitionViolation
 
 
 # -- configuration bounds ---------------------------------------------
@@ -264,11 +264,18 @@ def test_ui1_slot_refilled_by_gc_during_allocation(ftl, rng):
 def test_mixed_workload_keeps_invariants(desk_cfg):
     ftl, _, shadow = mixed_workload(PearlFtl, desk_cfg, seed=21, nops=2000)
     assert ftl.check_invariants() == []
-    assert ftl.monitor.violations == []
     assert ftl.gc_runs >= 1
     for (vol, lpn), data in shadow.items():
         got = ftl.public_read(lpn) if vol == "public" else ftl.hidden_read(lpn)
         assert got == data
+
+
+def test_monitor_rejects_a_disallowed_edge():
+    monitor = TransitionMonitor()
+    monitor.record(7, PageState.V1, PageState.RI1, "relocation")
+    with pytest.raises(TransitionViolation,
+                       match=r"page 7: I2 -> V1 \(probe\) is not an allowed"):
+        monitor.record(7, PageState.I2, PageState.V1, "probe")
 
 
 class _ReverseMapChecked(PearlFtl):
@@ -278,7 +285,7 @@ class _ReverseMapChecked(PearlFtl):
     def _check_reverse_map(self):
         valid = {p for p, s in enumerate(self._state)
                  if s in (PageState.V1, PageState.V2)}
-        assert set(self._pub_lpn) == valid
+        assert set(self._owner) == valid
 
 
 for _name in ("public_write", "public_read", "hidden_write", "trim",
@@ -304,9 +311,10 @@ _ORPHAN = "valid public page {ppn} is not where its lpn maps"
 
 
 @pytest.mark.parametrize("fault, problems", [
-    # The invalid page also reads as a valid page its lpn does not map to.
-    ("reverse map", ["reverse map does not match the set of valid pages",
-                     _ORPHAN]),
+    # The invalid page also counts, and reads, as a valid page its lpn
+    # does not map to.
+    ("reverse map", ["valid count wrong for block {blk}", _ORPHAN,
+                     "reverse map does not match the set of valid pages"]),
     ("trimmed", ["trimmed lpns do not match the TIQ"]),
     ("orphan", [_ORPHAN]),
 ], ids=["reverse-map", "trimmed", "orphan"])
@@ -319,14 +327,15 @@ def test_check_invariants_reports_planted_fault(ftl, rng, fault, problems):
     assert ftl.current_ui1 is not None and ftl.check_invariants() == []
     ppn = ftl.current_ui1
     if fault == "reverse map":
-        ftl._pub_lpn[ppn] = 1               # an invalid page keeps its lpn
+        ftl._owner[ppn] = 1                 # an invalid page keeps its lpn
     elif fault == "trimmed":
         ftl._trimmed.add(3)                 # a mapped lpn reads as trimmed
     else:
         # lpn 2 maps elsewhere while its page stays valid.
         ppn = ftl._translate("public", 2)
         ftl.cmt.put("public", 2, ftl._translate("public", 3), dirty=True)
-    assert ftl.check_invariants() == [p.format(ppn=ppn) for p in problems]
+    assert ftl.check_invariants() == [
+        p.format(ppn=ppn, blk=ppn // ftl._ppb) for p in problems]
 
 
 def test_collection_inside_allocation_strands_no_block(ftl):
@@ -412,6 +421,29 @@ def test_batch_cloak_never_runs_ahead_of_a_request_on_its_lpn(ftl, rng):
     assert ftl._translate("public", 7) == ftl._translate("hidden", 2)
     assert ftl.hidden_read(1) == ftl.hidden_read(2) == sec
     assert ftl.check_invariants() == []
+
+
+def test_batch_cloak_of_a_trimmed_lpn_queues_its_old_page(ftl, rng):
+    """An incoming public write of a trimmed lpn cloaks a hidden write:
+    the trimmed copy stays queued for a second write, now as a relocation
+    casualty, and both lpns read back, also after an unmount and a
+    mount."""
+    lay = ftl.layout
+    for lpn in range(8):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    old = ftl._translate("public", 6)
+    ftl.trim(6)
+    assert ftl.tiq == {old: 6}
+    h = rng.randbytes(lay.hidden_payload_bytes)
+    p = rng.randbytes(lay.public_payload_bytes)
+    ftl.submit_batch([("hidden", 2, "write", h), ("public", 6, "write", p)])
+    assert old in ftl.tiq and ftl.tiq[old] is None
+    assert ftl._translate("public", 6) == ftl._translate("hidden", 2)
+    assert ftl.public_read(6) == p and ftl.hidden_read(2) == h
+    assert ftl.check_invariants() == []
+    for f in (_remount(ftl), ftl):
+        assert f.public_read(6) == p and f.hidden_read(2) == h
+        assert f.check_invariants() == []
 
 
 def test_batches_survive_collections_inside_allocation(ftl):
@@ -549,6 +581,34 @@ def test_public_only_persist_loses_hidden(desk_cfg, rng):
         assert out != secret
     except UnmappedLpn:
         pass
+
+
+def test_state_persists_across_header_block_wraps(ftl, rng):
+    """More unmounts than the header block has state pages: it is erased,
+    rewritten and filled again.  A mount with both passwords and a
+    public-only mount each read every lpn back."""
+    lay = ftl.layout
+    shadow = {}
+    for _ in range(45):
+        for _ in range(3):
+            lpn = rng.randrange(40)
+            shadow["public", lpn] = rng.randbytes(lay.public_payload_bytes)
+            ftl.public_write(lpn, shadow["public", lpn])
+        lpn = rng.randrange(10)
+        shadow["hidden", lpn] = rng.randbytes(lay.hidden_payload_bytes)
+        ftl.hidden_write(lpn, shadow["hidden", lpn])
+        ftl.prepare_unmount()
+    assert ftl.device.erase_count(0) >= 1
+    snap = ftl.snapshot()
+    for hidden in ("hidden-pw", None):
+        again = PearlFtl.mount(FlashDevice.restore(snap), "public-pw", hidden,
+                               cmt_capacity=64)
+        assert again.check_invariants() == []
+        for (vol, lpn), data in shadow.items():
+            if vol == "public":
+                assert again.public_read(lpn) == data
+            elif hidden is not None:
+                assert again.hidden_read(lpn) == data
 
 
 def test_recovered_ftl_continues_operating(desk_cfg, rng):
@@ -769,11 +829,11 @@ class _PerPageRecovery(PearlFtl):
         pub_map = self._walk_volume("public")
         for lpn_field, ppn in pub_map.items():
             if stage.get(ppn, "empty") != "empty":
-                self._pub_lpn[ppn] = lpn_field
+                self._owner[ppn] = lpn_field
                 self._state[ppn] = live[stage[ppn]]
         for m, t_ppn in enumerate(self._gtd["public"]):
             if t_ppn != UNMAPPED and stage.get(t_ppn, "empty") != "empty":
-                self._pub_lpn[t_ppn] = trans_field(m)
+                self._owner[t_ppn] = trans_field(m)
                 self._state[t_ppn] = live[stage[t_ppn]]
         if self.mode == PUBLIC_HIDDEN:
             for lpn_field, ppn in self._walk_volume("hidden").items():
@@ -796,26 +856,25 @@ class _PerPageRecovery(PearlFtl):
                 self._trimmed.add(claim[ppn])
             else:
                 self._state[ppn] = PageState.RI1
-        free = []
+        self._free = set()
         for blk in self.config.managed_blocks:
             pages = range(blk * self._ppb, (blk + 1) * self._ppb)
             programmed = [p for p in pages if stage[p] != "empty"]
             if not programmed:
-                free.append(blk)
+                self._free.add(blk)
             elif len(programmed) < self._ppb:
                 self._block["frontier"] = blk
                 self._cursor["frontier"] = programmed[-1] + 1
             self._valid[blk] = sum(self._state[p] in (PageState.V1,
                                                       PageState.V2)
                                    for p in pages)
-        self._set_free_blocks(free)
         self._persist_clean = True
 
 
 def _recovered_state(ftl):
-    names = ("_state", "_pub_lpn", "_hidden_at", "_valid", "_hid_valid",
+    names = ("_state", "_owner", "_hidden_at", "_valid", "_hid_valid",
              "_trimmed", "_slot_a", "current_ui1", "_block", "_cursor",
-             "_gtd", "_fbl", "_persist_cursor")
+             "_gtd", "_free", "_persist_cursor")
     state = {name: getattr(ftl, name) for name in names}
     state["tiq"] = list(ftl.tiq.items())   # in queue order
     return state

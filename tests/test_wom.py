@@ -385,11 +385,11 @@ def _message(fn, *args):
 @pytest.mark.parametrize("code", [WOM_3_5, WOM_2_3], ids=lambda c: c.name)
 def test_chunk_kernels_match_the_group_lanes(code, page_bytes, monkeypatch):
     """The batched public decode and the histogram equal the per-page
-    group-lane codec and a count of every group, without falling back to
-    the group lanes."""
+    group-lane codec and a count of every group, without building a
+    codeword error."""
     def no_fallback(*args):
-        raise AssertionError("valid pages took the group-lane path")
-    monkeypatch.setattr(pearl.wom, "_decode_pages_lanes", no_fallback)
+        raise AssertionError("valid pages built a codeword error")
+    monkeypatch.setattr(pearl.wom, "_pages_codeword_error", no_fallback)
     lay = PageLayout.for_page(page_bytes, code)
     raw, second = _batch(code, lay, random.Random(page_bytes + code.n), 9)
     out = decode_pages_public(lay, code, _grid(raw), second)
