@@ -30,6 +30,9 @@ PEARL_GC_BURST = (
     "3a4bf7401e22523738f331354ce2d2cfda689d2336f42b0bf1e1031bd04241f4")
 DFTL_GC_BURST = (
     "a172ae90404b4bc2b6b61f7203024e15c36101763e75e667198df31adb589a11")
+# The mixed case's device mutations, in the order the device saw them.
+MIXED_MUTATION_ORDER = (
+    "728cbf40c697779b7715380703667513d9f7d507b6baf69850193aa487081610")
 
 
 def _digest(ftl, *extra):
@@ -53,6 +56,29 @@ def test_mixed_workload_fingerprint():
     ftl, snaps, _ = _mixed_run()
     assert ftl.gc_runs > 0 and len(snaps) == 4
     assert _digest(ftl) == MIXED
+
+
+def test_mixed_workload_mutation_order(monkeypatch):
+    """The ordered log of the mixed case's device mutations: each
+    program's ppn with a hash of its data and OOB, and each erased block.
+    The other digests see only the end state and the counts, so this one
+    also pins when each program and erase reaches the device."""
+    log = hashlib.sha256()
+    program, erase = FlashDevice.program_page, FlashDevice.erase_block
+
+    def logged_program(dev, ppn, data, oob):
+        program(dev, ppn, data, oob)
+        log.update(struct.pack("<cI", b"p", ppn))
+        log.update(hashlib.sha256(bytes(data) + bytes(oob)).digest())
+
+    def logged_erase(dev, blk):
+        erase(dev, blk)
+        log.update(struct.pack("<cI", b"e", blk))
+
+    monkeypatch.setattr(FlashDevice, "program_page", logged_program)
+    monkeypatch.setattr(FlashDevice, "erase_block", logged_erase)
+    _mixed_run()
+    assert log.hexdigest() == MIXED_MUTATION_ORDER
 
 
 def test_broken_allocator_fingerprint():
