@@ -20,11 +20,16 @@ UNMAPPED = 0xFFFF_FFFF
 
 
 class CachedMappingTable:
-    def __init__(self, capacity: int):
+    """The cache, with its dirty entries indexed by translation page:
+    entries_per_page[volume] lpns map to one page of a volume."""
+
+    def __init__(self, capacity: int, entries_per_page):
         if capacity < 1:
             raise ValueError("CMT capacity must be >= 1")
         self.capacity = capacity
+        self._epp = entries_per_page
         self._entries = OrderedDict()  # (volume, lpn) -> [ppn, dirty]
+        self._dirty = {}  # (volume, m_vpn) -> lpns of its dirty entries
         self.hits = 0
         self.misses = 0
 
@@ -33,6 +38,14 @@ class CachedMappingTable:
 
     def __contains__(self, key):
         return key in self._entries
+
+    def _clean(self, volume, lpn):
+        """Drop lpn from its translation page's dirty index."""
+        page = (volume, lpn // self._epp[volume])
+        lpns = self._dirty[page]
+        lpns.discard(lpn)
+        if not lpns:
+            del self._dirty[page]
 
     def lookup(self, volume, lpn):
         """Returns ppn (may be UNMAPPED) or None on miss; touches recency."""
@@ -52,10 +65,20 @@ class CachedMappingTable:
         ent = self._entries.get(key)
         if ent is not None:
             ent[0] = ppn
-            ent[1] = ent[1] or dirty
             self._entries.move_to_end(key)
+            if ent[1] or not dirty:
+                return
+            ent[1] = True
         else:
             self._entries[key] = [ppn, dirty]
+            if not dirty:
+                return
+        page = (volume, lpn // self._epp[volume])
+        lpns = self._dirty.get(page)
+        if lpns is None:
+            self._dirty[page] = {lpn}
+        else:
+            lpns.add(lpn)
 
     def pop_excess(self):
         """Pop and return the LRU entry if over capacity, else None."""
@@ -63,14 +86,21 @@ class CachedMappingTable:
             return None
         key, (ppn, dirty) = next(iter(self._entries.items()))
         del self._entries[key]
+        if dirty:
+            self._clean(*key)
         return key, ppn, dirty
 
-    def dirty_in_page(self, volume, m_vpn, entries_per_page):
-        """All dirty cached entries living in the given translation page."""
+    def dirty_in_page(self, volume, m_vpn):
+        """All dirty cached entries living in the given translation page,
+        as (lpn, ppn).  An indexed lpn whose entry is gone or clean (the
+        entries were changed behind the index) leaves the index."""
         out = []
-        for (vol, lpn), (ppn, dirty) in self._entries.items():
-            if vol == volume and dirty and lpn // entries_per_page == m_vpn:
-                out.append((lpn, ppn))
+        for lpn in list(self._dirty.get((volume, m_vpn), ())):
+            ent = self._entries.get((volume, lpn))
+            if ent is not None and ent[1]:
+                out.append((lpn, ent[0]))
+            else:
+                self._clean(volume, lpn)
         return out
 
     def mark_clean(self, volume, lpn, expected_ppn=None):
@@ -78,16 +108,14 @@ class CachedMappingTable:
         still matches (the entry may have been re-dirtied with a newer ppn
         while its old value was being flushed)."""
         ent = self._entries.get((volume, lpn))
-        if ent is not None and (expected_ppn is None or ent[0] == expected_ppn):
+        if ent is not None and ent[1] and (expected_ppn is None
+                                           or ent[0] == expected_ppn):
             ent[1] = False
+            self._clean(volume, lpn)
 
-    def dirty_groups(self, entries_per_page_by_volume):
-        """Set of (volume, m_vpn) groups containing dirty entries."""
-        groups = set()
-        for (vol, lpn), (_, dirty) in self._entries.items():
-            if dirty:
-                groups.add((vol, lpn // entries_per_page_by_volume[vol]))
-        return groups
+    def dirty_groups(self):
+        """Set of (volume, m_vpn) translation pages with dirty entries."""
+        return set(self._dirty)
 
 
 class MappingCore:
@@ -118,17 +146,26 @@ class MappingCore:
     Page payloads, as a cold read would return them (WOM-decoded and
     decrypted on ``PearlFtl``), are kept in ``_payloads``:
     ``(volume, ppn) -> (tag, payload)``.  A read that misses stores what
-    it decoded, and every successful program stores the padded plaintext
-    it has just written, so pages this FTL wrote are never decoded.  An
-    entry counts only while its page has been neither programmed nor
-    erased since (its ``FlashDevice.page_tag``); that also covers a GTD
-    recovered from a crashed device, which may name a page the FTL does
-    not own.  A hit still charges the device read unless it is quiet:
-    the cache saves host work, never simulated time.  Collection drops
+    it decoded, and every program stores the padded plaintext it wrote
+    once the device has taken it, so pages this FTL wrote are never
+    decoded.  An entry counts only while its page has been neither
+    programmed nor erased since (its ``FlashDevice.page_tag``); that
+    also covers a GTD recovered from a crashed device, which may name a
+    page the FTL does not own.  A hit still charges the device read
+    unless it is quiet: the cache saves host work, never simulated
+    time.  Collection drops
     the entries of the block it erases, so there is at most one entry
     per volume and programmed page, and mount starts empty.  The cache lives in this
     instance only, so hidden payloads are held only where the hidden
     key is.
+
+    A subclass may queue its programs instead of making them:
+    ``_pending`` maps each page with a queued program to it, in queue
+    order, and ``_seal`` makes them all.  The core seals before it
+    touches a queued page (``_payload``), before it erases a block and
+    when it drains the cache (``_drain_cmt``, the last step of every
+    request), so the device sees every program and erase in the order
+    they were decided.  ``Dftl`` programs at once and never queues.
     """
 
     def _reset_mapping(self, volume_pages, cmt_capacity, blocks):
@@ -138,8 +175,9 @@ class MappingCore:
         fewer than 2) free."""
         self.gc_watermark = max(
             2, math.ceil(0.02 * self.device.geometry.total_blocks))
-        self.cmt = CachedMappingTable(cmt_capacity)
+        self.cmt = CachedMappingTable(cmt_capacity, self._epp)
         self._payloads = {}
+        self._pending = {}    # ppn -> its queued program (see _seal)
         self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])
                      for vol, pages in volume_pages.items()}
         self._owner = {}      # valid page of the main volume -> lpn_field
@@ -164,6 +202,8 @@ class MappingCore:
         """volume's payload of the page at ppn, from the cache while its
         tag is current, else decoded (``_decode``) and stored.  A
         non-quiet call charges one device read, hit or miss."""
+        if ppn in self._pending:
+            self._seal()
         tag = self.device.page_tag(ppn)
         hit = self._payloads.get((volume, ppn))
         if hit is not None and hit[0] == tag:
@@ -207,7 +247,7 @@ class MappingCore:
             page = bytearray(self._payload(volume, t_ppn)[:4 * epp])
         else:
             page = bytearray(struct.pack("<I", UNMAPPED) * epp)
-        dirty = self.cmt.dirty_in_page(volume, m_vpn, epp)
+        dirty = self.cmt.dirty_in_page(volume, m_vpn)
         for lpn, ppn in dirty + list(extra):
             struct.pack_into("<I", page, 4 * (lpn % epp), ppn)
         # A collection inside the write does not drain the CMT: a flush
@@ -224,13 +264,19 @@ class MappingCore:
             self.cmt.mark_clean(volume, lpn, expected_ppn=ppn)
 
     def _drain_cmt(self):
+        """Flush the evicted dirty entries of an over-full cache, then
+        seal what was queued: every request ends here."""
         if self._flushing:
             return
-        while (item := self.cmt.pop_excess()) is not None:
-            (vol, lpn), ppn, dirty = item
-            if dirty:
-                self._flush_group(vol, lpn // self._epp[vol],
-                                  extra=[(lpn, ppn)])
+        try:
+            while (item := self.cmt.pop_excess()) is not None:
+                (vol, lpn), ppn, dirty = item
+                if dirty:
+                    self._flush_group(vol, lpn // self._epp[vol],
+                                      extra=[(lpn, ppn)])
+        finally:
+            if self._pending:
+                self._seal()
 
     def _walk_volume(self, volume):
         """Quiet {lpn: ppn} map from the on-flash translation pages (no
@@ -300,6 +346,8 @@ class MappingCore:
     def _release_block(self, blk):
         """Erase a collected block, drop its pages and their cached
         payloads and return it to the free set."""
+        if self._pending:
+            self._seal()
         self.device.erase_block(blk)
         for ppn in range(blk * self._ppb, (blk + 1) * self._ppb):
             self._drop(ppn)

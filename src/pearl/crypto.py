@@ -76,20 +76,36 @@ def _keystream(key: VolumeKey, high, low, blocks: int) -> bytes:
     """
     one = isinstance(low, int)
     counters = np.empty((1 if one else len(low), blocks, 2), dtype=">u8")
-    counters[:, :, 0] = high
-    np.add(low, np.arange(blocks, dtype=np.uint64), out=counters[:, :, 1])
-    # The low word wraps past 2**64 and carries into the high word; a
-    # single IV is checked in Python, as numpy's scalar checks cost more
-    # than the rest of an envelope.
-    if not one or low + blocks > 1 << 64:
-        counters[:, :, 0] += counters[:, :, 1] < low
+    steps = np.arange(blocks, dtype=np.uint64)
+    # The low word wraps past 2**64 and carries into the high word.
+    if one:
+        # A single IV is checked in Python, as numpy's scalar checks cost
+        # more than the rest of an envelope.
+        counters[:, :, 0] = high
+        np.add(low, steps, out=counters[:, :, 1])
+        if low + blocks > 1 << 64:
+            counters[:, :, 0] += counters[:, :, 1] < low
+    else:
+        # Native arithmetic, stored once into the big-endian blocks.
+        lows = low + steps
+        counters[:, :, 0] = high + (lows < low)
+        counters[:, :, 1] = lows
     return key._ecb.update(counters.view(np.uint8))
 
 
 def encrypt_payload(key: VolumeKey, iv: bytes, plaintext: bytes) -> bytes:
-    if len(iv) != IV_BYTES:
-        raise PearlError("IV must be 16 bytes")
+    """AES-CTR of plaintext under iv.  Given n concatenated IVs, plaintext
+    is n equal-length payloads, each under its own IV, in one AES pass."""
     length = len(plaintext)
+    if len(iv) != IV_BYTES:
+        count, rest = divmod(len(iv), IV_BYTES)
+        if rest or not count or length % count:
+            raise PearlError("IV must be 16 bytes, one per payload")
+        return decrypt_payloads(
+            key, np.frombuffer(iv, dtype=np.uint8).reshape(count, IV_BYTES),
+            np.frombuffer(plaintext, dtype=np.uint8).reshape(
+                count, length // count),
+        ).tobytes()
     stream = _keystream(key, *struct.unpack(">QQ", iv), -(-length // IV_BYTES))
     return (np.frombuffer(plaintext, dtype=np.uint8)
             ^ np.frombuffer(stream, dtype=np.uint8, count=length)).tobytes()

@@ -11,6 +11,7 @@ update-invalidated page was demonstrably pending.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections import Counter
@@ -79,6 +80,19 @@ def _or_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") | int.from_bytes(b, "big")).to_bytes(
         len(a), "big"
     )
+
+
+def _sealing(call):
+    """A public call that programs what it queued when it ends, also
+    when it raises."""
+    @functools.wraps(call)
+    def sealed(self, *args, **kwargs):
+        try:
+            return call(self, *args, **kwargs)
+        finally:
+            if self._pending:
+                self._seal()
+    return sealed
 
 
 class PearlFtl(MappingCore):
@@ -223,6 +237,8 @@ class PearlFtl(MappingCore):
 
     def _persist_state(self):
         g = self.config.geometry
+        if self._pending:
+            self._seal()
         if self._persist_cursor >= g.pages_per_block:
             self.device.erase_block(0)
             self.device.program_page(0, self._pack_header(self.config, self.salt),
@@ -284,6 +300,8 @@ class PearlFtl(MappingCore):
     def recover_metadata(self):
         """Drop all volatile state and rebuild maps, page states, queues
         and cursors by scanning the device."""
+        if self._pending:
+            self._seal()
         self._reset_volatile()
         pub_state, gtd_hid = self._load_state_blobs()
         if pub_state is None:
@@ -479,11 +497,12 @@ class PearlFtl(MappingCore):
         self.ledger[f"{bucket}_physical_bits"] += physical_bits
 
     def _program(self, target, lpn_field, plaintext, bucket, hidden=None):
-        """Program lpn_field's public plaintext onto target and record the
-        page: a first write onto an empty page, a second write onto an I1
-        page, or, given hidden = (hidden_field, hidden plaintext), a full
-        write that cloaks the hidden data in the public data on an empty
-        page.  Mappings and superseded pages are the caller's."""
+        """Queue a program of lpn_field's public plaintext onto target and
+        record the page: a first write onto an empty page, a second write
+        onto an I1 page, or, given hidden = (hidden_field, hidden
+        plaintext), a full write that cloaks the hidden data in the public
+        data on an empty page.  The page reaches the device at the next
+        _seal.  Mappings and superseded pages are the caller's."""
         lay, code = self.layout, self.config.code
         oob_bytes = self.config.geometry.oob_bytes
         empty = self._state[target] == PageState.EMPTY
@@ -492,12 +511,11 @@ class PearlFtl(MappingCore):
         first = empty and hidden is None
         iv = self._fresh_iv(self.k_pub, *([self.k_hid] if hidden else []))
         pub = self._pad(plaintext, lay.public_payload_bytes)
-        ct = encrypt_payload(self.k_pub, iv, pub)
+        hid = existing = None
         if hidden is not None:
             hidden_field, hid = hidden
             hid = self._pad(hid, lay.hidden_payload_bytes)
-            raw = encode_page_full(lay, code, ct,
-                                   encrypt_payload(self.k_hid, iv, hid))
+            stage = "full"
             # A plausible first-write slot: full-write pages must be
             # indistinguishable from genuinely twice-written ones.  The
             # fake lpn avoids repeating an in-block first-write claim; a
@@ -512,17 +530,18 @@ class PearlFtl(MappingCore):
             fake = OobSlot(self.rng.randbytes(16), fake_lpn, TAG_FIRST)
             oob = pack_oob(oob_bytes, fake, OobSlot(iv, lpn_field, TAG_SECOND))
         elif first:
-            raw = encode_page_first(lay, code, ct)
+            stage = "first"
             oob = pack_oob(oob_bytes, OobSlot(iv, lpn_field, TAG_FIRST), None)
         else:
+            stage = "second"
+            if target in self._pending:
+                self._seal()
             existing, cur_oob = self.device.read_page(target)
-            raw = encode_page_second(lay, code, ct, existing)
             oob = _or_bytes(cur_oob, pack_oob(
                 oob_bytes, None, OobSlot(iv, lpn_field, TAG_SECOND)))
-        self.device.program_page(target, raw, oob)
-        self._store_payload(PUBLIC, target, pub)
-        if hidden is not None:
-            self._store_payload(HIDDEN, target, hid)
+        # The job: stage, IV, padded plaintexts (hidden: full writes only),
+        # the page it overwrites (second writes only) and the OOB.
+        self._pending[target] = (stage, iv, pub, hid, existing, oob)
         self._set_state(target, PageState.V1 if first else PageState.V2,
                         bucket, lpn_field)
         if first:
@@ -535,6 +554,39 @@ class PearlFtl(MappingCore):
             self._hid_set(target, hidden_field)
             self._account(bucket, groups, groups * code.n)
             self.ledger["cloak_logical_bits"] += groups * code.k
+
+    def _seal(self):
+        """Make every queued program: one encrypt_payload call per key and
+        one encoder call per stage over all the queued pages, then each
+        program in queue order, caching what a cold read of its page
+        returns."""
+        queued, self._pending = self._pending, {}
+        jobs = list(queued.values())
+        lay, code = self.layout, self.config.code
+        size, page = lay.public_payload_bytes, lay.page_bytes
+        ct = encrypt_payload(self.k_pub, b"".join([j[1] for j in jobs]),
+                             b"".join([j[2] for j in jobs]))
+        raw = [None] * len(jobs)
+        for stage in dict.fromkeys(j[0] for j in jobs):
+            at = [i for i, j in enumerate(jobs) if j[0] == stage]
+            public = ct if len(at) == len(jobs) else b"".join(
+                [ct[i * size:(i + 1) * size] for i in at])
+            if stage == "first":
+                out = encode_page_first(lay, code, public)
+            elif stage == "second":
+                out = encode_page_second(lay, code, public, b"".join(
+                    [jobs[i][4] for i in at]))
+            else:
+                out = encode_page_full(lay, code, public, encrypt_payload(
+                    self.k_hid, b"".join([jobs[i][1] for i in at]),
+                    b"".join([jobs[i][3] for i in at])))
+            for n, i in enumerate(at):
+                raw[i] = out[n * page:(n + 1) * page]
+        for target, (_, _, pub, hid, _, oob), data in zip(queued, jobs, raw):
+            self.device.program_page(target, data, oob)
+            self._store_payload(PUBLIC, target, pub)
+            if hid is not None:
+                self._store_payload(HIDDEN, target, hid)
 
     def _program_public(self, lpn_field, plaintext, bucket, relocation=False):
         """Public write following the allocation priority (Fig. 7 order:
@@ -736,6 +788,7 @@ class PearlFtl(MappingCore):
         if data is not None and len(data) != payload:
             raise PearlError(f"{volume} write must be one page payload")
 
+    @_sealing
     def public_write(self, lpn, data):
         self._check_request(PUBLIC, lpn, data)
         self._touch()
@@ -754,6 +807,7 @@ class PearlFtl(MappingCore):
         self._drain_cmt()
         return out
 
+    @_sealing
     def hidden_write(self, lpn, data):
         self._check_request(HIDDEN, lpn, data)
         self._touch()
@@ -815,6 +869,7 @@ class PearlFtl(MappingCore):
             return self.trim(lpn, volume)
         raise PearlError(f"unknown op {op!r}")
 
+    @_sealing
     def submit_batch(self, requests):
         """Process a batch of (volume, lpn, op, data) requests in order.
 
@@ -878,7 +933,7 @@ class PearlFtl(MappingCore):
     # garbage collection
     # ------------------------------------------------------------------
 
-    gc_run = MappingCore.gc_run  # the benchmark tracer wraps it here
+    gc_run = _sealing(MappingCore.gc_run)  # the benchmark tracer wraps it here
 
     def _gc_cost(self, blk):
         # Live public pages plus live hidden content.  Counting the public
@@ -943,6 +998,7 @@ class PearlFtl(MappingCore):
     # unmount / snapshot
     # ------------------------------------------------------------------
 
+    @_sealing
     def prepare_unmount(self):
         """Drain the TIQ, flush dirty mappings, and persist state so an
         unmount-time snapshot is deniability-safe.  Idempotent: a second
@@ -952,11 +1008,11 @@ class PearlFtl(MappingCore):
         self._relocate_into_i1(self._take_tiq_head, "tiq_drain", "tiq-drain")
 
         for _ in range(1000):
-            groups = self.cmt.dirty_groups(self._epp)
+            groups = self.cmt.dirty_groups()
             if not groups:
                 break
             for vol, m in sorted(groups):
-                if self.cmt.dirty_in_page(vol, m, self._epp[vol]):
+                if self.cmt.dirty_in_page(vol, m):
                     self._flush_group(vol, m)
         else:
             raise PearlError("translation flush did not converge")

@@ -12,7 +12,8 @@ them from data pages.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ def is_trans_field(field: int) -> bool:
     return bool(field & TRANS_FLAG)
 
 
-@dataclass(frozen=True)
-class OobSlot:
+class OobSlot(NamedTuple):
     iv: bytes
     lpn_field: int
     tag: int
@@ -51,15 +51,19 @@ def _slot_offsets(oob_bytes: int):
     return 0, oob_bytes // 2
 
 
+@lru_cache
+def _oob_struct(oob_bytes: int) -> struct.Struct:
+    """Both slots of an OOB of oob_bytes, each zero-padded to its end."""
+    _, off_b = _slot_offsets(oob_bytes)
+    return struct.Struct(f">{IV_BYTES}sIB{off_b - SLOT_BYTES}x"
+                         f"{IV_BYTES}sIB{oob_bytes - off_b - SLOT_BYTES}x")
+
+
+_UNSET = OobSlot(bytes(IV_BYTES), 0, 0)  # packs as an unset slot: zeros
+
+
 def pack_oob(oob_bytes: int, first: OobSlot | None, second: OobSlot | None) -> bytes:
-    off_a, off_b = _slot_offsets(oob_bytes)
-    buf = bytearray(oob_bytes)
-    for off, slot in ((off_a, first), (off_b, second)):
-        if slot is None:
-            continue
-        buf[off : off + IV_BYTES] = slot.iv
-        struct.pack_into(">IB", buf, off + IV_BYTES, slot.lpn_field, slot.tag)
-    return bytes(buf)
+    return _oob_struct(oob_bytes).pack(*(first or _UNSET), *(second or _UNSET))
 
 
 def _parse_slot(oob: bytes, off: int) -> OobSlot | None:

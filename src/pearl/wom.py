@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -82,47 +81,33 @@ class WomCode:
     def __post_init__(self):
         object.__setattr__(self, "c1", frozenset(self.first_write))
         d1 = {c: m for m, c in enumerate(self.first_write)}
-        d2 = {}
-        hid = {}
-        for m, (wa, wb) in enumerate(self.second_write):
-            d2[wa] = m
-            hid[wa] = 0
-            d2[wb] = m
-            hid[wb] = 1
-        object.__setattr__(self, "_d1", d1)
-        object.__setattr__(self, "_d2", d2)
-        object.__setattr__(self, "_hid", hid)
-        # numpy lookup tables for the page codecs
-        size = 2**self.n
-        e1_arr = np.array(self.first_write, dtype=np.int64)
-        w2_arr = np.array(self.second_write, dtype=np.int64)
-        d1_arr = np.full(size, -1, dtype=np.int64)
-        d2_arr = np.full(size, -1, dtype=np.int64)
-        hid_arr = np.full(size, -1, dtype=np.int64)
-        for c, m in d1.items():
-            d1_arr[c] = m
-        for c, m in d2.items():
-            d2_arr[c] = m
-        for c, h in hid.items():
-            hid_arr[c] = h
-        e2_arr = np.full((2**self.k, size), -1, dtype=np.int64)
-        for m in range(2**self.k):
+        d2 = {w: m for m, pair in enumerate(self.second_write) for w in pair}
+        hid = {w: h for pair in self.second_write for h, w in enumerate(pair)}
+        # numpy lookup tables for the page codecs: -1 marks no codeword.
+        size, msgs = 2**self.n, 2**self.k
+        arrays = {"_e1_arr": np.array(self.first_write, dtype=np.int64),
+                  "_w2_arr": np.array(self.second_write, dtype=np.int64),
+                  "_e2_arr": np.full((msgs, size), -1, dtype=np.int64)}
+        for name, table in (("_d1_arr", d1), ("_d2_arr", d2),
+                            ("_hid_arr", hid)):
+            arrays[name] = np.full(size, -1, dtype=np.int64)
+            arrays[name][list(table)] = list(table.values())
+        for m in range(msgs):
             a_set, b_set = self.partition[m]
-            for c in a_set:
-                e2_arr[m, c] = self.second_write[m][0]
-            for c in b_set:
-                e2_arr[m, c] = self.second_write[m][1]
-        object.__setattr__(self, "_e1_arr", e1_arr)
-        object.__setattr__(self, "_w2_arr", w2_arr)
-        object.__setattr__(self, "_d1_arr", d1_arr)
-        object.__setattr__(self, "_d2_arr", d2_arr)
-        object.__setattr__(self, "_hid_arr", hid_arr)
-        object.__setattr__(self, "_e2_arr", e2_arr)
+            arrays["_e2_arr"][m, list(a_set)] = self.second_write[m][0]
+            arrays["_e2_arr"][m, list(b_set)] = self.second_write[m][1]
+        for name, value in {"_d1": d1, "_d2": d2, "_hid": hid,
+                            "_kernels": {}, **arrays}.items():
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def _chunks(self) -> "_ChunkTables":
-        """Multi-group tables of the page-batch kernels (n <= 8)."""
-        return _ChunkTables(self)
+    def _kernel(self, name: str) -> "_Kernel":
+        """The page kernel `name` of _KERNELS (n <= 8), built on first
+        use."""
+        try:
+            return self._kernels[name]
+        except KeyError:
+            kernel = self._kernels[name] = _Kernel(*_KERNELS[name](self))
+            return kernel
 
     # -- scalar codec ------------------------------------------------
 
@@ -379,213 +364,224 @@ class PageLayout:
 
 
 # Every run of 8 groups of a width-bit field (width <= 8) fills exactly
-# `width` bytes, so the codec moves 8 groups per 64-bit word.  Groups
-# travel as an (8, runs) int64 array whose [j, r] is group 8 * r + j: each
-# numpy loop then runs along the runs rather than over 8 lanes at a time.
-_LANE_SHIFTS = {w: w * np.arange(7, -1, -1, dtype=np.int64) for w in range(1, 9)}
-_LANE_WEIGHTS = {w: np.left_shift(1, s) for w, s in _LANE_SHIFTS.items()}
-_BYTE_WEIGHTS = {
-    w: np.left_shift(1, 8 * np.arange(w - 1, -1, -1, dtype=np.int64))
-    for w in range(1, 9)
+# `width` bytes of a page or payload.  The page codec reads each run as
+# one int64 word that holds its bytes at the top (_run_words), looks up
+# c successive groups of it at a time (_Kernel) and writes each run's
+# output word back as bytes (_run_bytes).
+
+
+class _Kernel:
+    """One page-codec step as one table lookup per chunk of c successive
+    groups.  A group has one or two input fields of wa and wb bits (wb
+    may be 0), and a chunk may carry `prefix` bits that all its groups
+    share (a page's stage).  per_group, indexed (prefix << wa + wb) |
+    (a << wb) | b, gives a group's width-bit output, or -1.  A chunk's
+    index holds its prefix, its c a-fields, then its c b-fields, the
+    first group highest; table[index] holds the c outputs packed the
+    same way, or -1 when any of them is.  c is the largest of 1, 2, 4 and
+    8 whose index fits in 16 bits."""
+
+    def __init__(self, per_group, wa, wb, width, prefix=0):
+        self.per_group, self.wa, self.wb = per_group, wa, wb
+        self.c = c = max(c for c in (1, 2, 4, 8)
+                         if prefix + c * (wa + wb) <= 16)
+        self.bits = c * (wa + wb)
+        steps = np.arange(8 // c - 1, -1, -1, dtype=np.int64)
+        # Each field's chunk bits and, as a column, the bit offsets of its
+        # chunks in a run word.
+        self.bits_a, self.bits_b = c * wa, c * wb
+        self.shifts_a, self.shifts_b = [(8 * (8 - w) + c * w * steps)[:, None]
+                                        for w in (wa, wb)]
+        self.out_weights = np.left_shift(1, c * width * steps)
+        # The smallest signed type that holds c outputs; built 4,096
+        # entries at a time, so no temporary outgrows a slice.
+        size = 1 << prefix + self.bits
+        self.table = np.empty(size, dtype=next(
+            (t for t in (np.int8, np.int16, np.int32)
+             if c * width < np.iinfo(t).bits - 1), np.int64))
+        for start in range(0, size, 4096):
+            index = np.arange(start, min(size, start + 4096), dtype=np.int64)
+            packed, bad = np.zeros_like(index), np.zeros(len(index), bool)
+            for lane in range(c):
+                out = per_group[self._group(index, lane)]
+                bad |= out < 0
+                packed |= out << width * lane
+            self.table[start:start + len(index)] = np.where(bad, -1, packed)
+
+    def _group(self, index, lane):
+        """per_group's index of group `lane` (0: the last) of chunks."""
+        c, wa, wb = self.c, self.wa, self.wb
+        a = (index >> c * wb + wa * lane) & ((1 << wa) - 1)
+        b = (index >> wb * lane) & ((1 << wb) - 1)
+        return (index >> self.bits << wa + wb) | (a << wb) | b
+
+    def index(self, a, b=None, prefix=None):
+        """The chunk indices of runs, given the run words of their a and
+        b fields (flat int64 arrays) and their prefixes, as (8 // c,
+        runs): [j, r] is chunk j of run r."""
+        index = a >> self.shifts_a
+        index &= (1 << self.bits_a) - 1
+        if b is not None:
+            index <<= self.bits_b
+            chunk = b >> self.shifts_b
+            chunk &= (1 << self.bits_b) - 1
+            index |= chunk
+        if prefix is not None:
+            index |= prefix << self.bits
+        return index
+
+    def pack(self, out):
+        """(8 // c, runs) outputs as one word per run, its bytes at the
+        bottom."""
+        return self.out_weights @ out
+
+    def first_bad(self, index, out):
+        """The first group, counted from the first run, whose own output
+        is -1 in the first chunk that out marks -1, and its per_group
+        index."""
+        r, j = divmod(int(np.argmax((out < 0).T)), 8 // self.c)
+        for lane in range(self.c - 1, -1, -1):
+            group = int(self._group(index[j, r], lane))
+            if self.per_group[group] < 0:
+                return 8 * r + self.c * (j + 1) - 1 - lane, group
+
+
+# The kernels of a code, by name: the encoders, the public decoder of
+# either stage (prefix 1 for second-stage pages) and the hidden-bit
+# decoders, which fail on, or read as 0, a group that is no second-write
+# codeword.  Arguments to _Kernel, from the code's group tables.
+_KERNELS = {
+    "first": lambda c: (c._e1_arr, c.k, 0, c.n),
+    "second": lambda c: (c._e2_arr.ravel(), c.k, c.n, c.n),
+    "full": lambda c: (c._w2_arr.ravel(), c.k, 1, c.n),
+    "public": lambda c: (np.r_[c._d1_arr, c._d2_arr], c.n, 0, c.k, 1),
+    "hidden": lambda c: (c._hid_arr, c.n, 0, 1),
+    "lenient": lambda c: (np.maximum(c._hid_arr, 0), c.n, 0, 1),
 }
 
 
-def _unpack_runs(runs: np.ndarray, width: int) -> np.ndarray:
-    """Groups of whole width-byte runs (uint8, any shape) as (8, runs)."""
-    # Big-endian words; at width 8 the top byte wraps past the sign bit,
-    # which the shift and mask below do not care about.
-    words = runs.reshape(-1, width) @ _BYTE_WEIGHTS[width]
-    groups = words >> _LANE_SHIFTS[width][:, None]
-    groups &= (1 << width) - 1
-    return groups
-
-
-def _unpack_groups(raw: bytes, width: int, count: int) -> np.ndarray:
-    """The first `count` (a multiple of 8) width-bit groups of raw."""
-    runs = np.frombuffer(raw, dtype=np.uint8, count=count // 8 * width)
-    return _unpack_runs(runs, width)
-
-
-def _pack_groups(groups: np.ndarray, width: int, total_bits: int) -> bytes:
-    """(8, runs) groups as width-bit fields, zero-filled to total_bits."""
-    # The fields are disjoint, so the sum equals their OR; at width 8 it
-    # wraps past the sign bit, which keeps the bit pattern.
-    words = _LANE_WEIGHTS[width] @ groups
-    runs = words.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
-    return runs.tobytes() + bytes(total_bits // 8 - runs.size)
-
-
-def _first_group(mask: np.ndarray) -> int:
-    """Group index of the first True of an (8, runs) mask."""
-    return int(np.argmax(mask.T))
-
-
-class _ChunkTables:
-    """Lookup tables over chunks of c successive codeword groups, for the
-    page-batch kernels.
-
-    c is the largest of 1, 2, 4 and 8 whose decode index (a stage bit
-    above c codewords, the first group highest) fits in 16 bits, so a
-    run of 8 groups is 8 // c chunks.  decode[index] holds the c messages
-    of the chunk, packed the same way, or -1 when any of its groups is no
-    codeword of that stage.  counts[chunk, cw] is how many groups of the
-    chunk are cw; bad[chunk] is set when one is no second-write codeword.
-    """
-
-    def __init__(self, code: WomCode):
-        n, k = code.n, code.k
-        self.c = c = max(c for c in (1, 2, 4, 8) if 1 + c * n <= 16)
-        self.bits = bits = c * n
-        per = 8 // c
-        # Word bit offsets of the chunks (a run fills a word's top bytes).
-        self.shifts = (8 * (8 - n)
-                       + bits * np.arange(per - 1, -1, -1, dtype=np.int64))
-        self.out_weights = np.left_shift(
-            1, c * k * np.arange(per - 1, -1, -1, dtype=np.int64))
-        index = np.arange(2 << bits, dtype=np.int64)
-        lanes = np.arange(c - 1, -1, -1, dtype=np.int64)[:, None]
-        groups = (index >> n * lanes) & ((1 << n) - 1)       # (c, index)
-        stacked = np.concatenate((code._d1_arr, code._d2_arr))
-        msgs = stacked[groups | (index >> bits << n)]
-        packed = (msgs << k * lanes).sum(axis=0)
-        self.decode = np.where((msgs < 0).any(axis=0), -1,
-                               packed).astype(np.int32)
-        chunk = groups[:, :1 << bits]
-        self.counts = (chunk[:, :, None] == np.arange(1 << n)).sum(
-            axis=0, dtype=np.uint8)
-        self.bad = (code._d2_arr[chunk] < 0).any(axis=0)
-
-
-def _run_words(raw: np.ndarray, width: int, runs: int) -> np.ndarray:
-    """The first `runs` width-byte runs of each row of raw, a (pages,
-    page_bytes) uint8 array, as int64 words holding their bytes at the
-    top, big-endian: (pages, runs)."""
+def _run_words(raw, size: int, width: int, runs: int) -> np.ndarray:
+    """The first `runs` width-byte runs of each size-byte page of raw
+    (bytes, or a C-contiguous uint8 array of whole pages), as int64
+    words holding their bytes at the top, big-endian, in page order."""
     # Each word is the 8 bytes read from its run's start, through a
     # big-endian view of a padded copy, so the last run has 8 bytes too.
-    pages, page_bytes = raw.shape
-    buf = np.zeros(raw.size + 8, dtype=np.uint8)
-    buf[:raw.size] = raw.ravel()
-    return np.ndarray((pages, runs), dtype=">u8", buffer=buf,
-                      strides=(page_bytes, width)).astype(np.int64)
+    if isinstance(raw, np.ndarray):
+        buf = np.zeros(raw.size + 8, dtype=np.uint8)
+        buf[:raw.size] = raw.ravel()
+    else:
+        buf = bytes(raw) + bytes(8)
+    return np.ndarray(((len(buf) - 8) // size, runs), ">u8", buf, 0,
+                      (size, width)).astype(np.int64).reshape(-1)
 
 
-def _chunk_index(t: _ChunkTables, words: np.ndarray) -> np.ndarray:
-    """(8 // c, words) int64 indices of each word's chunks: [j, r] is
-    chunk j of word r, like the (8, runs) group lanes."""
-    index = words.reshape(1, -1) >> t.shifts[:, None]
-    index &= (1 << t.bits) - 1
-    return index
+def _run_bytes(words, width: int, runs: int, size: int) -> np.ndarray:
+    """Words of whole pages' runs, their bytes at the bottom, as (pages,
+    size) uint8 rows: each run's `width` bytes in order, then zeros."""
+    words = words.astype(">u8")
+    shape, item = (len(words) // runs, runs), f"V{width}"
+    out = np.zeros((shape[0], size), dtype=np.uint8)
+    np.copyto(np.ndarray(shape, item, out, 0, (size, width)),
+              np.ndarray(shape, item, words, 8 - width, (8 * runs, 8)))
+    return out
 
 
-def _check_payload(layout, data, expected, what):
-    if len(data) != expected:
-        raise WomError(f"{what} length {len(data)}, layout wants {expected}")
+def _page_words(data, size, width, runs, what):
+    """The run words of data, whole pages of `size` bytes each."""
+    if len(data) % size or not data:
+        raise WomError(f"{what} length {len(data)}, layout wants a "
+                       f"multiple of {size}")
+    return _run_words(data, size, width, runs)
 
 
-def _public_messages(layout, code, public: bytes) -> np.ndarray:
-    _check_payload(layout, public, layout.public_payload_bytes, "public payload")
-    return _unpack_groups(public, code.k, layout.groups_per_page)
+def _codeword_error(layout, code, kernel, index, out, what=None):
+    """WomError naming the first group that is no codeword of its
+    stage, numbered within its page: second-stage if `what` says so or
+    the public decoder's prefix is set, else first-stage."""
+    g, group = kernel.first_bad(index, out)
+    what = what or ("second-write" if group >> code.n else "first-write")
+    value = int_to_bits(group & ((1 << code.n) - 1), code.n)
+    return WomError(f"group {g % layout.groups_per_page} ({value}) is not "
+                    f"a {what} codeword")
+
+
+def _encode(layout, code, name, public, other=None, size=0, width=0,
+            what=""):
+    """The raw pages that kernel `name` writes for whole public payloads
+    and, for second and full writes, the pages of `other` (size bytes,
+    width bits a group), all concatenated in page order."""
+    kernel, runs = code._kernel(name), layout.groups_per_page // 8
+    msgs = _page_words(public, layout.public_payload_bytes, code.k, runs,
+                       "public payload")
+    if other is not None:
+        other = _page_words(other, size, width, runs, what)
+        if len(other) != len(msgs):
+            raise WomError(f"{what} is not one page per public payload")
+    index = kernel.index(msgs, other)
+    cw = kernel.table[index]
+    if name == "second" and cw.min() < 0:
+        g, _ = kernel.first_bad(index, cw)
+        raise WomError(f"group {g % layout.groups_per_page} of existing "
+                       "page is not a first-write codeword")
+    return _run_bytes(kernel.pack(cw), code.n, runs,
+                      layout.page_bytes).tobytes()
+
+
+# The encoders take one or more pages: public payloads, and existing
+# pages or hidden payloads, concatenated; they return the raw pages
+# concatenated.
 
 
 def encode_page_first(layout: PageLayout, code: WomCode, public: bytes) -> bytes:
-    msgs = _public_messages(layout, code, public)
-    return _pack_groups(code._e1_arr[msgs], code.n, layout.page_bytes * 8)
+    return _encode(layout, code, "first", public)
 
 
 def encode_page_second(
     layout: PageLayout, code: WomCode, public: bytes, existing: bytes
 ) -> bytes:
-    msgs = _public_messages(layout, code, public)
-    _check_payload(layout, existing, layout.page_bytes, "existing page")
-    old = _unpack_groups(existing, code.n, layout.groups_per_page)
-    # Row-major index of (msgs, old) in the (2**k, 2**n) table.
-    cw = code._e2_arr.ravel()[(msgs << code.n) | old]
-    if cw.min() < 0:
-        g = _first_group(cw < 0)
-        raise WomError(f"group {g} of existing page is not a first-write codeword")
-    return _pack_groups(cw, code.n, layout.page_bytes * 8)
+    return _encode(layout, code, "second", public, existing,
+                   layout.page_bytes, code.n, "existing page")
 
 
 def encode_page_full(
     layout: PageLayout, code: WomCode, public: bytes, hidden: bytes
 ) -> bytes:
-    msgs = _public_messages(layout, code, public)
-    _check_payload(layout, hidden, layout.hidden_payload_bytes, "hidden payload")
-    # One hidden bit per group, as (8, runs) like msgs.
-    hbits = np.unpackbits(np.frombuffer(hidden, dtype=np.uint8)[None, :], axis=0)
-    # Row-major index of (msgs, hbits) in the (2**k, 2) table.
-    cw = code._w2_arr.ravel()[(msgs << 1) | hbits]
-    return _pack_groups(cw, code.n, layout.page_bytes * 8)
-
-
-def _codeword_error(layout, code, cw, bad, what):
-    """WomError naming the first group flagged in bad, numbered within its
-    page (the runs of successive pages follow each other in cw)."""
-    i = _first_group(bad)
-    value = int_to_bits(int(cw[i % 8, i // 8]), code.n)
-    return WomError(
-        f"group {i % layout.groups_per_page} ({value}) is not a {what} codeword"
-    )
-
-
-def _decode_groups(layout, code, raw, table, what):
-    _check_payload(layout, raw, layout.page_bytes, "raw page")
-    cw = _unpack_groups(raw, code.n, layout.groups_per_page)
-    out = table[cw]
-    if out.min() < 0:
-        raise _codeword_error(layout, code, cw, out < 0, what)
-    return out
+    return _encode(layout, code, "full", public, hidden,
+                   layout.hidden_payload_bytes, 1, "hidden payload")
 
 
 def decode_page_public(
     layout: PageLayout, code: WomCode, raw: bytes, stage: str
 ) -> bytes:
-    if stage == "first":
-        table = code._d1_arr
-    elif stage == "second":
-        table = code._d2_arr
-    else:
+    """decode_pages_public of one page."""
+    if stage not in ("first", "second"):
         raise WomError(f"unknown stage {stage!r}")
-    msgs = _decode_groups(layout, code, raw, table, f"{stage}-write")
-    return _pack_groups(msgs, code.k, layout.public_payload_bytes * 8)
-
-
-def _pages_codeword_error(layout, code, raw, second):
-    """WomError naming the first group of raw, pages as decode_pages_public
-    takes them, that is no codeword of its page's stage (one must be)."""
-    runs = layout.groups_per_page // 8
-    cw = _unpack_runs(raw[:, :runs * code.n], code.n)
-    stage = np.repeat(np.asarray(second, dtype=np.int64) << code.n, runs)
-    bad = np.concatenate((code._d1_arr, code._d2_arr))[cw | stage] < 0
-    page = _first_group(bad) // layout.groups_per_page
-    what = "second-write" if second[page] else "first-write"
-    return _codeword_error(layout, code, cw, bad, what)
+    grid = np.frombuffer(raw, dtype=np.uint8).reshape(1, -1)
+    return decode_pages_public(layout, code, grid,
+                               [stage == "second"]).tobytes()
 
 
 def decode_pages_public(layout: PageLayout, code: WomCode, raw: np.ndarray,
                         second: np.ndarray) -> np.ndarray:
-    """decode_page_public of each row of raw, an (n, page_bytes) uint8
+    """The public payload of each row of raw, an (n, page_bytes) uint8
     array whose row i is at second stage where second[i] is set, else at
     first stage: (n, public_payload_bytes) uint8 rows.
 
-    One table lookup decodes c groups of either stage (_ChunkTables); a
-    chunk holding a bad codeword raises the error of the first bad row.
+    One table lookup decodes c groups of either stage; a chunk holding a
+    bad codeword raises the error of the first bad row.
     """
     if raw.shape[1:] != (layout.page_bytes,):
         raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
-    t = code._chunks
+    kernel = code._kernel("public")
     runs = layout.groups_per_page // 8
-    index = _chunk_index(t, _run_words(raw, code.n, runs))
-    index |= np.repeat(np.asarray(second, dtype=np.int64) << t.bits, runs)
-    msgs = t.decode[index]
+    index = kernel.index(
+        _run_words(raw, layout.page_bytes, code.n, runs),
+        prefix=np.repeat(np.asarray(second, dtype=np.int64), runs))
+    msgs = kernel.table[index]
     if msgs.min(initial=0) < 0:
-        raise _pages_codeword_error(layout, code, raw, second)
-    # Each word's k-byte run of messages, copied out as one k-byte item.
-    words = (t.out_weights @ msgs).astype(">u8")
-    out = np.ndarray(words.shape, dtype=f"V{code.k}", buffer=words,
-                     offset=8 - code.k, strides=(8,))
-    return np.ascontiguousarray(out).view(np.uint8).reshape(
-        len(raw), layout.public_payload_bytes)
+        raise _codeword_error(layout, code, kernel, index, msgs)
+    return _run_bytes(kernel.pack(msgs), code.k, runs,
+                      layout.public_payload_bytes)
 
 
 def decode_page_hidden(
@@ -597,13 +593,14 @@ def decode_page_hidden(
     to 0 instead of raising — the mapping layer uses this so reads under a
     wrong key return garbage rather than an error (no password oracle).
     """
-    if strict:
-        h = _decode_groups(layout, code, raw, code._hid_arr, "second-write")
-    else:
-        _check_payload(layout, raw, layout.page_bytes, "raw page")
-        cw = _unpack_groups(raw, code.n, layout.groups_per_page)
-        h = np.maximum(code._hid_arr[cw], 0)
-    return _pack_groups(h, 1, layout.hidden_payload_bytes * 8)
+    kernel = code._kernel("hidden" if strict else "lenient")
+    runs = layout.groups_per_page // 8
+    index = kernel.index(_page_words(raw, layout.page_bytes, code.n, runs,
+                                     "raw page"))
+    h = kernel.table[index]
+    if h.min() < 0:
+        raise _codeword_error(layout, code, kernel, index, h, "second-write")
+    return _run_bytes(kernel.pack(h), 1, runs, runs).tobytes()
 
 
 # Groups per vectorised step of codeword_histogram: keeps its transient
@@ -614,28 +611,29 @@ _HISTOGRAM_GROUPS = 1 << 16
 def codeword_histogram(pages, code: WomCode, layout: PageLayout) -> Counter:
     """Counts of each second-write codeword across all groups of all pages.
 
-    Chunks of c groups are counted, then folded to codewords through
-    _ChunkTables.counts."""
+    Chunks of c groups (those of the strict hidden-bit decoder) are
+    counted, then folded to codewords one group of the chunk at a time."""
     pages = list(pages)
-    t = code._chunks
+    kernel = code._kernel("hidden")
     step = max(1, _HISTOGRAM_GROUPS // layout.groups_per_page)
     runs = layout.groups_per_page // 8
-    chunks = np.zeros(1 << t.bits, dtype=np.int64)
+    bad = kernel.table < 0
+    chunks = np.zeros(len(kernel.table), dtype=np.int64)
     for start in range(0, len(pages), step):
         batch = pages[start:start + step]
         buf = b"".join(batch)
         if len(buf) != len(batch) * layout.page_bytes:
             raise WomError(f"raw pages must be {layout.page_bytes} bytes each")
-        grid = np.frombuffer(buf, dtype=np.uint8).reshape(
-            len(batch), layout.page_bytes)
-        part = np.bincount(
-            _chunk_index(t, _run_words(grid, code.n, runs)).ravel(),
-            minlength=1 << t.bits)
-        if part[t.bad].any():
-            raise _pages_codeword_error(layout, code, grid,
-                                        np.ones(len(batch), dtype=bool))
+        index = kernel.index(_run_words(buf, layout.page_bytes, code.n, runs))
+        part = np.bincount(index.ravel(), minlength=len(chunks))
+        if part[bad].any():
+            raise _codeword_error(layout, code, kernel, index,
+                                  kernel.table[index], "second-write")
         chunks += part
-    counts = chunks @ t.counts
+    ids, mask = np.arange(len(chunks)), (1 << code.n) - 1
+    counts = sum(np.bincount((ids >> code.n * lane) & mask, weights=chunks,
+                             minlength=1 << code.n)
+                 for lane in range(kernel.c))
     return Counter({int(c): int(v) for c, v in enumerate(counts) if v})
 
 

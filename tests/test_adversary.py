@@ -27,8 +27,8 @@ from pearl.mutants import BrokenAllocatorFtl
 from pearl.oob import (TAG_FIRST, TAG_SECOND, OobSlot, observable_stage,
                        pack_oob, parse_oob)
 from pearl.wom import (WOM_2_3, WOM_3_5, BUILTIN_CODES, PageLayout,
-                       _pack_groups, _unpack_groups, decode_page_public,
-                       encode_page_first, encode_page_full)
+                       decode_page_public, encode_page_first,
+                       encode_page_full)
 
 
 # -- public-only codeword model ---------------------------------------
@@ -419,9 +419,10 @@ def test_diff_matches_the_per_page_scan_on_workload_images(ftl_cls):
 
 
 def _with_group(layout, code, raw, group, codeword):
-    groups = _unpack_groups(raw, code.n, layout.groups_per_page)
-    groups[group % 8, group // 8] = codeword
-    return _pack_groups(groups, code.n, layout.page_bytes * 8)
+    """raw with its n-bit group number `group` set to codeword."""
+    shift = layout.page_bytes * 8 - (group + 1) * code.n
+    bits = int.from_bytes(raw, "big") & ~(((1 << code.n) - 1) << shift)
+    return (bits | codeword << shift).to_bytes(layout.page_bytes, "big")
 
 
 @pytest.mark.parametrize("stage", ["first", "second"])

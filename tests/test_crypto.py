@@ -87,6 +87,18 @@ def test_keystream_matches_the_ctr_mode_of_cryptography(iv):
             text[:length]] * 3
 
 
+@pytest.mark.parametrize("length", [0, 1, 64, 1227])
+def test_one_call_encrypts_a_payload_under_each_concatenated_iv(length):
+    """encrypt_payload over n concatenated IVs and n equal-length
+    payloads equals n single calls, IVs whose counter wraps included."""
+    key = VolumeKey(bytes(range(32)), "public")
+    texts = [random.Random(i).randbytes(length) for i in range(len(_CTR_IVS))]
+    assert encrypt_payload(key, b"".join(_CTR_IVS), b"".join(texts)) == \
+        b"".join(encrypt_payload(key, iv, t) for iv, t in zip(_CTR_IVS, texts))
+    with pytest.raises(PearlError, match="one per payload"):
+        encrypt_payload(key, bytes(32), bytes(3))
+
+
 def test_encrypt_decrypt_roundtrip():
     key = VolumeKey(bytes(range(32)), "hidden")
     iv = bytes(range(16))

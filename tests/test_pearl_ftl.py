@@ -13,7 +13,8 @@ from conftest import (assert_cache_fresh, assert_reads_back, cold_reader,
 from pearl.bench import gen_synthetic, init_device
 from pearl.cmt import UNMAPPED
 from pearl.config import RESERVED_BLOCKS, PearlConfig, desk_config
-from pearl.errors import HeaderError, ModeError, PearlError, UnmappedLpn
+from pearl.errors import (DeviceFull, HeaderError, ModeError, NoPublicCover,
+                          PearlError, UnmappedLpn)
 from pearl.flash import (DEFAULT_TIMINGS, DESK_GEOMETRY, DeviceGeometry,
                          FlashDevice)
 from pearl.ftl import PUBLIC_HIDDEN, PearlFtl
@@ -1114,3 +1115,52 @@ def test_failed_program_caches_nothing_for_its_page(monkeypatch, fail_at):
     if before == 0:
         assert not any(p == ppn for _, p in ftl._payloads)
     assert_cache_fresh(ftl)
+
+
+# -- queued programs ---------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [NoPublicCover, DeviceFull])
+def test_a_failed_write_programs_what_it_queued(ftl, rng, monkeypatch,
+                                                error):
+    """A hidden write relocates public data into the UI1 slot, a queued
+    second write, and then fails: finding no cloak, or no empty page.
+    The queued program still reaches the device, so none stays queued,
+    the device holds exactly the pages the FTL counts as programmed, and
+    the relocated data reads back."""
+    lay = ftl.layout
+    shadow = {}
+    for lpn in (0, 1, 2, 0):
+        shadow["public", lpn] = rng.randbytes(lay.public_payload_bytes)
+        ftl.public_write(lpn, shadow["public", lpn])
+    ui1, programs = ftl.current_ui1, ftl.device.programs
+    assert ui1 is not None
+    if error is NoPublicCover:
+        # The relocation into the UI1 slot picks its source; the cloak
+        # pick after it fails.
+        pick, picks = ftl._pick_public_source, []
+
+        def pick_once():
+            picks.append(pick())
+            if len(picks) > 1:
+                raise NoPublicCover("injected")
+            return picks[0]
+        monkeypatch.setattr(ftl, "_pick_public_source", pick_once)
+    else:
+        def full(**_):
+            raise DeviceFull("injected")
+        monkeypatch.setattr(ftl, "_take_empty", full)
+    with pytest.raises(error, match="injected"):
+        ftl.hidden_write(0, rng.randbytes(lay.hidden_payload_bytes))
+    monkeypatch.undo()
+    assert ftl._pending == {}
+    assert ftl.device.programs == programs + 1
+    assert ftl.device.program_count(ui1) == 2
+    assert ftl._state[ui1] == PageState.V2
+    first = RESERVED_BLOCKS * ftl._ppb
+    pages = range(first, ftl.config.geometry.total_pages)
+    assert [p for p in pages if ftl.device.program_count(p)] == [
+        p for p in pages if ftl._state[p] != PageState.EMPTY]
+    assert ftl.check_invariants() == []
+    assert_cache_fresh(ftl)
+    assert_reads_back(ftl, shadow)

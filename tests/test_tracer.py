@@ -62,3 +62,26 @@ def test_tracer_records_the_examiner_scans():
     assert t.spans["wom.histogram"][0] == len(snaps)
     assert all(getattr(module, name) is fn
                for (module, name), fn in names.items())
+
+
+def test_tracer_attributes_a_collection_to_every_write_layer(monkeypatch):
+    """A collection seals its relocations as batches: the WOM encoders,
+    AES-CTR and OOB packing still show calls, and the tracer's program
+    count matches the device's."""
+    tracer = _load_tracer()
+    cfg = desk_config(cmt_capacity=64, seed=0)
+    ftl, _, _ = mixed_workload(PearlFtl, cfg, seed=3, nops=400,
+                               snap_every=0)
+    victim = max((blk for blk in cfg.managed_blocks
+                  if blk not in ftl._free and blk not in ftl._block.values()),
+                 key=lambda blk: ftl._valid[blk])
+    assert ftl._valid[victim] > 1
+    monkeypatch.setattr(ftl, "_select_victim", lambda: victim)
+    programs = ftl.device.programs
+    with tracer.Tracer().installed() as t:
+        assert ftl.gc_run() is not None
+    metrics = t.layer_metrics()
+    assert metrics["flash.programs"] == ftl.device.programs - programs > 1
+    for name in ("wom.encode_calls", "crypto.calls", "oob.calls"):
+        assert metrics[name] > 0, name
+    assert metrics["wom.encode_calls"] < metrics["flash.programs"]

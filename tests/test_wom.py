@@ -337,15 +337,55 @@ def test_corrupted_group_names_first_bad_group(layout, g):
         encode_page_second(layout, WOM_3_5, pub, first)
 
 
+# -- encoders over concatenated pages ---------------------------------
+
+
+@pytest.mark.parametrize("page_bytes", [512, 2048, 16384])
+@pytest.mark.parametrize("code", ALL_CODES, ids=lambda c: c.name)
+def test_encoders_take_concatenated_pages(code, page_bytes):
+    """Encoding n concatenated pages at any stage equals the
+    concatenation of n single-page encodes."""
+    lay = PageLayout.for_page(page_bytes, code)
+    rng = random.Random(page_bytes * code.n)
+    pubs = [rng.randbytes(lay.public_payload_bytes) for _ in range(5)]
+    hids = [rng.randbytes(lay.hidden_payload_bytes) for _ in pubs]
+    firsts = [encode_page_first(lay, code, p) for p in pubs]
+    assert encode_page_first(lay, code, b"".join(pubs)) == b"".join(firsts)
+    again = pubs[2:] + pubs[:2]
+    assert encode_page_second(lay, code, b"".join(again),
+                              b"".join(firsts)) == b"".join(
+        encode_page_second(lay, code, p, f) for p, f in zip(again, firsts))
+    assert encode_page_full(lay, code, b"".join(pubs),
+                            b"".join(hids)) == b"".join(
+        encode_page_full(lay, code, p, h) for p, h in zip(pubs, hids))
+    with pytest.raises(WomError, match="not one page per public payload"):
+        encode_page_full(lay, code, b"".join(pubs), b"".join(hids[1:]))
+
+
+@pytest.mark.parametrize("g", [0, 1234, 3271])
+def test_bad_existing_page_in_a_batch_names_its_group(layout, g):
+    """Group g and a later group of the third of four existing pages
+    are no first-write codewords: a second write of the batch names g,
+    counted within that page."""
+    rng = random.Random(g)
+    pubs = [rng.randbytes(layout.public_payload_bytes) for _ in range(4)]
+    firsts = [encode_page_first(layout, WOM_3_5, p) for p in pubs]
+    for gg in (min(g + 9, layout.groups_per_page - 1), g):
+        firsts[2] = _set_group(layout, WOM_3_5, firsts[2], gg, 0b11111)
+    with pytest.raises(WomError, match=rf"^group {g} of existing page is "
+                       "not a first-write codeword$"):
+        encode_page_second(layout, WOM_3_5, b"".join(pubs), b"".join(firsts))
+
+
 # -- page-batch kernels against the group lanes ------------------------
 
 
 def test_chunk_tables_fit_sixteen_bits():
     """c groups per lookup: the largest of 1, 2, 4, 8 whose decode index
     (a stage bit and c codewords) fits in 16 bits."""
-    assert (WOM_3_5._chunks.c, WOM_3_5._chunks.decode.shape) == (2, (2048,))
-    assert (WOM_2_3._chunks.c, WOM_2_3._chunks.decode.shape) == (4, (8192,))
-    assert WOM_3_5._chunks.decode.dtype == np.int32
+    for code, c, size in ((WOM_3_5, 2, 2048), (WOM_2_3, 4, 8192)):
+        kernel = code._kernel("public")
+        assert (kernel.c, kernel.table.shape) == (c, (size,))
 
 
 def _batch(code, lay, rng, pages):
@@ -389,7 +429,7 @@ def test_chunk_kernels_match_the_group_lanes(code, page_bytes, monkeypatch):
     codeword error."""
     def no_fallback(*args):
         raise AssertionError("valid pages built a codeword error")
-    monkeypatch.setattr(pearl.wom, "_pages_codeword_error", no_fallback)
+    monkeypatch.setattr(pearl.wom, "_codeword_error", no_fallback)
     lay = PageLayout.for_page(page_bytes, code)
     raw, second = _batch(code, lay, random.Random(page_bytes + code.n), 9)
     out = decode_pages_public(lay, code, _grid(raw), second)
