@@ -115,6 +115,7 @@ class PearlFtl(MappingCore):
 
         self._ppb = config.geometry.pages_per_block
         self._epp = config.entries_per_translation_page
+        self._volumes = self.volumes()   # what every request is checked against
         self._reset_volatile()
         self._persist_cursor = 1  # next free page in the header block
         self._persist_clean = False
@@ -561,28 +562,30 @@ class PearlFtl(MappingCore):
         program in queue order, caching what a cold read of its page
         returns."""
         queued, self._pending = self._pending, {}
-        jobs = list(queued.values())
+        stages, ivs, pubs, hids, existing, oobs = zip(*queued.values())
         lay, code = self.layout, self.config.code
-        size, page = lay.public_payload_bytes, lay.page_bytes
-        ct = encrypt_payload(self.k_pub, b"".join([j[1] for j in jobs]),
-                             b"".join([j[2] for j in jobs]))
-        raw = [None] * len(jobs)
-        for stage in dict.fromkeys(j[0] for j in jobs):
-            at = [i for i, j in enumerate(jobs) if j[0] == stage]
-            public = ct if len(at) == len(jobs) else b"".join(
-                [ct[i * size:(i + 1) * size] for i in at])
+        ct = encrypt_payload(self.k_pub, b"".join(ivs), b"".join(pubs))
+        raw = [None] * len(stages)
+        for stage in dict.fromkeys(stages):
+            at = [i for i, s in enumerate(stages) if s == stage]
+            if len(at) == len(stages):
+                public = ct
+            else:
+                size = lay.public_payload_bytes
+                public = b"".join([ct[i * size:(i + 1) * size] for i in at])
             if stage == "first":
                 out = encode_page_first(lay, code, public)
             elif stage == "second":
                 out = encode_page_second(lay, code, public, b"".join(
-                    [jobs[i][4] for i in at]))
+                    [existing[i] for i in at]))
             else:
                 out = encode_page_full(lay, code, public, encrypt_payload(
-                    self.k_hid, b"".join([jobs[i][1] for i in at]),
-                    b"".join([jobs[i][3] for i in at])))
+                    self.k_hid, b"".join([ivs[i] for i in at]),
+                    b"".join([hids[i] for i in at])))
+            page = lay.page_bytes
             for n, i in enumerate(at):
                 raw[i] = out[n * page:(n + 1) * page]
-        for target, (_, _, pub, hid, _, oob), data in zip(queued, jobs, raw):
+        for target, data, oob, pub, hid in zip(queued, raw, oobs, pubs, hids):
             self.device.program_page(target, data, oob)
             self._store_payload(PUBLIC, target, pub)
             if hid is not None:
@@ -782,7 +785,7 @@ class PearlFtl(MappingCore):
         capacity and write data that is not one page payload of it."""
         if volume == HIDDEN:
             self._require_hidden()
-        pages, payload = self.volumes()[volume]
+        pages, payload = self._volumes[volume]
         if not 0 <= lpn < pages:
             raise PearlError(f"{volume} lpn {lpn} beyond volume capacity")
         if data is not None and len(data) != payload:

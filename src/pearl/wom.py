@@ -460,10 +460,14 @@ _KERNELS = {
 }
 
 
-def _run_words(raw, size: int, width: int, runs: int) -> np.ndarray:
+def _run_words(raw, size: int, width: int, runs: int, what=None):
     """The first `runs` width-byte runs of each size-byte page of raw
     (bytes, or a C-contiguous uint8 array of whole pages), as int64
-    words holding their bytes at the top, big-endian, in page order."""
+    words holding their bytes at the top, big-endian, in page order.
+    Given `what`, raw must be whole pages, else WomError names it."""
+    if what is not None and (len(raw) % size or not raw):
+        raise WomError(f"{what} length {len(raw)}, layout wants a "
+                       f"multiple of {size}")
     # Each word is the 8 bytes read from its run's start, through a
     # big-endian view of a padded copy, so the last run has 8 bytes too.
     if isinstance(raw, np.ndarray):
@@ -486,14 +490,6 @@ def _run_bytes(words, width: int, runs: int, size: int) -> np.ndarray:
     return out
 
 
-def _page_words(data, size, width, runs, what):
-    """The run words of data, whole pages of `size` bytes each."""
-    if len(data) % size or not data:
-        raise WomError(f"{what} length {len(data)}, layout wants a "
-                       f"multiple of {size}")
-    return _run_words(data, size, width, runs)
-
-
 def _codeword_error(layout, code, kernel, index, out, what=None):
     """WomError naming the first group that is no codeword of its
     stage, numbered within its page: second-stage if `what` says so or
@@ -511,10 +507,10 @@ def _encode(layout, code, name, public, other=None, size=0, width=0,
     and, for second and full writes, the pages of `other` (size bytes,
     width bits a group), all concatenated in page order."""
     kernel, runs = code._kernel(name), layout.groups_per_page // 8
-    msgs = _page_words(public, layout.public_payload_bytes, code.k, runs,
-                       "public payload")
+    msgs = _run_words(public, layout.public_payload_bytes, code.k, runs,
+                      "public payload")
     if other is not None:
-        other = _page_words(other, size, width, runs, what)
+        other = _run_words(other, size, width, runs, what)
         if len(other) != len(msgs):
             raise WomError(f"{what} is not one page per public payload")
     index = kernel.index(msgs, other)
@@ -595,8 +591,8 @@ def decode_page_hidden(
     """
     kernel = code._kernel("hidden" if strict else "lenient")
     runs = layout.groups_per_page // 8
-    index = kernel.index(_page_words(raw, layout.page_bytes, code.n, runs,
-                                     "raw page"))
+    index = kernel.index(_run_words(raw, layout.page_bytes, code.n, runs,
+                                    "raw page"))
     h = kernel.table[index]
     if h.min() < 0:
         raise _codeword_error(layout, code, kernel, index, h, "second-write")
