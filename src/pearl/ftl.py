@@ -115,7 +115,7 @@ class PearlFtl(MappingCore):
 
         self._ppb = config.geometry.pages_per_block
         self._epp = config.entries_per_translation_page
-        self._volumes = self.volumes()   # what every request is checked against
+        self._volumes = self.volumes()  # checked on every request
         self._reset_volatile()
         self._persist_cursor = 1  # next free page in the header block
         self._persist_clean = False

@@ -377,7 +377,7 @@ def test_bad_existing_page_in_a_batch_names_its_group(layout, g):
         encode_page_second(layout, WOM_3_5, b"".join(pubs), b"".join(firsts))
 
 
-# -- page-batch kernels against the group lanes ------------------------
+# -- page-batch kernels against single pages ---------------------------
 
 
 def test_chunk_tables_fit_sixteen_bits():
@@ -425,8 +425,8 @@ def _message(fn, *args):
 @pytest.mark.parametrize("code", [WOM_3_5, WOM_2_3], ids=lambda c: c.name)
 def test_chunk_kernels_match_the_group_lanes(code, page_bytes, monkeypatch):
     """The batched public decode and the histogram equal the per-page
-    group-lane codec and a count of every group, without building a
-    codeword error."""
+    decoder and a count of every group, without building a codeword
+    error."""
     def no_fallback(*args):
         raise AssertionError("valid pages built a codeword error")
     monkeypatch.setattr(pearl.wom, "_codeword_error", no_fallback)
