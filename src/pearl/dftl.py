@@ -20,15 +20,13 @@ DATA, TRANS = "data", "trans"
 
 
 class Dftl(MappingCore):
-    def __init__(self, device: FlashDevice, cmt_capacity: int = 1024,
-                 utilization: float = 0.84):
-        if not 0 < utilization < 1:
-            raise ValueError("utilization must be in (0, 1)")
+    def __init__(self, device: FlashDevice, cmt_capacity: int = 1024):
         self.device = device
         g = device.geometry
         self._ppb = g.pages_per_block
         self.page_bytes = g.page_bytes
-        self.logical_pages = int(utilization * g.total_pages)
+        # 84% of the device is logical space; the rest is spare for GC.
+        self.logical_pages = int(0.84 * g.total_pages)
         self.entries_per_page = g.page_bytes // 4
         self._epp = {DATA: self.entries_per_page}
         self.gc_runs = 0

@@ -98,11 +98,11 @@ def _sealing(call):
 class PearlFtl(MappingCore):
     """The deniable FTL engine.  Use format() or mount() to construct."""
 
-    def __init__(self, device: FlashDevice, config: PearlConfig, mode,
+    def __init__(self, device: FlashDevice, config: PearlConfig,
                  k_pub: VolumeKey, k_hid, salt: bytes, track_ivs=False):
         self.device = device
         self.config = config
-        self.mode = mode
+        self.mode = PUBLIC_ONLY if k_hid is None else PUBLIC_HIDDEN
         self.k_pub = k_pub
         self.k_hid = k_hid
         self.salt = salt
@@ -142,13 +142,11 @@ class PearlFtl(MappingCore):
 
     @classmethod
     def format(cls, device, config, public_password, hidden_password=None,
-               salt=None, track_ivs=False):
+               track_ivs=False):
         """Initialize a blank device: write the header and return a handle."""
         if any(device.program_count(p) for p in range(device.geometry.total_pages)):
             raise HeaderError("device is not blank; mount it instead")
-        rng = Random(config.seed)
-        if salt is None:
-            salt = rng.randbytes(16)
+        salt = Random(config.seed).randbytes(16)
         header = cls._pack_header(config, salt)
         device.program_page(0, header, bytes(config.geometry.oob_bytes))
         return cls._open(device, config, public_password, hidden_password,
@@ -168,12 +166,9 @@ class PearlFtl(MappingCore):
     def _open(cls, device, config, public_password, hidden_password, salt,
               track_ivs):
         k_pub = derive_key(public_password, PUBLIC, salt)
-        k_hid = None
-        mode = PUBLIC_ONLY
-        if hidden_password is not None:
-            k_hid = derive_key(hidden_password, HIDDEN, salt)
-            mode = PUBLIC_HIDDEN
-        return cls(device, config, mode, k_pub, k_hid, salt, track_ivs)
+        k_hid = (None if hidden_password is None
+                 else derive_key(hidden_password, HIDDEN, salt))
+        return cls(device, config, k_pub, k_hid, salt, track_ivs)
 
     @staticmethod
     def _pack_header(config, salt):
@@ -685,16 +680,15 @@ class PearlFtl(MappingCore):
             self._set_state(ppn, PageState.I2, reason)
 
     def _program_full(self, hidden_field, hidden_plain, bucket, cloak=None,
-                      old=None, relocation=True):
+                      old=None):
         """One full write: public cloak + hidden payload, to an empty page,
         superseding old, the hidden page hidden_field maps to (if any).
 
-        cloak may be (lpn_field, plaintext, src_ppn_or_None), src being the
-        public page it supersedes: a relocation source, or an update
-        casualty when relocation is False.  When absent, a public page is
-        chosen from the least active block, and its payload is read once
-        the target is allocated.  Both superseded pages are resolved
-        after the allocation, which may collect.
+        cloak may be (lpn_field, plaintext, src_ppn), src being the public
+        page it relocates.  When absent, a public page is chosen from the
+        least active block, and its payload is read once the target is
+        allocated.  Both superseded pages are resolved after the
+        allocation, which may collect.
         """
         self._fill_ui1()
         if cloak is None:
@@ -708,8 +702,7 @@ class PearlFtl(MappingCore):
             cloak_plain = self._payload(PUBLIC, src)
         self._program(target, cloak_lpn, cloak_plain, bucket,
                       hidden=(hidden_field, hidden_plain))
-        if src is not None:
-            self._invalidate_public(src, reason=bucket, relocation=relocation)
+        self._invalidate_public(src, reason=bucket, relocation=True)
         self._set_loc(PUBLIC, cloak_lpn, target)
         self._set_loc(HIDDEN, hidden_field, target)
         if old is not None and self._hidden_at.get(old) == hidden_field:
@@ -828,6 +821,9 @@ class PearlFtl(MappingCore):
         return out
 
     def trim(self, lpn, volume=PUBLIC):
+        if volume not in (PUBLIC, HIDDEN):
+            raise PearlError(f"unknown volume {volume!r}")
+        self._check_request(volume, lpn)
         self._touch()
         if volume == PUBLIC:
             if lpn in self._trimmed:
@@ -840,14 +836,11 @@ class PearlFtl(MappingCore):
             else:
                 self._set_state(ppn, PageState.I2, "trim")
                 self.cmt.put(PUBLIC, lpn, UNMAPPED, dirty=True)
-        elif volume == HIDDEN:
-            self._require_hidden()
+        else:
             ppn = self._translate(HIDDEN, lpn)
             if self._hidden_at.get(ppn) == lpn:
                 self._hid_clear(ppn)
             self.cmt.put(HIDDEN, lpn, UNMAPPED, dirty=True)
-        else:
-            raise PearlError(f"unknown volume {volume!r}")
         self._drain_cmt()
 
     def volumes(self):
@@ -872,65 +865,10 @@ class PearlFtl(MappingCore):
             return self.trim(lpn, volume)
         raise PearlError(f"unknown op {op!r}")
 
-    @_sealing
     def submit_batch(self, requests):
-        """Process a batch of (volume, lpn, op, data) requests in order.
-
-        A hidden write looks ahead for the next unconsumed public write in
-        the batch and uses it as its cloak, saving one relocation; the
-        public write is then complete and skipped when its turn comes.  A
-        public write whose lpn an unconsumed public request before it names
-        is passed over, so no request sees its lpn out of order.
-        """
-        results = []
-        consumed = set()
-        reqs = list(requests)
-        for i, (volume, lpn, op, data) in enumerate(reqs):
-            if i in consumed:
-                results.append(None)
-                continue
-            if op == "write" and volume == HIDDEN:
-                j, named = None, set()
-                for k in range(i + 1, len(reqs)):
-                    if k in consumed or reqs[k][0] != PUBLIC:
-                        continue
-                    if reqs[k][2] == "write" and reqs[k][1] not in named:
-                        j = k
-                        break
-                    named.add(reqs[k][1])
-                if j is None:
-                    self.hidden_write(lpn, data)
-                else:
-                    _, pub_lpn, _, pub_data = reqs[j]
-                    self._hidden_write_with_incoming(lpn, data, pub_lpn,
-                                                     pub_data)
-                    consumed.add(j)
-                results.append(None)
-            else:
-                results.append(self.submit(volume, lpn, op, data))
-        return results
-
-    def _hidden_write_with_incoming(self, lpn, data, pub_lpn, pub_data):
-        """Full write carrying a hidden page plus an incoming public user
-        write as its cloak."""
-        self._check_request(HIDDEN, lpn, data)
-        self._check_request(PUBLIC, pub_lpn, pub_data)
-        self._touch()
-        old_h = self._get_loc(HIDDEN, lpn)
-        old_p = self._get_loc(PUBLIC, pub_lpn)
-        if pub_lpn in self._trimmed:
-            # Its trimmed copy stays queued for a second write, now as a
-            # relocation casualty: the lpn moves on to the full write.
-            self.tiq[old_p] = None
-            self._trimmed.discard(pub_lpn)
-            old_p = None
-        # The superseded public copy is a genuine update casualty.
-        self._program_full(lpn, data, bucket="hidden_user",
-                           cloak=(pub_lpn, pub_data, old_p), old=old_h,
-                           relocation=False)
-        groups, code = self.layout.groups_per_page, self.config.code
-        self._account("public_user", groups * code.k, groups * code.n)
-        self._drain_cmt()
+        """Submit each (volume, lpn, op, data) request in order; returns
+        their results."""
+        return [self.submit(*r) for r in requests]
 
     # ------------------------------------------------------------------
     # garbage collection
@@ -958,7 +896,7 @@ class PearlFtl(MappingCore):
         pub_only, hid_only, paired = [], [], []
         for ppn in pages:
             has_pub = self._state[ppn] in _VALID
-            hid = self._hidden_at.get(ppn) if self.mode == PUBLIC_HIDDEN else None
+            hid = self._hidden_at.get(ppn)
             if has_pub:
                 item = (self._owner[ppn], self._payload(PUBLIC, ppn), ppn)
                 if hid is not None:

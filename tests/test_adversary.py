@@ -63,14 +63,12 @@ def test_second_write_model_matches_exact_enumeration(code):
 
 
 def test_classify_recovers_public_payloads(desk_cfg, device, rng):
-    salt = bytes(range(16))
-    ftl = PearlFtl.format(device, desk_cfg, "public-pw", "hidden-pw",
-                          salt=salt)
+    ftl = PearlFtl.format(device, desk_cfg, "public-pw", "hidden-pw")
     lay = ftl.layout
     data = rng.randbytes(lay.public_payload_bytes)
     ftl.public_write(7, data)
     ppn = ftl._translate("public", 7)
-    k_pub = derive_key("public-pw", "public", salt)
+    k_pub = derive_key("public-pw", "public", ftl.salt)
     obs = {o.ppn: o for o in classify_snapshot(
         ftl.snapshot(), k_pub, decode_payloads=True)}
     assert obs[ppn].stage in ("first", "second")

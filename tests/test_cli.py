@@ -155,6 +155,19 @@ def test_io_rejects_bad_request_lines(run, bad):
     assert out.startswith("1: error: ") and "\n2: error: " in out
 
 
+def test_io_reports_a_negative_trim_and_saves_the_image(run):
+    rc, _ = run("init", "--fill", "0.5", "--hidden-password", "hidden-pw")
+    assert rc == EXIT_OK
+    device = run.dir / "runs" / "device.img"
+    image = device.read_bytes()
+    rc, out = _io(run, {"volume": "public", "op": "trim", "lpn": -700})
+    assert rc == EXIT_VIOLATION
+    assert out.splitlines() == [
+        "1: error: public lpn -700 beyond volume capacity"]
+    assert _manifest(run)[-1]["outputs"]["failures"] == 1
+    assert device.read_bytes() == image
+
+
 def test_io_reports_each_request(run):
     rc, _ = run("init", "--fill", "0", "--hidden-password", "hidden-pw")
     assert rc == EXIT_OK

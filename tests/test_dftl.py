@@ -22,15 +22,6 @@ def _payload(dftl, rng):
     return rng.randbytes(dftl.page_bytes)
 
 
-def test_utilization_bounds():
-    with pytest.raises(ValueError):
-        Dftl(FlashDevice(DESK_GEOMETRY), utilization=0.0)
-    with pytest.raises(ValueError):
-        Dftl(FlashDevice(DESK_GEOMETRY), utilization=1.0)
-    d = Dftl(FlashDevice(DESK_GEOMETRY))
-    assert d.logical_pages == int(0.84 * 2048)
-
-
 def test_write_read_trim_cycle(dftl, ):
     rng = random.Random(0)
     data = _payload(dftl, rng)

@@ -382,105 +382,63 @@ def test_iv_tracking_catches_repeat_under_public_key(device, desk_cfg, rng):
         ftl.public_write(6, rng.randbytes(lay.public_payload_bytes))
 
 
-def test_batch_hidden_write_uses_incoming_public_write(ftl, rng):
-    lay = ftl.layout
-    for lpn in range(6):
-        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
-    pub = rng.randbytes(lay.public_payload_bytes)
-    sec = rng.randbytes(lay.hidden_payload_bytes)
-    ftl.submit_batch([
-        ("hidden", 3, "write", sec),
-        ("public", 9, "write", pub),
-    ])
-    assert ftl.public_read(9) == pub
-    assert ftl.hidden_read(3) == sec
-    # paired into a single page program (plus possible metadata traffic)
-    assert ftl._translate("public", 9) == ftl._translate("hidden", 3)
-
-
-def test_batch_cloak_never_runs_ahead_of_a_request_on_its_lpn(ftl, rng):
-    """A public write named by a read or trim between it and the hidden
-    write is not taken as the cloak; a later write of another lpn is."""
-    lay = ftl.layout
-    old = {lpn: rng.randbytes(lay.public_payload_bytes) for lpn in (5, 6, 7)}
-    for lpn, data in old.items():
-        ftl.public_write(lpn, data)
-    new5, new6, new7 = (rng.randbytes(lay.public_payload_bytes)
-                        for _ in range(3))
-    sec = rng.randbytes(lay.hidden_payload_bytes)
-    got = ftl.submit_batch([("hidden", 1, "write", sec),
-                            ("public", 5, "read", None),
-                            ("public", 5, "write", new5)])
-    assert got[1] == old[5]
-    assert ftl.public_read(5) == new5
-    ftl.submit_batch([("hidden", 2, "write", sec),
-                      ("public", 6, "trim", None),
-                      ("public", 6, "write", new6),
-                      ("public", 7, "write", new7)])
-    assert ftl.public_read(6) == new6
-    assert ftl.public_read(7) == new7
-    assert ftl._translate("public", 7) == ftl._translate("hidden", 2)
-    assert ftl.hidden_read(1) == ftl.hidden_read(2) == sec
-    assert ftl.check_invariants() == []
-
-
-def test_batch_cloak_of_a_trimmed_lpn_queues_its_old_page(ftl, rng):
-    """An incoming public write of a trimmed lpn cloaks a hidden write:
-    the trimmed copy stays queued for a second write, now as a relocation
-    casualty, and both lpns read back, also after an unmount and a
-    mount."""
-    lay = ftl.layout
-    for lpn in range(8):
-        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
-    old = ftl._translate("public", 6)
-    ftl.trim(6)
-    assert ftl.tiq == {old: 6}
-    h = rng.randbytes(lay.hidden_payload_bytes)
-    p = rng.randbytes(lay.public_payload_bytes)
-    ftl.submit_batch([("hidden", 2, "write", h), ("public", 6, "write", p)])
-    assert old in ftl.tiq and ftl.tiq[old] is None
-    assert ftl._translate("public", 6) == ftl._translate("hidden", 2)
-    assert ftl.public_read(6) == p and ftl.hidden_read(2) == h
-    assert ftl.check_invariants() == []
-    for f in (_remount(ftl), ftl):
-        assert f.public_read(6) == p and f.hidden_read(2) == h
-        assert f.check_invariants() == []
-
-
-def test_batches_survive_collections_inside_allocation(ftl):
-    """Batched writes on GC-heavy traffic: a collection inside a full
-    write's allocation may refill the UI1 slot or move the public page
-    its incoming cloak supersedes."""
-    init_device(ftl, fill_fraction=0.5, seed=0)
+def test_batches_survive_collections_inside_allocation(desk_cfg):
+    """A batch is its requests submitted in order: on GC-heavy traffic,
+    where collections run inside allocation, reads and writes in batches
+    give the same results, image, clock, ledger and collections as the
+    same requests submitted one by one."""
+    batched, twin = (PearlFtl.format(FlashDevice(desk_cfg.geometry),
+                                     desk_cfg, "public-pw", "hidden-pw")
+                     for _ in range(2))
+    for f in (batched, twin):
+        init_device(f, fill_fraction=0.5, seed=0)
     rng = random.Random(0)
-    vols = ftl.volumes()
+    vols = batched.volumes()
     shadow = {}
     for _ in range(1500):
-        batch = []
+        batch, expected = [], []
         for _ in range(3):
             volume = "hidden" if rng.random() < 0.3 else "public"
             pages, payload = vols[volume]
-            batch.append((volume, rng.randrange(pages), "write",
-                          rng.randbytes(payload)))
-        ftl.submit_batch(batch)
-        shadow.update(((volume, lpn), data) for volume, lpn, _, data in batch)
-    assert ftl.check_invariants() == []
-    assert_reads_back(ftl, shadow)
+            lpn = rng.randrange(pages)
+            if (volume, lpn) in shadow and rng.random() < 0.3:
+                batch.append((volume, lpn, "read", None))
+                expected.append(shadow[volume, lpn])
+            else:
+                shadow[volume, lpn] = data = rng.randbytes(payload)
+                batch.append((volume, lpn, "write", data))
+                expected.append(None)
+        assert batched.submit_batch(batch) == expected
+        assert [twin.submit(*r) for r in batch] == expected
+    assert (batched.snapshot().to_bytes(), batched.device.clock_us,
+            batched.ledger, batched.gc_runs) == (
+        twin.snapshot().to_bytes(), twin.device.clock_us, twin.ledger,
+        twin.gc_runs)
+    assert batched.check_invariants() == []
+    assert_reads_back(batched, shadow)
 
 
-def test_batch_rejects_lpns_beyond_capacity(ftl, rng):
-    lay, cfg = ftl.layout, ftl.config
+def test_every_request_rejects_an_lpn_beyond_capacity(ftl, rng):
+    """Reads, writes and trims of either volume reject an lpn outside it
+    before they touch anything: nothing is programmed and the unmount
+    image stays as it was."""
+    lay = ftl.layout
     for lpn in range(6):
         ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
-    programs = ftl.device.programs
-    sec = rng.randbytes(lay.hidden_payload_bytes)
-    pub = rng.randbytes(lay.public_payload_bytes)
-    for hidden_lpn, public_lpn in ((3, cfg.public_pages + 5),
-                                   (cfg.hidden_pages, 9)):
-        with pytest.raises(PearlError, match="beyond volume capacity"):
-            ftl.submit_batch([("hidden", hidden_lpn, "write", sec),
-                              ("public", public_lpn, "write", pub)])
+    ftl.hidden_write(0, rng.randbytes(lay.hidden_payload_bytes))
+    ftl.prepare_unmount()
+    programs, image = ftl.device.programs, ftl.snapshot().to_bytes()
+    for volume, (pages, payload) in ftl.volumes().items():
+        data = rng.randbytes(payload)
+        for lpn in (-700, -1, pages, 10**6):
+            for op in ("read", "write", "trim"):
+                with pytest.raises(PearlError,
+                                   match="beyond volume capacity"):
+                    ftl.submit(volume, lpn, op,
+                               data if op == "write" else None)
+    ftl.prepare_unmount()
     assert ftl.device.programs == programs
+    assert ftl.snapshot().to_bytes() == image
     assert ftl.check_invariants() == []
 
 
