@@ -132,9 +132,6 @@ class TransitionReport:
     def ok(self) -> bool:
         return not self.implausible
 
-    def lines(self):
-        return [r.line() for r in self.records]
-
 
 def diff_transitions(s1: Snapshot, s2: Snapshot) -> TransitionReport:
     """Flag per-page changes between two snapshots of the same device that

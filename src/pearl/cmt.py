@@ -10,8 +10,10 @@ paths.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from collections import Counter, OrderedDict
+from itertools import filterfalse
 
 from .errors import DeviceFull, UnmappedLpn
 from .oob import LPN_MASK, is_trans_field
@@ -21,26 +23,28 @@ UNMAPPED = 0xFFFF_FFFF
 
 class CachedMappingTable:
     """The cache, with its dirty entries indexed by translation page:
-    entries_per_page[volume] lpns map to one page of a volume."""
+    entries_per_page[volume] lpns map to one page of a volume.  An entry
+    is (volume, lpn) -> ppn; it is dirty exactly while its lpn is in the
+    dirty set of its translation page, so the flag is kept once."""
 
     def __init__(self, capacity: int, entries_per_page):
         if capacity < 1:
             raise ValueError("CMT capacity must be >= 1")
         self.capacity = capacity
         self._epp = entries_per_page
-        self._entries = OrderedDict()  # (volume, lpn) -> [ppn, dirty]
+        self._entries = OrderedDict()  # (volume, lpn) -> ppn
         self._dirty = {}  # (volume, m_vpn) -> lpns of its dirty entries
-        self.hits = 0
         self.misses = 0
-
-    def __len__(self):
-        return len(self._entries)
 
     def __contains__(self, key):
         return key in self._entries
 
+    def _lpns(self, volume, lpn):
+        """The dirty set of lpn's translation page (empty if none)."""
+        return self._dirty.get((volume, lpn // self._epp[volume]), ())
+
     def _clean(self, volume, lpn):
-        """Drop lpn from its translation page's dirty index."""
+        """Drop lpn from its translation page's dirty set."""
         page = (volume, lpn // self._epp[volume])
         lpns = self._dirty[page]
         lpns.discard(lpn)
@@ -50,67 +54,46 @@ class CachedMappingTable:
     def lookup(self, volume, lpn):
         """Returns ppn (may be UNMAPPED) or None on miss; touches recency."""
         key = (volume, lpn)
-        ent = self._entries.get(key)
-        if ent is None:
+        ppn = self._entries.get(key)
+        if ppn is None:
             self.misses += 1
             return None
-        self.hits += 1
         self._entries.move_to_end(key)
-        return ent[0]
+        return ppn
 
     def put(self, volume, lpn, ppn, dirty):
-        """Insert or update; an update never evicts.  No capacity eviction
-        happens here — callers drain overflow via pop_excess()."""
+        """Insert or update; an update never evicts, and a clean put leaves
+        a dirty entry dirty.  No capacity eviction happens here — callers
+        drain overflow via pop_excess()."""
         key = (volume, lpn)
-        ent = self._entries.get(key)
-        if ent is not None:
-            ent[0] = ppn
-            self._entries.move_to_end(key)
-            if ent[1] or not dirty:
-                return
-            ent[1] = True
-        else:
-            self._entries[key] = [ppn, dirty]
-            if not dirty:
-                return
-        page = (volume, lpn // self._epp[volume])
-        lpns = self._dirty.get(page)
-        if lpns is None:
-            self._dirty[page] = {lpn}
-        else:
-            lpns.add(lpn)
+        self._entries[key] = ppn
+        self._entries.move_to_end(key)
+        if dirty:
+            self._dirty.setdefault(
+                (volume, lpn // self._epp[volume]), set()).add(lpn)
 
     def pop_excess(self):
-        """Pop and return the LRU entry if over capacity, else None."""
+        """Pop and return the LRU entry, as ((volume, lpn), ppn, dirty), if
+        over capacity, else None."""
         if len(self._entries) <= self.capacity:
             return None
-        key, (ppn, dirty) = next(iter(self._entries.items()))
-        del self._entries[key]
+        key, ppn = self._entries.popitem(last=False)
+        dirty = key[1] in self._lpns(*key)
         if dirty:
             self._clean(*key)
         return key, ppn, dirty
 
     def dirty_in_page(self, volume, m_vpn):
         """All dirty cached entries living in the given translation page,
-        as (lpn, ppn).  An indexed lpn whose entry is gone or clean (the
-        entries were changed behind the index) leaves the index."""
-        out = []
-        for lpn in list(self._dirty.get((volume, m_vpn), ())):
-            ent = self._entries.get((volume, lpn))
-            if ent is not None and ent[1]:
-                out.append((lpn, ent[0]))
-            else:
-                self._clean(volume, lpn)
-        return out
+        as (lpn, ppn)."""
+        return [(lpn, self._entries[volume, lpn])
+                for lpn in self._dirty.get((volume, m_vpn), ())]
 
-    def mark_clean(self, volume, lpn, expected_ppn=None):
-        """Clear the dirty bit; with expected_ppn, only if the cached value
-        still matches (the entry may have been re-dirtied with a newer ppn
-        while its old value was being flushed)."""
-        ent = self._entries.get((volume, lpn))
-        if ent is not None and ent[1] and (expected_ppn is None
-                                           or ent[0] == expected_ppn):
-            ent[1] = False
+    def mark_clean(self, volume, lpn, ppn):
+        """Clean the entry if it still maps to ppn (it may have been
+        re-dirtied with a newer ppn while ppn was being flushed)."""
+        if (lpn in self._lpns(volume, lpn)
+                and self._entries[volume, lpn] == ppn):
             self._clean(volume, lpn)
 
     def dirty_groups(self):
@@ -130,18 +113,21 @@ class MappingCore:
     from the device (``_decode(volume, ppn, quiet)``, which every read
     reaches through the cache, ``_payload``), how a translation page is
     written (``_write_translation``, given its first ``4 * epp`` bytes)
-    and how a victim block is emptied (``_gc_block``); it may override
-    ``_gc_cost`` to price victims by more than their valid pages.  Pages
+    and how a victim block is emptied (``_gc_block``).  Pages
     are taken from one open block per append stream (``_next_page``),
     which may collect first.  So a write resolves the page it supersedes,
     and a ``PearlFtl`` full write its cloak source, after its page is
     allocated, and a UI1 slot the collection refilled is served first.
 
-    The main volume (the first one given to ``_reset_mapping``) keeps a
-    live-page ledger here: ``_owner`` maps each of its valid pages to
-    its lpn_field (``oob.trans_field`` of the m_vpn for a translation
-    page) and ``_valid`` counts them per block.  Only ``_hold`` and
-    ``_drop`` change them, and ``check_invariants`` recounts them.
+    Every volume keeps a live-page ledger here: ``_live[volume]`` maps
+    each page holding its live data to the lpn_field it holds
+    (``oob.trans_field`` of the m_vpn for a translation page) and
+    ``_live_count[volume]`` counts them per block.  Only
+    ``_hold(volume, ppn, field)`` and ``_drop(volume, ppn)`` change them,
+    a collection prices a victim by every volume's live pages, releasing
+    a block drops them all, and ``check_invariants`` recounts each
+    volume.  The main volume (the first one given to ``_reset_mapping``)
+    also names its ledger ``_owner`` and ``_valid``.
 
     Page payloads, as a cold read would return them (WOM-decoded and
     decrypted on ``PearlFtl``), are kept in ``_payloads``:
@@ -180,13 +166,15 @@ class MappingCore:
         self._pending = {}    # ppn -> its queued program (see _seal)
         self._gtd = {vol: [UNMAPPED] * -(-pages // self._epp[vol])
                      for vol, pages in volume_pages.items()}
-        self._owner = {}      # valid page of the main volume -> lpn_field
-        self._valid = [0] * self.device.geometry.total_blocks
+        blocks_total = self.device.geometry.total_blocks
+        self._live = {vol: {} for vol in volume_pages}  # ppn -> lpn_field
+        self._live_count = {vol: [0] * blocks_total for vol in volume_pages}
+        main = next(iter(volume_pages))
+        self._owner, self._valid = self._live[main], self._live_count[main]
         self._managed = blocks
         self._free = set(blocks)
         self._block = {}      # stream -> its open block
         self._cursor = {}     # stream -> next ppn of its open block
-        self._in_gc = False
         self._gc_victim = None
         self._flushing = False
 
@@ -261,7 +249,7 @@ class MappingCore:
         # Programming the translation page may have garbage-collected and
         # re-dirtied some of these entries with newer ppns; leave those dirty.
         for lpn, ppn in dirty:
-            self.cmt.mark_clean(volume, lpn, expected_ppn=ppn)
+            self.cmt.mark_clean(volume, lpn, ppn)
 
     def _drain_cmt(self):
         """Flush the evicted dirty entries of an over-full cache, then
@@ -296,7 +284,7 @@ class MappingCore:
         """Quiet {lpn: ppn} view of a volume: the walked map with the
         cached entries laid over it."""
         out = self._walk_volume(volume)
-        for (vol, lpn), (ppn, _) in self.cmt._entries.items():
+        for (vol, lpn), ppn in self.cmt._entries.items():
             if vol == volume:
                 if ppn == UNMAPPED:
                     out.pop(lpn, None)
@@ -306,16 +294,18 @@ class MappingCore:
 
     # -- the live-page ledger -----------------------------------------
 
-    def _hold(self, ppn, lpn_field):
-        """Record ppn as a valid page of the main volume's lpn_field."""
-        if ppn not in self._owner:
-            self._valid[ppn // self._ppb] += 1
-        self._owner[ppn] = lpn_field
+    def _hold(self, volume, ppn, lpn_field):
+        """Record ppn as holding volume's live data of lpn_field."""
+        live = self._live[volume]
+        if ppn not in live:
+            self._live_count[volume][ppn // self._ppb] += 1
+        live[ppn] = lpn_field
 
-    def _drop(self, ppn):
-        """Record that ppn holds no valid page (a no-op if it held none)."""
-        if self._owner.pop(ppn, None) is not None:
-            self._valid[ppn // self._ppb] -= 1
+    def _drop(self, volume, ppn):
+        """Record that ppn holds no live data of volume (a no-op if it
+        held none)."""
+        if self._live[volume].pop(ppn, None) is not None:
+            self._live_count[volume][ppn // self._ppb] -= 1
 
     # -- blocks: allocation and collection -----------------------------
 
@@ -350,21 +340,24 @@ class MappingCore:
             self._seal()
         self.device.erase_block(blk)
         for ppn in range(blk * self._ppb, (blk + 1) * self._ppb):
-            self._drop(ppn)
-            for volume in self._gtd:
+            for volume in self._live:
+                self._drop(volume, ppn)
                 self._payloads.pop((volume, ppn), None)
         self._free.add(blk)
 
-    def _gc_cost(self, blk):
-        """Pages a collection of blk must relocate."""
-        return self._valid[blk]
-
     def _select_victim(self):
-        """The cheapest managed block that is neither free nor open (the
-        lowest-numbered on ties), or None."""
-        return min((blk for blk in self._managed if blk not in self._free
-                    and blk not in self._block.values()),
-                   key=lambda blk: (self._gc_cost(blk), blk), default=None)
+        """The managed block that is neither free nor open with the fewest
+        live pages of every volume, or None; ``min`` keeps the first, so
+        the lowest-numbered, of equals.  Every volume counts: priced by
+        its live public pages alone, a ``PearlFtl`` block of dead public
+        pages that still carry hidden data looks free but costs one empty
+        page per hidden relocation, which starves the collector."""
+        cost, *others = self._live_count.values()
+        for other in others:
+            cost = list(map(operator.add, cost, other))
+        taken = self._free.union(self._block.values())
+        return min(filterfalse(taken.__contains__, self._managed),
+                   key=cost.__getitem__, default=None)
 
     def gc_run(self):
         """Collect the victim block; returns the reclaimed page count, or
@@ -373,15 +366,14 @@ class MappingCore:
         if victim is None:
             return None
         self.gc_runs += 1
-        was = self._in_gc, self._gc_victim
-        self._in_gc, self._gc_victim = True, victim
+        was, self._gc_victim = self._gc_victim, victim
         try:
             return self._gc_block(victim)
         finally:
-            self._in_gc, self._gc_victim = was
+            self._gc_victim = was
 
     def _maybe_gc(self):
-        if self._in_gc:
+        if self._gc_victim is not None:
             return
         attempts = 0
         while len(self._free) <= self.gc_watermark:
@@ -393,13 +385,12 @@ class MappingCore:
 
     # -- introspection -------------------------------------------------
 
-    def _misplaced(self, volume, pages):
-        """Quietly (no clock, no counts) check that every valid page of
-        volume sits where its owner maps; pages yields (ppn, lpn_field).
-        Returns problems."""
+    def _misplaced(self, volume):
+        """Quietly (no clock, no counts) check that every live page of
+        volume sits where its lpn_field maps; returns problems."""
         mapped, gtd = self._mapped(volume), self._gtd[volume]
         return [f"valid {volume} page {ppn} is not where its lpn maps"
-                for ppn, field in pages
+                for ppn, field in self._live[volume].items()
                 if (gtd[field & LPN_MASK] if is_trans_field(field)
                     else mapped.get(field)) != ppn]
 
@@ -418,9 +409,10 @@ class MappingCore:
             elif not all(written) and not self._open_with_room(blk):
                 problems.append(f"block {blk} holds an unwritten page but is "
                                 "neither free nor open with room")
-        per_block = Counter(ppn // self._ppb for ppn in self._owner)
-        problems += [f"valid count wrong for block {blk}"
-                     for blk in self._managed
-                     if per_block[blk] != self._valid[blk]]
-        return problems + self._misplaced(next(iter(self._gtd)),
-                                          self._owner.items())
+        for volume, live in self._live.items():
+            per_block = Counter(ppn // self._ppb for ppn in live)
+            problems += [f"valid {volume} count wrong for block {blk}"
+                         for blk in self._managed
+                         if per_block[blk] != self._live_count[volume][blk]]
+            problems += self._misplaced(volume)
+        return problems

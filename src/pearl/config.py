@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flash import DEFAULT_TIMINGS, DeviceGeometry, DeviceTimings, PRESETS
+from .flash import DeviceGeometry, PRESETS
 from .wom import PageLayout, WOM_3_5, WomCode
 
 MAX_PUBLIC_FRACTION = 0.60
@@ -22,7 +22,6 @@ RESERVED_BLOCKS = 1
 @dataclass(frozen=True)
 class PearlConfig:
     geometry: DeviceGeometry
-    timings: DeviceTimings = DEFAULT_TIMINGS
     code: WomCode = WOM_3_5
     cmt_capacity: int = 1024
     public_fraction: float = 36 / 64

@@ -43,7 +43,7 @@ class Dftl(MappingCore):
         ppn = self._next_page(TRANS if is_trans_field(lpn_field) else DATA)
         self.device.program_page(ppn, data,
                                  bytes(self.device.geometry.oob_bytes))
-        self._hold(ppn, lpn_field)
+        self._hold(DATA, ppn, lpn_field)
         return ppn
 
     # -- mapping layer -------------------------------------------------
@@ -59,7 +59,7 @@ class Dftl(MappingCore):
         self._store_payload(volume, ppn, payload)
         old = self._gtd[volume][m_vpn]
         if old != UNMAPPED:
-            self._drop(old)
+            self._drop(DATA, old)
         self._gtd[volume][m_vpn] = ppn
         self.ledger["translation_programs"] += 1
 
@@ -81,7 +81,7 @@ class Dftl(MappingCore):
         # moved the page lpn mapped to.
         old = self._translate(DATA, lpn, missing_ok=True)
         if old is not None:
-            self._drop(old)
+            self._drop(DATA, old)
         self.cmt.put(DATA, lpn, ppn, dirty=True)
         self.ledger["data_programs"] += 1
         self._drain_cmt()
@@ -94,7 +94,7 @@ class Dftl(MappingCore):
 
     def trim(self, lpn):
         ppn = self.translate(lpn)
-        self._drop(ppn)
+        self._drop(DATA, ppn)
         self.cmt.put(DATA, lpn, UNMAPPED, dirty=True)
         self._drain_cmt()
 
@@ -130,7 +130,7 @@ class Dftl(MappingCore):
             else:
                 data, _ = self.device.read_page(ppn)
                 new = self._program(field, data)
-                self._drop(ppn)
+                self._drop(DATA, ppn)
                 self.cmt.put(DATA, field, new, dirty=True)
             self.ledger["gc_programs"] += 1
         reclaimed = sum(1 for ppn in pages if self.device.program_count(ppn))

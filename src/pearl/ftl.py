@@ -19,7 +19,12 @@ from collections import Counter
 from random import Random
 
 from .cmt import UNMAPPED, MappingCore
-from .config import PearlConfig, RESERVED_BLOCKS
+from .config import (
+    MAX_HIDDEN_FRACTION,
+    MAX_PUBLIC_FRACTION,
+    RESERVED_BLOCKS,
+    PearlConfig,
+)
 from .crypto import (
     HIDDEN,
     PUBLIC,
@@ -65,9 +70,6 @@ HEADER_MAGIC = b"PRLHDR01"
 HEADER_VERSION = 1
 _HEADER_FMT = "<8sH16s6I16sII"
 
-PUBLIC_ONLY = "public-only"
-PUBLIC_HIDDEN = "public-hidden"
-
 _VALID = (PageState.V1, PageState.V2)
 # Stage codes of oob.observable_stages, and the state of a live page at each.
 _EMPTY, _FIRST, _SECOND = map(STAGES.index, ("empty", "first", "second"))
@@ -102,7 +104,6 @@ class PearlFtl(MappingCore):
                  k_pub: VolumeKey, k_hid, salt: bytes, track_ivs=False):
         self.device = device
         self.config = config
-        self.mode = PUBLIC_ONLY if k_hid is None else PUBLIC_HIDDEN
         self.k_pub = k_pub
         self.k_hid = k_hid
         self.salt = salt
@@ -127,9 +128,7 @@ class PearlFtl(MappingCore):
             {PUBLIC: cfg.public_pages, HIDDEN: cfg.hidden_pages},
             cfg.cmt_capacity, cfg.managed_blocks)
         self._state = [PageState.EMPTY] * total
-        self._hidden_at = {}     # ppn -> hidden lpn_field with up-to-date data
         self._trimmed = set()    # trimmed-but-still-mapped public lpns
-        self._hid_valid = [0] * cfg.geometry.total_blocks
         self.current_ui1 = None
         # The TIQ, oldest first: TI1 ppn -> the trimmed lpn still mapped to
         # it, or None for a relocation casualty (its lpn has moved on).
@@ -205,16 +204,19 @@ class PearlFtl(MappingCore):
             # land one ulp low and lose a page.
             f = pages / geom.total_pages
             while int(f * geom.total_pages) < pages:
-                f = math.nextafter(f, 1)
+                f = math.nextafter(f, math.inf)
             return f
 
+        public, hidden = fraction(fields[10]), fraction(fields[11])
+        if not (0 < public <= MAX_PUBLIC_FRACTION
+                and 0 < hidden <= MAX_HIDDEN_FRACTION):
+            raise HeaderError("header volume sizes are out of bounds")
         config = PearlConfig(
             geometry=geom,
-            timings=device.timings,
             code=BUILTIN_CODES[code_name],
             cmt_capacity=cmt_capacity,
-            public_fraction=fraction(fields[10]),
-            hidden_fraction=fraction(fields[11]),
+            public_fraction=public,
+            hidden_fraction=hidden,
             seed=seed,
         )
         return config, salt
@@ -248,7 +250,7 @@ class PearlFtl(MappingCore):
         page[0:16] = iv
         page[16:16 + len(blob)] = encrypt_payload(self.k_pub, iv, blob)
 
-        if self.mode == PUBLIC_HIDDEN:
+        if self.k_hid is not None:
             iv_h = self._fresh_iv(self.k_hid)
             blob_h = encrypt_payload(self.k_hid, iv_h,
                                      self._pack_state_blob(HIDDEN))
@@ -286,7 +288,7 @@ class PearlFtl(MappingCore):
         gtd_pub = list(struct.unpack_from(f"<{n_pub}I", pub, 8))
 
         gtd_hid = None
-        if self.mode == PUBLIC_HIDDEN:
+        if self.k_hid is not None:
             n_hid = len(self._gtd[HIDDEN])
             raw = decrypt_payload(self.k_hid, data[half:half + 16],
                                   data[half + 16:half + 16 + 4 * n_hid])
@@ -331,22 +333,22 @@ class PearlFtl(MappingCore):
         for lpn_field, ppn in pub_map.items():
             if stage[ppn] == _EMPTY:
                 continue  # garbage entry (or pre-persist loss); ignore
-            self._hold(ppn, lpn_field)
+            self._hold(PUBLIC, ppn, lpn_field)
             self._state[ppn] = _LIVE[stage[ppn]]
         for m, t_ppn in enumerate(self._gtd[PUBLIC]):
             if t_ppn != UNMAPPED and stage[t_ppn] != _EMPTY:
-                self._hold(t_ppn, trans_field(m))
+                self._hold(PUBLIC, t_ppn, trans_field(m))
                 self._state[t_ppn] = _LIVE[stage[t_ppn]]
-        if self.mode == PUBLIC_HIDDEN:
+        if self.k_hid is not None:
             # Hidden content lives on second-stage pages only, so an entry
             # naming any other page (a wrong password's garbage) is not
             # installed; reads through it still return garbage.
             for lpn_field, ppn in self._walk_volume(HIDDEN).items():
                 if stage[ppn] == _SECOND:
-                    self._hid_set(ppn, lpn_field)
+                    self._hold(HIDDEN, ppn, lpn_field)
             for m, t_ppn in enumerate(self._gtd[HIDDEN]):
                 if t_ppn != UNMAPPED and stage[t_ppn] == _SECOND:
-                    self._hid_set(t_ppn, trans_field(m))
+                    self._hold(HIDDEN, t_ppn, trans_field(m))
 
         # Remaining programmed pages are invalid; first-write invalids are
         # either the persisted UI1 page, a kept-mapped TI1 page, or
@@ -387,8 +389,8 @@ class PearlFtl(MappingCore):
 
     def translation_map(self, volume):
         """Quiet {lpn: ppn} view of a volume's current mappings (tests)."""
-        if volume == HIDDEN and self.mode != PUBLIC_HIDDEN:
-            raise ModeError("hidden volume not mounted")
+        if volume == HIDDEN:
+            self._require_hidden()
         out = self._mapped(volume)
         for lpn in list(out):
             if volume == PUBLIC and lpn in self._trimmed:
@@ -416,26 +418,15 @@ class PearlFtl(MappingCore):
         self.monitor.record(ppn, self._state[ppn], new, reason)
         self._state[ppn] = new
         if new in _VALID:
-            self._hold(ppn, lpn_field)
+            self._hold(PUBLIC, ppn, lpn_field)
         else:
-            self._drop(ppn)
+            self._drop(PUBLIC, ppn)
 
     def _block_of(self, ppn):
         return ppn // self._ppb
 
-    def _hid_set(self, ppn, hidden_field):
-        """Record live hidden content at ppn (keeps per-block counts)."""
-        if ppn not in self._hidden_at:
-            self._hid_valid[self._block_of(ppn)] += 1
-        self._hidden_at[ppn] = hidden_field
-
-    def _hid_clear(self, ppn):
-        """Mark the hidden content at ppn out of date."""
-        if self._hidden_at.pop(ppn, None) is not None:
-            self._hid_valid[self._block_of(ppn)] -= 1
-
     def _require_hidden(self):
-        if self.mode != PUBLIC_HIDDEN:
+        if self.k_hid is None:
             raise ModeError("hidden volume not mounted")
 
     def _pad(self, data, size):
@@ -547,7 +538,7 @@ class PearlFtl(MappingCore):
         if hidden is None:
             self._account(bucket, groups * code.k, groups * code.n)
         else:
-            self._hid_set(target, hidden_field)
+            self._hold(HIDDEN, target, hidden_field)
             self._account(bucket, groups, groups * code.n)
             self.ledger["cloak_logical_bits"] += groups * code.k
 
@@ -630,9 +621,8 @@ class PearlFtl(MappingCore):
     def _resolved(self, volume, ppn, lpn_field):
         """ppn, where lpn_field of volume mapped before an allocation, or
         where it maps now if a collection inside the allocation moved it:
-        ppn no longer holds its valid public page or live hidden data."""
-        holder = self._owner if volume == PUBLIC else self._hidden_at
-        if ppn is None or holder.get(ppn) == lpn_field:
+        ppn no longer holds volume's live data of lpn_field."""
+        if ppn is None or self._live[volume].get(ppn) == lpn_field:
             return ppn
         return self._get_loc(volume, lpn_field)
 
@@ -705,10 +695,10 @@ class PearlFtl(MappingCore):
         self._invalidate_public(src, reason=bucket, relocation=True)
         self._set_loc(PUBLIC, cloak_lpn, target)
         self._set_loc(HIDDEN, hidden_field, target)
-        if old is not None and self._hidden_at.get(old) == hidden_field:
+        if old is not None and self._live[HIDDEN].get(old) == hidden_field:
             # The superseded hidden copy keeps its public face; only its
             # hidden content goes out of date.
-            self._hid_clear(old)
+            self._drop(HIDDEN, old)
 
     def _pick_public_source(self):
         """Public data to relocate as cover, chosen so the superseded
@@ -737,7 +727,7 @@ class PearlFtl(MappingCore):
         hidden_v2 = None
         for blk in blocks:
             for p in candidates(blk, PageState.V2):
-                if p not in self._hidden_at:
+                if p not in self._live[HIDDEN]:
                     return p
                 if hidden_v2 is None:
                     hidden_v2 = p
@@ -838,8 +828,8 @@ class PearlFtl(MappingCore):
                 self.cmt.put(PUBLIC, lpn, UNMAPPED, dirty=True)
         else:
             ppn = self._translate(HIDDEN, lpn)
-            if self._hidden_at.get(ppn) == lpn:
-                self._hid_clear(ppn)
+            if self._live[HIDDEN].get(ppn) == lpn:
+                self._drop(HIDDEN, ppn)
             self.cmt.put(HIDDEN, lpn, UNMAPPED, dirty=True)
         self._drain_cmt()
 
@@ -847,7 +837,7 @@ class PearlFtl(MappingCore):
         """{volume: (pages, payload_bytes)} of every mounted volume."""
         cfg, lay = self.config, self.layout
         out = {PUBLIC: (cfg.public_pages, lay.public_payload_bytes)}
-        if self.mode == PUBLIC_HIDDEN:
+        if self.k_hid is not None:
             out[HIDDEN] = (cfg.hidden_pages, lay.hidden_payload_bytes)
         return out
 
@@ -876,13 +866,6 @@ class PearlFtl(MappingCore):
 
     gc_run = _sealing(MappingCore.gc_run)  # the benchmark tracer wraps it here
 
-    def _gc_cost(self, blk):
-        # Live public pages plus live hidden content.  Counting the public
-        # side alone starves the collector — a block of dead-public pages
-        # that still carry hidden data looks free but costs one empty page
-        # per hidden relocation.
-        return self._valid[blk] + self._hid_valid[blk]
-
     def _gc_block(self, victim):
         self._touch()
         pages = range(victim * self._ppb, (victim + 1) * self._ppb)
@@ -896,7 +879,7 @@ class PearlFtl(MappingCore):
         pub_only, hid_only, paired = [], [], []
         for ppn in pages:
             has_pub = self._state[ppn] in _VALID
-            hid = self._hidden_at.get(ppn)
+            hid = self._live[HIDDEN].get(ppn)
             if has_pub:
                 item = (self._owner[ppn], self._payload(PUBLIC, ppn), ppn)
                 if hid is not None:
@@ -913,7 +896,7 @@ class PearlFtl(MappingCore):
         for lpn_field, plain, _ in pub_first:
             self._program_public(lpn_field, plain, bucket="gc_public",
                                  relocation=True)
-        # Each relocated hidden copy is cleared with the victim below.
+        # Each relocated hidden copy is dropped when the victim is released.
         for cloak, (hid, hplain) in paired:
             self._program_full(hid, hplain, bucket="gc_hidden", cloak=cloak)
         for hid, hplain in hid_only:
@@ -926,7 +909,6 @@ class PearlFtl(MappingCore):
 
         reclaimed = 0
         for ppn in pages:
-            self._hid_clear(ppn)
             if self._state[ppn] != PageState.EMPTY:
                 reclaimed += 1
                 self._set_state(ppn, PageState.EMPTY, "erase")
@@ -982,12 +964,7 @@ class PearlFtl(MappingCore):
         ui1 = [p for p, s in enumerate(self._state) if s == PageState.UI1]
         if len(ui1) > 1 or (ui1 and ui1[0] != self.current_ui1):
             problems.append("UI1 bookkeeping inconsistent")
-        hid_per_block = Counter(map(self._block_of, self._hidden_at))
-        problems += [f"hidden-live count wrong for block {blk}"
-                     for blk in self.config.managed_blocks
-                     if hid_per_block[blk] != self._hid_valid[blk]]
-        # _hidden_at is empty unless the hidden volume is mounted.
-        return problems + self._misplaced(HIDDEN, self._hidden_at.items())
+        return problems
 
     def amplification(self, bucket):
         """physical/logical bit ratio for one ledger bucket."""

@@ -1,5 +1,6 @@
 import functools
 import random
+import struct
 
 import pytest
 
@@ -148,3 +149,17 @@ def assert_reads_back(ftl, shadow):
     """Every (volume, lpn) of shadow reads back its payload."""
     for (volume, lpn), data in shadow.items():
         assert ftl.submit(volume, lpn, "read") == data, (volume, lpn)
+
+
+def set_header_pages(device, public=None, hidden=None):
+    """Re-program a formatted device's header page with other volume page
+    counts (erasing the header block, so no persisted state is left)."""
+    fmt, g = pearl.ftl._HEADER_FMT, device.geometry
+    fields = list(struct.unpack_from(fmt, device.peek(0)[0]))
+    for i, pages in ((10, public), (11, hidden)):
+        if pages is not None:
+            fields[i] = pages
+    page = struct.pack(fmt, *fields)
+    device.erase_block(0)
+    device.program_page(0, page + bytes(g.page_bytes - len(page)),
+                        bytes(g.oob_bytes))

@@ -6,7 +6,9 @@ import os
 import pytest
 
 from pearl.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from conftest import set_header_pages
 from pearl.config import desk_config
+from pearl.flash import FlashDevice, Snapshot
 from pearl.wom import WOM_3_5
 
 
@@ -203,6 +205,24 @@ def test_bad_config_file_is_a_usage_error(run, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration:")
     assert message in err
+
+
+def test_io_on_a_header_with_out_of_bounds_volume_sizes_is_a_usage_error(
+        run, capsys):
+    rc, _ = run("init", "--fill", "0")
+    assert rc == EXIT_OK
+    path = str(run.dir / "runs" / "device.img")
+    device = FlashDevice.restore(Snapshot.load(path))
+    set_header_pages(device, public=0)
+    device.snapshot().save(path)
+    script = run.dir / "script.jsonl"
+    script.write_text(json.dumps(
+        {"volume": "public", "op": "read", "lpn": 0}) + "\n")
+    # Straight through main: the run fixture discards standard error.
+    rc = main(["--out", "runs", "io", "--device", path, "--script",
+               str(script)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: header volume sizes")
 
 
 def test_missing_device_is_a_usage_error(run):

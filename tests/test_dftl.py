@@ -174,12 +174,11 @@ def test_cold_cache_equals_warm_cache(dftl):
     # flush to a fixpoint (flushing can GC, which re-dirties entries),
     # then wipe the cache so every translate goes through flash
     for _ in range(50):
-        dirty_groups = {lpn // dftl.entries_per_page
-                        for (_, lpn), (_, d) in dftl.cmt._entries.items() if d}
+        dirty_groups = dftl.cmt.dirty_groups()
         if not dirty_groups:
             break
-        for m in sorted(dirty_groups):
-            dftl._flush_group(DATA, m)
+        for vol, m in sorted(dirty_groups):
+            dftl._flush_group(vol, m)
     else:
         pytest.fail("dirty entries never drained")
     dftl.cmt._entries.clear()

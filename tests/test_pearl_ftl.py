@@ -9,15 +9,14 @@ import pytest
 import pearl.ftl
 from conftest import (assert_cache_fresh, assert_reads_back, cold_reader,
                       cold_walk, count_relocated_translation_pages, gc_burst,
-                      mixed_workload)
+                      mixed_workload, set_header_pages)
 from pearl.bench import gen_synthetic, init_device
 from pearl.cmt import UNMAPPED
 from pearl.config import RESERVED_BLOCKS, PearlConfig, desk_config
 from pearl.errors import (DeviceFull, HeaderError, ModeError, NoPublicCover,
                           PearlError, UnmappedLpn)
-from pearl.flash import (DEFAULT_TIMINGS, DESK_GEOMETRY, DeviceGeometry,
-                         FlashDevice)
-from pearl.ftl import PUBLIC_HIDDEN, PearlFtl
+from pearl.flash import DESK_GEOMETRY, DeviceGeometry, FlashDevice
+from pearl.ftl import PearlFtl
 from pearl.mutants import BrokenAllocatorFtl
 from pearl.oob import observable_stage, parse_oob, trans_field
 from pearl.states import PageState, TransitionMonitor, TransitionViolation
@@ -60,6 +59,25 @@ def test_mount_blank_device_fails(desk_cfg):
         PearlFtl.mount(FlashDevice(desk_cfg.geometry), "public-pw")
 
 
+@pytest.mark.parametrize("geometry, sizes", [
+    (DESK_GEOMETRY, {"public": 0}),
+    (DESK_GEOMETRY, {"public": DESK_GEOMETRY.total_pages + 1}),
+    (DESK_GEOMETRY, {"hidden": 10**6}),
+    # 115 / 112 * 112 truncates to 114: the search for the share that
+    # truncates back to 115 pages must not step down towards 1.
+    (DeviceGeometry(1, 1, 7, 16, 2048, 64), {"public": 115}),
+], ids=["public-zero", "public-beyond-device", "hidden-huge",
+        "public-share-above-one"])
+def test_mount_rejects_out_of_bounds_volume_sizes(geometry, sizes):
+    """A header whose volume sizes break the capacity bounds is corrupt."""
+    cfg = PearlConfig(geometry=geometry)
+    device = FlashDevice(geometry)
+    PearlFtl.format(device, cfg, "public-pw")
+    set_header_pages(device, **sizes)
+    with pytest.raises(HeaderError, match="volume sizes"):
+        PearlFtl.mount(device, "public-pw", "hidden-pw")
+
+
 def test_volume_sizes_survive_format_and_mount(rng):
     cfg = PearlConfig(geometry=DeviceGeometry(1, 1, 7, 16, 2048, 64),
                       public_fraction=0.55)
@@ -80,7 +98,6 @@ class _HeaderPage:
 
     def __init__(self, geometry, page):
         self.geometry, self.page = geometry, page
-        self.timings = DEFAULT_TIMINGS
 
     def peek(self, ppn):
         return self.page, b""
@@ -308,35 +325,46 @@ def test_reverse_map_names_exactly_the_valid_pages(seed):
     assert ftl.gc_runs > 0
 
 
-_ORPHAN = "valid public page {ppn} is not where its lpn maps"
+_ORPHAN = "valid {volume} page {ppn} is not where its lpn maps"
 
 
 @pytest.mark.parametrize("fault, problems", [
     # The invalid page also counts, and reads, as a valid page its lpn
     # does not map to.
-    ("reverse map", ["valid count wrong for block {blk}", _ORPHAN,
+    ("reverse map", ["valid public count wrong for block {blk}", _ORPHAN,
                      "reverse map does not match the set of valid pages"]),
     ("trimmed", ["trimmed lpns do not match the TIQ"]),
     ("orphan", [_ORPHAN]),
-], ids=["reverse-map", "trimmed", "orphan"])
+    ("hidden count", ["valid hidden count wrong for block {blk}"]),
+    ("hidden orphan", [_ORPHAN]),
+], ids=["reverse-map", "trimmed", "orphan", "hidden-count", "hidden-orphan"])
 def test_check_invariants_reports_planted_fault(ftl, rng, fault, problems):
     lay = ftl.layout
     for lpn in range(4):
         ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    ftl.hidden_write(0, rng.randbytes(lay.hidden_payload_bytes))
     ftl.trim(0)
     ftl.public_write(1, rng.randbytes(lay.public_payload_bytes))
     assert ftl.current_ui1 is not None and ftl.check_invariants() == []
-    ppn = ftl.current_ui1
+    ppn, volume = ftl.current_ui1, "public"
     if fault == "reverse map":
         ftl._owner[ppn] = 1                 # an invalid page keeps its lpn
     elif fault == "trimmed":
         ftl._trimmed.add(3)                 # a mapped lpn reads as trimmed
-    else:
+    elif fault == "orphan":
         # lpn 2 maps elsewhere while its page stays valid.
         ppn = ftl._translate("public", 2)
         ftl.cmt.put("public", 2, ftl._translate("public", 3), dirty=True)
+    else:
+        ppn, volume = ftl._translate("hidden", 0), "hidden"
+        if fault == "hidden count":
+            ftl._live_count["hidden"][ppn // ftl._ppb] += 1
+        else:
+            # Hidden lpn 0 is unmapped while its page stays live.
+            ftl.cmt.put("hidden", 0, UNMAPPED, dirty=True)
     assert ftl.check_invariants() == [
-        p.format(ppn=ppn, blk=ppn // ftl._ppb) for p in problems]
+        p.format(volume=volume, ppn=ppn, blk=ppn // ftl._ppb)
+        for p in problems]
 
 
 def test_collection_inside_allocation_strands_no_block(ftl):
@@ -788,19 +816,19 @@ class _PerPageRecovery(PearlFtl):
         pub_map = self._walk_volume("public")
         for lpn_field, ppn in pub_map.items():
             if stage.get(ppn, "empty") != "empty":
-                self._owner[ppn] = lpn_field
+                self._live["public"][ppn] = lpn_field
                 self._state[ppn] = live[stage[ppn]]
         for m, t_ppn in enumerate(self._gtd["public"]):
             if t_ppn != UNMAPPED and stage.get(t_ppn, "empty") != "empty":
-                self._owner[t_ppn] = trans_field(m)
+                self._live["public"][t_ppn] = trans_field(m)
                 self._state[t_ppn] = live[stage[t_ppn]]
-        if self.mode == PUBLIC_HIDDEN:
+        if self.k_hid is not None:
             for lpn_field, ppn in self._walk_volume("hidden").items():
                 if stage.get(ppn) == "second":
-                    self._hid_set(ppn, lpn_field)
+                    self._live["hidden"][ppn] = lpn_field
             for m, t_ppn in enumerate(self._gtd["hidden"]):
                 if t_ppn != UNMAPPED and stage.get(t_ppn) == "second":
-                    self._hid_set(t_ppn, trans_field(m))
+                    self._live["hidden"][t_ppn] = trans_field(m)
         for ppn, st in stage.items():
             if st == "empty" or self._state[ppn] != PageState.EMPTY:
                 continue
@@ -824,15 +852,13 @@ class _PerPageRecovery(PearlFtl):
             elif len(programmed) < self._ppb:
                 self._block["frontier"] = blk
                 self._cursor["frontier"] = programmed[-1] + 1
-            self._valid[blk] = sum(self._state[p] in (PageState.V1,
-                                                      PageState.V2)
-                                   for p in pages)
+            for volume, held in self._live.items():
+                self._live_count[volume][blk] = sum(p in held for p in pages)
         self._persist_clean = True
 
 
 def _recovered_state(ftl):
-    names = ("_state", "_owner", "_hidden_at", "_valid", "_hid_valid",
-             "_trimmed", "_slot_a", "current_ui1", "_block", "_cursor",
+    names = ("_state", "_live", "_live_count", "_trimmed", "_slot_a", "current_ui1", "_block", "_cursor",
              "_gtd", "_free", "_persist_cursor")
     state = {name: getattr(ftl, name) for name in names}
     state["tiq"] = list(ftl.tiq.items())   # in queue order
@@ -882,11 +908,11 @@ def test_wrong_hidden_password_installs_no_hidden_page_off_second_stage():
     ftl.prepare_unmount()
     snap = ftl.snapshot()
     right = PearlFtl.mount(FlashDevice.restore(snap), "public-pw", "hidden-pw")
-    assert len(right._hidden_at) == 21   # 20 data pages, 1 translation page
+    assert len(right._live["hidden"]) == 21   # 20 data pages, 1 translation
     wrong = PearlFtl.mount(FlashDevice.restore(snap), "public-pw", "wrong")
-    assert {observable_stage(snap.oob[p]) for p in wrong._hidden_at} <= {
-        "second"}
-    assert sum(wrong._hid_valid) == len(wrong._hidden_at)
+    hidden = wrong._live["hidden"]
+    assert {observable_stage(snap.oob[p]) for p in hidden} <= {"second"}
+    assert sum(wrong._live_count["hidden"]) == len(hidden)
     assert wrong.check_invariants() == []
 
 
@@ -927,19 +953,20 @@ def test_collection_relocates_cached_pages_without_decode(monkeypatch,
                                                            desk_cfg):
     ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=5, nops=400)
     ppb, valid = ftl._ppb, (PageState.V1, PageState.V2)
+    hidden = ftl._live["hidden"]
 
     def live(blk):
         """Charged payload reads a collection of blk makes: one per
         valid public page plus one per live hidden page."""
         pages = range(blk * ppb, (blk + 1) * ppb)
         return ([p for p in pages if ftl._state[p] in valid]
-                + [p for p in pages if p in ftl._hidden_at])
+                + [p for p in pages if p in hidden])
 
     victim = max((b for b in ftl.config.managed_blocks
                   if b not in ftl._free and b not in ftl._block.values()),
-                 key=lambda b: (len(set(live(b)) & set(ftl._hidden_at)), b))
+                 key=lambda b: (len(set(live(b)) & set(hidden)), b))
     expect = Counter(live(victim))
-    assert expect and set(expect) & set(ftl._hidden_at)
+    assert expect and set(expect) & set(hidden)
     translation = {p for gtd in ftl._gtd.values() for p in gtd}
 
     seen = Counter()
@@ -977,7 +1004,7 @@ class _CacheChecked(PearlFtl):
     def _gc_block(self, victim):
         for ppn in range(victim * self._ppb, (victim + 1) * self._ppb):
             pub = self._state[ppn] in (PageState.V1, PageState.V2)
-            hid = ppn in self._hidden_at
+            hid = ppn in self._live["hidden"]
             if pub or hid:
                 self.relocated.add("paired" if pub and hid
                                    else "public-only" if pub
