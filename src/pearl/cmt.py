@@ -127,7 +127,11 @@ class MappingCore:
     a collection prices a victim by every volume's live pages, releasing
     a block drops them all, and ``check_invariants`` recounts each
     volume.  The main volume (the first one given to ``_reset_mapping``)
-    also names its ledger ``_owner`` and ``_valid``.
+    also names its ledger ``_owner`` and ``_valid``, and ``_hold`` and
+    ``_drop`` keep its blocks in a bucket queue by live count:
+    ``_by_valid[n]`` is the bitmask of blocks with ``_valid == n``, so
+    ``_fewest_valid`` finds the block of a set with the fewest valid
+    pages in at most ``_ppb + 1`` mask operations.
 
     Page payloads, as a cold read would return them (WOM-decoded and
     decrypted on ``PearlFtl``), are kept in ``_payloads``:
@@ -171,6 +175,7 @@ class MappingCore:
         self._live_count = {vol: [0] * blocks_total for vol in volume_pages}
         main = next(iter(volume_pages))
         self._owner, self._valid = self._live[main], self._live_count[main]
+        self._by_valid = [(1 << blocks_total) - 1] + [0] * self._ppb
         self._managed = blocks
         self._free = set(blocks)
         self._block = {}      # stream -> its open block
@@ -298,14 +303,44 @@ class MappingCore:
         """Record ppn as holding volume's live data of lpn_field."""
         live = self._live[volume]
         if ppn not in live:
-            self._live_count[volume][ppn // self._ppb] += 1
+            self._count(volume, ppn // self._ppb, 1)
         live[ppn] = lpn_field
 
     def _drop(self, volume, ppn):
         """Record that ppn holds no live data of volume (a no-op if it
         held none)."""
         if self._live[volume].pop(ppn, None) is not None:
-            self._live_count[volume][ppn // self._ppb] -= 1
+            self._count(volume, ppn // self._ppb, -1)
+
+    def _count(self, volume, blk, step):
+        """Add step to blk's live count of volume, moving the block to
+        its new bucket of ``_by_valid`` if volume is the main one."""
+        counts = self._live_count[volume]
+        n = counts[blk]
+        counts[blk] = n + step
+        if counts is self._valid:
+            bit, levels = 1 << blk, self._by_valid
+            levels[n] ^= bit
+            levels[n + step] ^= bit
+
+    def _fewest_valid(self, blocks):
+        """The block of the bitmask blocks with the fewest valid pages,
+        the lowest-numbered of equals, or None if blocks is empty."""
+        if blocks:
+            for level in self._by_valid:
+                found = level & blocks
+                if found:
+                    return (found & -found).bit_length() - 1
+        return None
+
+    def _ranked_by_valid(self):
+        """``_by_valid`` recounted from ``_valid`` (a count outside
+        0.._ppb ranks its block nowhere)."""
+        levels = [0] * (self._ppb + 1)
+        for blk, n in enumerate(self._valid):
+            if 0 <= n <= self._ppb:
+                levels[n] |= 1 << blk
+        return levels
 
     # -- blocks: allocation and collection -----------------------------
 
@@ -396,7 +431,8 @@ class MappingCore:
 
     def check_invariants(self):
         """Cross-check the free set, the allocation rule and the live-page
-        ledger against the device and the mappings; returns problems."""
+        ledger with its valid-count order against the device and the
+        mappings; returns problems."""
         problems = []
         if self._free & set(self._block.values()):
             problems.append("an open block is on the free list")
@@ -415,4 +451,6 @@ class MappingCore:
                          for blk in self._managed
                          if per_block[blk] != self._live_count[volume][blk]]
             problems += self._misplaced(volume)
+        if self._ranked_by_valid() != self._by_valid:
+            problems.append("blocks are ranked by the wrong valid count")
         return problems

@@ -1,8 +1,9 @@
 """Run configuration for the deniable FTL.
 
 Capacity bounds are enforced here: the public volume may use at most 60%
-and the hidden volume at most 20% of physical device capacity.  The desk
-defaults sit just below those bounds (36/64 and 12/64 of the blocks).
+and the hidden volume at most 20% of physical device capacity, and each
+needs at least one page.  The desk defaults sit just below those bounds
+(36/64 and 12/64 of the blocks).
 """
 
 from __future__ import annotations
@@ -29,16 +30,21 @@ class PearlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.public_fraction <= MAX_PUBLIC_FRACTION:
-            raise ValueError(
-                f"public capacity fraction {self.public_fraction:.4f} exceeds "
-                f"the {MAX_PUBLIC_FRACTION:.0%} bound"
-            )
-        if not 0 < self.hidden_fraction <= MAX_HIDDEN_FRACTION:
-            raise ValueError(
-                f"hidden capacity fraction {self.hidden_fraction:.4f} exceeds "
-                f"the {MAX_HIDDEN_FRACTION:.0%} bound"
-            )
+        for volume, fraction, bound, pages in (
+                ("public", self.public_fraction, MAX_PUBLIC_FRACTION,
+                 self.public_pages),
+                ("hidden", self.hidden_fraction, MAX_HIDDEN_FRACTION,
+                 self.hidden_pages)):
+            if fraction > bound:
+                raise ValueError(
+                    f"{volume} capacity fraction {fraction:.4f} exceeds "
+                    f"the {bound:.0%} bound")
+            # A volume of no page would format, but its header not mount.
+            if pages < 1:
+                raise ValueError(
+                    f"{volume} capacity fraction {fraction:.4g} gives no "
+                    f"page of the device's {self.geometry.total_pages}: a "
+                    "volume needs at least one page")
         if self.cmt_capacity < 1:
             raise ValueError("cmt_capacity must be >= 1")
         if self.geometry.total_blocks <= RESERVED_BLOCKS:

@@ -76,6 +76,9 @@ _EMPTY, _FIRST, _SECOND = map(STAGES.index, ("empty", "first", "second"))
 _LIVE = {_FIRST: PageState.V1, _SECOND: PageState.V2}
 # The one append stream: its open block receives every empty-page write.
 _FRONTIER = "frontier"
+# Kinds of cloak source (see _pick_public_source): a first-stage page, a
+# second-stage page without live hidden data, and one with it.
+_SRC_V1, _SRC_V2, _SRC_HIDDEN = range(3)
 
 
 def _or_bytes(a: bytes, b: bytes) -> bytes:
@@ -128,6 +131,10 @@ class PearlFtl(MappingCore):
             {PUBLIC: cfg.public_pages, HIDDEN: cfg.hidden_pages},
             cfg.cmt_capacity, cfg.managed_blocks)
         self._state = [PageState.EMPTY] * total
+        # The cloak-source index, by kind: each block's bitmask of its
+        # pages of that kind, and the bitmask of blocks with any (_file).
+        self._sources = [[0] * cfg.geometry.total_blocks for _ in range(3)]
+        self._source_blocks = [0, 0, 0]
         self._trimmed = set()    # trimmed-but-still-mapped public lpns
         self.current_ui1 = None
         # The TIQ, oldest first: TI1 ppn -> the trimmed lpn still mapped to
@@ -333,12 +340,10 @@ class PearlFtl(MappingCore):
         for lpn_field, ppn in pub_map.items():
             if stage[ppn] == _EMPTY:
                 continue  # garbage entry (or pre-persist loss); ignore
-            self._hold(PUBLIC, ppn, lpn_field)
-            self._state[ppn] = _LIVE[stage[ppn]]
+            self._enter(ppn, _LIVE[stage[ppn]], lpn_field)
         for m, t_ppn in enumerate(self._gtd[PUBLIC]):
             if t_ppn != UNMAPPED and stage[t_ppn] != _EMPTY:
-                self._hold(PUBLIC, t_ppn, trans_field(m))
-                self._state[t_ppn] = _LIVE[stage[t_ppn]]
+                self._enter(t_ppn, _LIVE[stage[t_ppn]], trans_field(m))
         if self.k_hid is not None:
             # Hidden content lives on second-stage pages only, so an entry
             # naming any other page (a wrong password's garbage) is not
@@ -350,9 +355,9 @@ class PearlFtl(MappingCore):
                 if t_ppn != UNMAPPED and stage[t_ppn] == _SECOND:
                     self._hold(HIDDEN, t_ppn, trans_field(m))
 
-        # Remaining programmed pages are invalid; first-write invalids are
-        # either the persisted UI1 page, a kept-mapped TI1 page, or
-        # relocation leftovers awaiting GC.
+        # Remaining programmed pages are invalid (no cloak source, so set
+        # directly); first-write invalids are either the persisted UI1
+        # page, a kept-mapped TI1 page, or relocation leftovers awaiting GC.
         for ppn in range(first, g.total_pages):
             st = stage[ppn]
             if st == _EMPTY or self._state[ppn] != PageState.EMPTY:
@@ -413,14 +418,76 @@ class PearlFtl(MappingCore):
         self._persist_clean = False
 
     def _set_state(self, ppn, new, reason, lpn_field=None):
-        """Move a page to a new state, holding it as lpn_field's page in
-        the live-page ledger while it is valid."""
+        """Move a page to a new state through an allowed transition."""
         self.monitor.record(ppn, self._state[ppn], new, reason)
+        self._enter(ppn, new, lpn_field)
+
+    def _enter(self, ppn, new, lpn_field=None):
+        """Put a page in state new: hold it as lpn_field's page in the
+        live-page ledger while it is valid, and file it under its new
+        cloak-source kind."""
+        old = self._source_kind(ppn, self._state[ppn])
         self._state[ppn] = new
         if new in _VALID:
             self._hold(PUBLIC, ppn, lpn_field)
         else:
             self._drop(PUBLIC, ppn)
+        self._file(ppn, old, self._source_kind(ppn, new))
+
+    def _hold(self, volume, ppn, lpn_field):
+        """MappingCore._hold; a V2 page whose hidden data goes live
+        changes cloak-source kind."""
+        super()._hold(volume, ppn, lpn_field)
+        if volume == HIDDEN and self._state[ppn] is PageState.V2:
+            self._file(ppn, _SRC_V2, _SRC_HIDDEN)
+
+    def _drop(self, volume, ppn):
+        """MappingCore._drop; a V2 page whose hidden data dies changes
+        cloak-source kind."""
+        super()._drop(volume, ppn)
+        if volume == HIDDEN and self._state[ppn] is PageState.V2:
+            self._file(ppn, _SRC_HIDDEN, _SRC_V2)
+
+    # -- the cloak-source index ----------------------------------------
+
+    def _source_kind(self, ppn, state):
+        """The cloak-source kind of ppn in state, or None."""
+        if state is PageState.V1:
+            return _SRC_V1
+        if state is PageState.V2:
+            return _SRC_HIDDEN if ppn in self._live[HIDDEN] else _SRC_V2
+        return None
+
+    def _file(self, ppn, old, new):
+        """Move ppn from cloak-source kind old to kind new (None: no
+        kind); a page already filed as new, or not as old, is fine."""
+        if old == new:
+            return
+        blk = ppn // self._ppb
+        bit = 1 << (ppn - blk * self._ppb)
+        if old is not None:
+            self._mark(old, blk, self._sources[old][blk] & ~bit)
+        if new is not None:
+            self._mark(new, blk, self._sources[new][blk] | bit)
+
+    def _mark(self, kind, blk, pages):
+        """Set blk's page bitmask of kind, and blk's bit in the block
+        bitmask of kind to whether it has any."""
+        row = self._sources[kind]
+        if bool(row[blk]) != bool(pages):
+            self._source_blocks[kind] ^= 1 << blk
+        row[blk] = pages
+
+    def _recount_sources(self):
+        """(_sources, _source_blocks) recounted from _state and the
+        hidden ledger."""
+        sources = [[0] * len(self._valid) for _ in range(3)]
+        for ppn, state in enumerate(self._state):
+            kind = self._source_kind(ppn, state)
+            if kind is not None:
+                sources[kind][ppn // self._ppb] |= 1 << ppn % self._ppb
+        return sources, [sum(1 << blk for blk, pages in enumerate(row) if pages)
+                         for row in sources]
 
     def _block_of(self, ppn):
         return ppn // self._ppb
@@ -507,11 +574,15 @@ class PearlFtl(MappingCore):
             # indistinguishable from genuinely twice-written ones.  The
             # fake lpn avoids repeating an in-block first-write claim; a
             # repeat would assert "this page updates that one", which
-            # in-order write reasoning could then falsify.
+            # in-order write reasoning could then falsify.  A public
+            # volume smaller than a block may have no lpn left to claim;
+            # then a repeat it is.
             used = self._slot_a.setdefault(self._block_of(target), set())
+            lpns = self.config.public_pages
             while True:
-                fake_lpn = self.rng.randrange(self.config.public_pages)
-                if fake_lpn not in used:
+                fake_lpn = self.rng.randrange(lpns)
+                if fake_lpn not in used or (
+                        len(used) >= lpns and used.issuperset(range(lpns))):
                     break
             used.add(fake_lpn)
             fake = OobSlot(self.rng.randbytes(16), fake_lpn, TAG_FIRST)
@@ -712,35 +783,24 @@ class PearlFtl(MappingCore):
         later collection pass), then — early in a device's life — a
         first-stage page in a partially filled block, which
         _invalidate_public queues for a second write like a trim
-        casualty."""
-        blocks = sorted(
-            (blk for blk in self.config.managed_blocks
-             if self._valid[blk] > 0 and blk != self._gc_victim
-             and blk not in self._free),
-            key=lambda b: (self._valid[b], b))
+        casualty.
 
-        def candidates(blk, state):
-            lo = blk * self._ppb
-            return [p for p in range(lo, lo + self._ppb)
-                    if self._state[p] == state]
-
-        hidden_v2 = None
-        for blk in blocks:
-            for p in candidates(blk, PageState.V2):
-                if p not in self._live[HIDDEN]:
-                    return p
-                if hidden_v2 is None:
-                    hidden_v2 = p
-        for blk in blocks:
-            if not self._open_with_room(blk):
-                for p in candidates(blk, PageState.V1):
-                    return p
-        if hidden_v2 is not None:
-            return hidden_v2
-        for blk in blocks:
+        Within a preference, the page is the lowest of its kind in the
+        block with the fewest valid pages (the lowest of equals), never
+        the collection's victim: one lookup in the cloak-source index
+        and the valid-count buckets per preference."""
+        room = 0
+        for blk in self._block.values():
             if self._open_with_room(blk):
-                for p in candidates(blk, PageState.V1):
-                    return p
+                room |= 1 << blk
+        victim = 0 if self._gc_victim is None else 1 << self._gc_victim
+        v1, v2, hidden = self._source_blocks
+        for kind, blocks in ((_SRC_V2, v2), (_SRC_V1, v1 & ~room),
+                             (_SRC_HIDDEN, hidden), (_SRC_V1, v1 & room)):
+            blk = self._fewest_valid(blocks & ~victim)
+            if blk is not None:
+                pages = self._sources[kind][blk]
+                return blk * self._ppb + (pages & -pages).bit_length() - 1
         raise NoPublicCover("no valid public page available as cloak")
 
     def _fill_ui1(self):
@@ -964,6 +1024,8 @@ class PearlFtl(MappingCore):
         ui1 = [p for p, s in enumerate(self._state) if s == PageState.UI1]
         if len(ui1) > 1 or (ui1 and ui1[0] != self.current_ui1):
             problems.append("UI1 bookkeeping inconsistent")
+        if (self._sources, self._source_blocks) != self._recount_sources():
+            problems.append("cloak-source index does not match the page states")
         return problems
 
     def amplification(self, bucket):

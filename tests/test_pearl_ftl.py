@@ -1,5 +1,6 @@
 """Deniable FTL: mapping, allocation discipline, recovery, modes."""
 
+import math
 import random
 import struct
 from collections import Counter
@@ -35,6 +36,59 @@ def test_capacity_fractions_enforced():
     assert cfg.hidden_fraction == pytest.approx(12 / 64)
     assert cfg.public_pages == 1152
     assert cfg.hidden_pages == 384
+
+
+@pytest.mark.parametrize("fraction", [0, -0.1, -1, 1e-4, 1 / 4096],
+                         ids=["zero", "negative", "minus-one", "tiny",
+                              "half-a-page"])
+@pytest.mark.parametrize("volume", ["public", "hidden"])
+def test_a_fraction_that_gives_no_page_is_rejected(volume, fraction):
+    """Such a volume would format, but its header would not mount; the
+    error names the missing page, not the upper bound."""
+    with pytest.raises(ValueError, match="at least one page") as err:
+        desk_config(**{f"{volume}_fraction": fraction})
+    assert str(err.value).startswith(f"{volume} capacity fraction")
+    assert "bound" not in str(err.value)
+
+
+def _smallest_fraction(total_pages):
+    """The smallest fraction a PearlConfig accepts: the least float whose
+    share of total_pages truncates to one page."""
+    f = 1 / total_pages
+    while int(f * total_pages) < 1:
+        f = math.nextafter(f, math.inf)
+    while int(math.nextafter(f, 0) * total_pages) >= 1:
+        f = math.nextafter(f, 0)
+    return f
+
+
+@pytest.mark.parametrize("geometry", [DESK_GEOMETRY,
+                                      DeviceGeometry(1, 1, 7, 16, 2048, 64)],
+                         ids=["desk", "112-pages"])
+def test_one_page_volumes_round_trip_format_and_mount(geometry):
+    """At the smallest accepted fractions each volume is one page, and
+    the geometry and both pages survive format, unmount and mount."""
+    total = geometry.total_pages
+    f = _smallest_fraction(total)
+    with pytest.raises(ValueError, match="at least one page"):
+        PearlConfig(geometry=geometry, public_fraction=math.nextafter(f, 0))
+    cfg = PearlConfig(geometry=geometry, public_fraction=f,
+                      hidden_fraction=f)
+    assert (cfg.public_pages, cfg.hidden_pages) == (1, 1)
+    device = FlashDevice(geometry)
+    ftl = PearlFtl.format(device, cfg, "public-pw", "hidden-pw")
+    lay, rng = ftl.layout, random.Random(7)
+    pub = rng.randbytes(lay.public_payload_bytes)
+    hid = rng.randbytes(lay.hidden_payload_bytes)
+    ftl.public_write(0, pub)
+    ftl.hidden_write(0, hid)     # cloaked by the one public page
+    ftl.prepare_unmount()
+    again = PearlFtl.mount(device, "public-pw", "hidden-pw")
+    assert (again.config.public_pages, again.config.hidden_pages) == (1, 1)
+    assert again.volumes() == ftl.volumes()
+    assert again.public_read(0) == pub
+    assert again.hidden_read(0) == hid
+    assert again.check_invariants() == []
 
 
 # -- format / mount ---------------------------------------------------
@@ -108,11 +162,12 @@ def test_volume_sizes_round_trip_over_geometries():
         for ppb in (8, 16, 32):
             geometry = DeviceGeometry(1, 1, blocks, ppb, 2048, 64)
             for pct in range(1, 61):
-                cfg = PearlConfig(geometry=geometry,
-                                  public_fraction=pct / 100,
-                                  hidden_fraction=min(pct, 20) / 100)
-                if cfg.public_pages == 0 or cfg.hidden_pages == 0:
-                    continue
+                try:
+                    cfg = PearlConfig(geometry=geometry,
+                                      public_fraction=pct / 100,
+                                      hidden_fraction=min(pct, 20) / 100)
+                except ValueError:
+                    continue    # a volume of no page
                 header = PearlFtl._pack_header(cfg, bytes(16))
                 got, _ = PearlFtl._read_header(
                     _HeaderPage(geometry, header), cfg.cmt_capacity, 0)
@@ -337,7 +392,10 @@ _ORPHAN = "valid {volume} page {ppn} is not where its lpn maps"
     ("orphan", [_ORPHAN]),
     ("hidden count", ["valid hidden count wrong for block {blk}"]),
     ("hidden orphan", [_ORPHAN]),
-], ids=["reverse-map", "trimmed", "orphan", "hidden-count", "hidden-orphan"])
+    ("cloak source", ["cloak-source index does not match the page states"]),
+    ("valid rank", ["blocks are ranked by the wrong valid count"]),
+], ids=["reverse-map", "trimmed", "orphan", "hidden-count", "hidden-orphan",
+        "cloak-source", "valid-rank"])
 def test_check_invariants_reports_planted_fault(ftl, rng, fault, problems):
     lay = ftl.layout
     for lpn in range(4):
@@ -355,6 +413,13 @@ def test_check_invariants_reports_planted_fault(ftl, rng, fault, problems):
         # lpn 2 maps elsewhere while its page stays valid.
         ppn = ftl._translate("public", 2)
         ftl.cmt.put("public", 2, ftl._translate("public", 3), dirty=True)
+    elif fault == "cloak source":
+        # The UI1 page is indexed as a first-stage cloak source.
+        ftl._sources[0][ppn // ftl._ppb] |= 1 << ppn % ftl._ppb
+    elif fault == "valid rank":
+        # The UI1 page's block leaves its valid-count bucket.
+        blk = ppn // ftl._ppb
+        ftl._by_valid[ftl._valid[blk]] ^= 1 << blk
     else:
         ppn, volume = ftl._translate("hidden", 0), "hidden"
         if fault == "hidden count":
@@ -383,6 +448,108 @@ def test_amplification_ratios_exact(desk_cfg):
     ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=22, nops=800)
     assert ftl.amplification("public_user") == Fraction(5, 3)
     assert ftl.amplification("hidden_user") == Fraction(5, 1)
+
+
+# -- the cloak-source pick ----------------------------------------------
+
+
+def _sort_and_scan_pick(ftl):
+    """The cloak pick as it was before the cloak-source index: sort the
+    blocks by valid count, then scan their page states.  The reference
+    the indexed pick must equal."""
+    blocks = sorted(
+        (blk for blk in ftl.config.managed_blocks
+         if ftl._valid[blk] > 0 and blk != ftl._gc_victim
+         and blk not in ftl._free),
+        key=lambda b: (ftl._valid[b], b))
+
+    def candidates(blk, state):
+        lo = blk * ftl._ppb
+        return [p for p in range(lo, lo + ftl._ppb)
+                if ftl._state[p] == state]
+
+    hidden_v2 = None
+    for blk in blocks:
+        for p in candidates(blk, PageState.V2):
+            if p not in ftl._live["hidden"]:
+                return p
+            if hidden_v2 is None:
+                hidden_v2 = p
+    for blk in blocks:
+        if not ftl._open_with_room(blk):
+            for p in candidates(blk, PageState.V1):
+                return p
+    if hidden_v2 is not None:
+        return hidden_v2
+    for blk in blocks:
+        if ftl._open_with_room(blk):
+            for p in candidates(blk, PageState.V1):
+                return p
+    raise NoPublicCover("no valid public page available as cloak")
+
+
+def _pick_checked(ftl_cls, tiers):
+    """ftl_cls whose every cloak pick must equal _sort_and_scan_pick's,
+    counting picks in tiers by the preference that made them."""
+
+    class PickChecked(ftl_cls):
+        def _pick_public_source(self):
+            try:
+                want = _sort_and_scan_pick(self)
+            except NoPublicCover:
+                with pytest.raises(NoPublicCover):
+                    super()._pick_public_source()
+                tiers["none"] += 1
+                raise
+            got = super()._pick_public_source()
+            assert got == want
+            if self._state[got] == PageState.V1:
+                open_block = self._open_with_room(self._block_of(got))
+                tiers["open v1" if open_block else "full v1"] += 1
+            else:
+                tiers["hidden v2" if got in self._live["hidden"]
+                      else "v2"] += 1
+            return got
+
+    return PickChecked
+
+
+@pytest.mark.parametrize("blocks", [64, 192], ids=["desk", "3x-desk"])
+@pytest.mark.parametrize("ftl_cls", [PearlFtl, BrokenAllocatorFtl])
+def test_indexed_pick_equals_the_sort_and_scan(ftl_cls, blocks):
+    """Over mixed workloads and collection bursts at seeds 0-3, then
+    after recover_metadata and after a both-password mount, every cloak
+    pick is the page the sort-and-scan pick returns; every preference
+    is exercised."""
+    g = DESK_GEOMETRY
+    geometry = DeviceGeometry(1, 1, blocks, g.pages_per_block, g.page_bytes,
+                              g.oob_bytes)
+    tiers = Counter()
+    checked = _pick_checked(ftl_cls, tiers)
+    for seed in range(4):
+        cfg = PearlConfig(geometry=geometry, cmt_capacity=64, seed=seed)
+        ftl, _, shadow = mixed_workload(checked, cfg, seed=seed, nops=600,
+                                        snap_every=300)
+        rng = random.Random(seed)
+        lay = cfg.layout
+        ftl.recover_metadata()
+        mounted = checked.mount(FlashDevice.restore(ftl.snapshot()),
+                                "public-pw", "hidden-pw", cmt_capacity=64)
+        for again in (ftl, mounted):
+            for lpn in range(40):
+                again.hidden_write(lpn, rng.randbytes(
+                    lay.hidden_payload_bytes))
+            assert again.check_invariants() == []
+        burst = checked.format(FlashDevice(geometry), cfg, "public-pw",
+                               "hidden-pw")
+        gc_burst(burst, nops=300, seed=seed)
+        assert burst.gc_runs > 0 and burst.check_invariants() == []
+    blank = checked.format(FlashDevice(geometry), cfg, "public-pw",
+                           "hidden-pw")
+    with pytest.raises(NoPublicCover):
+        blank.hidden_write(0, bytes(lay.hidden_payload_bytes))
+    assert set(tiers) == {"v2", "full v1", "hidden v2", "open v1", "none"}, \
+        tiers
 
 
 # -- IV tracking --------------------------------------------------------
@@ -854,12 +1021,16 @@ class _PerPageRecovery(PearlFtl):
                 self._cursor["frontier"] = programmed[-1] + 1
             for volume, held in self._live.items():
                 self._live_count[volume][blk] = sum(p in held for p in pages)
+        # The indexes the direct writes above bypass, rebuilt.
+        self._by_valid = self._ranked_by_valid()
+        self._sources, self._source_blocks = self._recount_sources()
         self._persist_clean = True
 
 
 def _recovered_state(ftl):
-    names = ("_state", "_live", "_live_count", "_trimmed", "_slot_a", "current_ui1", "_block", "_cursor",
-             "_gtd", "_free", "_persist_cursor")
+    names = ("_state", "_live", "_live_count", "_by_valid", "_sources",
+             "_source_blocks", "_trimmed", "_slot_a", "current_ui1", "_block",
+             "_cursor", "_gtd", "_free", "_persist_cursor")
     state = {name: getattr(ftl, name) for name in names}
     state["tiq"] = list(ftl.tiq.items())   # in queue order
     return state
