@@ -11,13 +11,15 @@ import hashlib
 import random
 import struct
 
-from pearl.config import desk_config
+import pytest
+
+from pearl.config import PearlConfig, desk_config
 from pearl.dftl import Dftl
-from pearl.flash import DESK_GEOMETRY, FlashDevice
+from pearl.flash import DESK_GEOMETRY, DeviceGeometry, FlashDevice
 from pearl.ftl import PearlFtl
 from pearl.mutants import BrokenAllocatorFtl
 
-from conftest import gc_burst, mixed_workload
+from conftest import gc_burst, init_device, mixed_workload
 
 MIXED = "80381d06505681e48d808937b9d499dbd9de2d2e5440c130785ec5cb55ea5e9a"
 MOUNT_RECOVER = (
@@ -30,6 +32,12 @@ PEARL_GC_BURST = (
     "3a4bf7401e22523738f331354ce2d2cfda689d2336f42b0bf1e1031bd04241f4")
 DFTL_GC_BURST = (
     "a172ae90404b4bc2b6b61f7203024e15c36101763e75e667198df31adb589a11")
+# init_device(fill 0.5) and an unmount, on the desk preset and on a device
+# of three times its blocks.
+FILL = {
+    1: "c2efab6785f4cebfcbca1c23e75ca450d07eacbc06a414c13a8a96f0dacc026d",
+    3: "b1ff67230845c7ceb0e4e2c01169c7280bb1ad652956f1f0ab847ad31f76351f",
+}
 # The mixed case's device mutations, in the order the device saw them.
 MIXED_MUTATION_ORDER = (
     "728cbf40c697779b7715380703667513d9f7d507b6baf69850193aa487081610")
@@ -139,3 +147,17 @@ def test_dftl_gc_inside_allocation_fingerprint():
     dftl, _, _ = gc_burst(Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=32),
                           nops=2000)
     assert _digest(dftl, dftl.gc_runs) == DFTL_GC_BURST
+
+
+@pytest.mark.parametrize("scale", sorted(FILL))
+def test_fill_fingerprint(scale):
+    g = DESK_GEOMETRY
+    cfg = PearlConfig(DeviceGeometry(1, 1, scale * g.blocks_per_plane,
+                                     g.pages_per_block, g.page_bytes,
+                                     g.oob_bytes), cmt_capacity=64, seed=0)
+    ftl = init_device(PearlFtl.format(FlashDevice(cfg.geometry), cfg,
+                                      "public-pw", "hidden-pw"),
+                      fill_fraction=0.5, seed=0)
+    ftl.prepare_unmount()
+    assert ftl.gc_runs > 0
+    assert _digest(ftl, ftl.gc_runs) == FILL[scale]
