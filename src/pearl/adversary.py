@@ -21,7 +21,8 @@ import numpy as np
 from .config import RESERVED_BLOCKS
 from .errors import PearlError
 from .flash import Snapshot
-from .wom import _HISTOGRAM_GROUPS, WOM_3_5, PageLayout, WomCode
+from .wom import (_HISTOGRAM_GROUPS, WOM_3_5, PageLayout, WomCode,
+                  cache_pages)
 
 # The scans call the batched kernels.  decrypt_payload, observable_stage,
 # parse_oob and decode_page_public, their per-page equivalents, stay
@@ -89,7 +90,7 @@ def classify_snapshot(snap: Snapshot, k_pub, code: WomCode = WOM_3_5,
     stages = _stages(snap)
     payloads = {}
     if decode_payloads:
-        step = max(1, _HISTOGRAM_GROUPS // layout.groups_per_page)
+        step = cache_pages(layout)
         for idx in _steps(np.flatnonzero(stages), step):
             chunk = (idx + pages.start).tolist()
             second = stages[idx] == _SECOND

@@ -209,7 +209,12 @@ def mix_hidden(records, hidden_fraction, seed, hidden_pages,
 def init_device(ftl, fill_fraction=0.5, seed=0):
     """Fill the first fill_fraction of every volume with random data,
     re-writing until at least one GC has run and most physical pages have
-    been programmed.  Returns the FTL it was given."""
+    been programmed.  Returns the FTL it was given.
+
+    Each sweep runs in the FTL's batched() scope, so its page programs
+    are sealed in cache-sized batches; the device ends in the same state
+    as with one seal per request, and the steady-state check runs after
+    the sweep's last seal."""
     if fill_fraction <= 0:
         return ftl
     rng = random.Random(seed)
@@ -221,9 +226,10 @@ def init_device(ftl, fill_fraction=0.5, seed=0):
         return sum(1 for p in range(total) if dev.program_count(p)) / total
 
     for sweep in range(40):
-        for volume, (pages, payload) in vols.items():
-            for lpn in range(int(pages * fill_fraction)):
-                ftl.submit(volume, lpn, "write", rng.randbytes(payload))
+        with ftl.batched():
+            for volume, (pages, payload) in vols.items():
+                for lpn in range(int(pages * fill_fraction)):
+                    ftl.submit(volume, lpn, "write", rng.randbytes(payload))
         if ftl.gc_runs >= 1 and programmed_fraction() >= 0.5:
             return ftl
     raise PearlError("initialization did not reach steady state")
@@ -236,7 +242,9 @@ def _sub_lpns(record, payload_bytes, volume_pages):
 
 
 def replay(ftl, workload, cpu_overhead_us=2.0, seed=None):
-    """Serial FIFO event loop over the device busy clock."""
+    """Serial FIFO event loop over the device busy clock.  It times
+    each request by its clock delta, so it never runs inside the FTL's
+    batched() scope."""
     vols = ftl.volumes()
     dev = ftl.device
     rng = random.Random(seed)

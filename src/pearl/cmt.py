@@ -9,6 +9,7 @@ paths.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import struct
@@ -152,11 +153,42 @@ class MappingCore:
     A subclass may queue its programs instead of making them:
     ``_pending`` maps each page with a queued program to it, in queue
     order, and ``_seal`` makes them all.  The core seals before it
-    touches a queued page (``_payload``), before it erases a block and
-    when it drains the cache (``_drain_cmt``, the last step of every
-    request), so the device sees every program and erase in the order
-    they were decided.  ``Dftl`` programs at once and never queues.
+    touches a queued page (``_payload``) and before it erases a block,
+    so the device sees every program and erase in the order they were
+    decided.  A request seals what it queued when it ends
+    (``_settle``, reached from ``_drain_cmt``, the last step of every
+    request), unless a ``batched()`` scope is open.  ``Dftl`` programs
+    at once and never queues, so the scope changes nothing for it.
     """
+
+    _batching = False   # whether a batched() scope is open
+
+    @contextlib.contextmanager
+    def batched(self):
+        """A scope whose requests leave their programs queued: they are
+        sealed together when the queue is full (the subclass's bound),
+        at a forced seal point (see above) or when the scope exits,
+        also when a request inside it raises.  Device results are the
+        same as without the scope, but a queued program is charged to
+        the device clock at its seal, not in the request that queued
+        it.  So a caller that reads per-request clock deltas
+        (``bench.replay``, ``bench.mixed_workload``) stays outside it;
+        ``bench.init_device`` fills through it.  Scopes nest."""
+        outer, self._batching = self._batching, True
+        try:
+            yield self
+        finally:
+            self._batching = outer
+            self._settle()
+
+    def _seal(self):
+        """Make every queued program; a subclass that queues supplies it."""
+
+    def _settle(self):
+        """End a request: seal what it queued unless a batched() scope
+        holds the queue open."""
+        if not self._batching:
+            self._seal()
 
     def _reset_mapping(self, volume_pages, cmt_capacity, blocks):
         """Empty cache, all-unmapped GTD for {volume: logical pages}, no
@@ -258,7 +290,7 @@ class MappingCore:
 
     def _drain_cmt(self):
         """Flush the evicted dirty entries of an over-full cache, then
-        seal what was queued: every request ends here."""
+        settle what was queued: every request ends here."""
         if self._flushing:
             return
         try:
@@ -268,8 +300,7 @@ class MappingCore:
                     self._flush_group(vol, lpn // self._epp[vol],
                                       extra=[(lpn, ppn)])
         finally:
-            if self._pending:
-                self._seal()
+            self._settle()
 
     def _walk_volume(self, volume):
         """Quiet {lpn: ppn} map from the on-flash translation pages (no
@@ -371,8 +402,7 @@ class MappingCore:
     def _release_block(self, blk):
         """Erase a collected block, drop its pages and their cached
         payloads and return it to the free set."""
-        if self._pending:
-            self._seal()
+        self._seal()
         self.device.erase_block(blk)
         for ppn in range(blk * self._ppb, (blk + 1) * self._ppb):
             for volume in self._live:
@@ -432,7 +462,8 @@ class MappingCore:
     def check_invariants(self):
         """Cross-check the free set, the allocation rule and the live-page
         ledger with its valid-count order against the device and the
-        mappings; returns problems."""
+        mappings, once every queued program is made; returns problems."""
+        self._seal()
         problems = []
         if self._free & set(self._block.values()):
             problems.append("an open block is on the free list")

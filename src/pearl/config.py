@@ -8,6 +8,7 @@ needs at least one page.  The desk defaults sit just below those bounds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .flash import DeviceGeometry, PRESETS
@@ -30,17 +31,19 @@ class PearlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for volume, fraction, bound, pages in (
-                ("public", self.public_fraction, MAX_PUBLIC_FRACTION,
-                 self.public_pages),
-                ("hidden", self.hidden_fraction, MAX_HIDDEN_FRACTION,
-                 self.hidden_pages)):
+        for volume, bound in (("public", MAX_PUBLIC_FRACTION),
+                              ("hidden", MAX_HIDDEN_FRACTION)):
+            fraction = getattr(self, f"{volume}_fraction")
+            if not math.isfinite(fraction):
+                raise ValueError(
+                    f"{volume} capacity fraction {fraction} is not a "
+                    "finite number")
             if fraction > bound:
                 raise ValueError(
                     f"{volume} capacity fraction {fraction:.4f} exceeds "
                     f"the {bound:.0%} bound")
             # A volume of no page would format, but its header not mount.
-            if pages < 1:
+            if getattr(self, f"{volume}_pages") < 1:
                 raise ValueError(
                     f"{volume} capacity fraction {fraction:.4g} gives no "
                     f"page of the device's {self.geometry.total_pages}: a "

@@ -149,22 +149,28 @@ class FlashDevice:
     """Array of blocks of write-once pages with a timing ledger.
 
     Pages are immutable values (see Snapshot): a program stores new bytes
-    in the page's slot and an erase points the block's slots at one shared
-    blank page, so the device never mutates a page object.  snapshot and
-    restore therefore share pages instead of copying them."""
+    in the page's slot and an erase points the block's slots at the
+    device's one shared blank page and blank OOB, so the device never
+    mutates a page object.  snapshot and restore therefore share pages
+    instead of copying them.  A program onto a slot that holds the
+    device's own blank object cannot clear a bit, so it skips that
+    check; any other slot, a restored blank page included, is checked."""
 
     def __init__(self, geometry: DeviceGeometry, timings: DeviceTimings = DEFAULT_TIMINGS):
         n = geometry.total_pages
-        self._attach(geometry, timings, [bytes(geometry.page_bytes)] * n,
-                     [bytes(geometry.oob_bytes)] * n,
-                     [0] * n, [0] * geometry.total_blocks)
+        self._attach(geometry, timings, [0] * n, [0] * geometry.total_blocks)
 
-    def _attach(self, geometry, timings, data, oob, programmed, erase_counts):
-        """Take the given page lists and counters, with a zero ledger."""
+    def _attach(self, geometry, timings, programmed, erase_counts, data=None,
+                oob=None):
+        """Take the given counters and page lists (every page blank if
+        none are given), with a zero ledger and new blank objects."""
         self.geometry = geometry
         self.timings = timings
-        self._data = data
-        self._oob = oob
+        self._blank_data = bytes(geometry.page_bytes)
+        self._blank_oob = bytes(geometry.oob_bytes)
+        n = geometry.total_pages
+        self._data = [self._blank_data] * n if data is None else data
+        self._oob = [self._blank_oob] * n if oob is None else oob
         self._programmed = programmed
         self._erase_counts = erase_counts
         self.clock_us = 0.0
@@ -193,8 +199,11 @@ class FlashDevice:
             raise ValueError("program size mismatch")
         if self._programmed[ppn] >= 2:
             raise DoubleProgramLimit(f"page {ppn} already programmed twice")
-        for cur, new, what in ((self._data[ppn], data, "data"),
-                               (self._oob[ppn], oob, "oob")):
+        for cur, new, blank, what in (
+                (self._data[ppn], data, self._blank_data, "data"),
+                (self._oob[ppn], oob, self._blank_oob, "oob")):
+            if cur is blank:
+                continue
             old_i = int.from_bytes(cur, "big")
             new_i = int.from_bytes(new, "big")
             if old_i | new_i != new_i:
@@ -210,11 +219,10 @@ class FlashDevice:
     def erase_block(self, block_id: int):
         if not 0 <= block_id < self.geometry.total_blocks:
             raise IndexError(f"block {block_id} out of range")
-        g = self.geometry
-        ppb = g.pages_per_block
+        ppb = self.geometry.pages_per_block
         pages = slice(block_id * ppb, (block_id + 1) * ppb)
-        self._data[pages] = [bytes(g.page_bytes)] * ppb
-        self._oob[pages] = [bytes(g.oob_bytes)] * ppb
+        self._data[pages] = [self._blank_data] * ppb
+        self._oob[pages] = [self._blank_oob] * ppb
         self._programmed[pages] = [0] * ppb
         self._erase_counts[block_id] += 1
         self.erases += 1
@@ -254,6 +262,6 @@ class FlashDevice:
     @classmethod
     def restore(cls, snap: Snapshot, timings: DeviceTimings = DEFAULT_TIMINGS):
         dev = cls.__new__(cls)
-        dev._attach(snap.geometry, timings, list(snap.data), list(snap.oob),
-                    list(snap.programmed), list(snap.erase_counts))
+        dev._attach(snap.geometry, timings, list(snap.programmed),
+                    list(snap.erase_counts), list(snap.data), list(snap.oob))
         return dev

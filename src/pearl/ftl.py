@@ -59,6 +59,7 @@ from .oob import (
 )
 from .states import PageState, TransitionMonitor
 from .wom import (
+    cache_pages,
     decode_page_hidden,
     decode_page_public,
     encode_page_first,
@@ -88,15 +89,14 @@ def _or_bytes(a: bytes, b: bytes) -> bytes:
 
 
 def _sealing(call):
-    """A public call that programs what it queued when it ends, also
-    when it raises."""
+    """A public call that settles what it queued when it ends, also when
+    it raises (see MappingCore.batched)."""
     @functools.wraps(call)
     def sealed(self, *args, **kwargs):
         try:
             return call(self, *args, **kwargs)
         finally:
-            if self._pending:
-                self._seal()
+            self._settle()
     return sealed
 
 
@@ -119,6 +119,9 @@ class PearlFtl(MappingCore):
 
         self._ppb = config.geometry.pages_per_block
         self._epp = config.entries_per_translation_page
+        # Inside batched(), the queue is sealed once it holds this many
+        # pages: the cache-sized step of the page kernels.
+        self._batch_pages = cache_pages(self.layout)
         self._volumes = self.volumes()  # checked on every request
         self._reset_volatile()
         self._persist_cursor = 1  # next free page in the header block
@@ -242,8 +245,7 @@ class PearlFtl(MappingCore):
 
     def _persist_state(self):
         g = self.config.geometry
-        if self._pending:
-            self._seal()
+        self._seal()
         if self._persist_cursor >= g.pages_per_block:
             self.device.erase_block(0)
             self.device.program_page(0, self._pack_header(self.config, self.salt),
@@ -305,8 +307,7 @@ class PearlFtl(MappingCore):
     def recover_metadata(self):
         """Drop all volatile state and rebuild maps, page states, queues
         and cursors by scanning the device."""
-        if self._pending:
-            self._seal()
+        self._seal()
         self._reset_volatile()
         pub_state, gtd_hid = self._load_state_blobs()
         if pub_state is None:
@@ -556,7 +557,8 @@ class PearlFtl(MappingCore):
         onto an I1 page, or, given hidden = (hidden_field, hidden
         plaintext), a full write that cloaks the hidden data in the public
         data on an empty page.  The page reaches the device at the next
-        _seal.  Mappings and superseded pages are the caller's."""
+        _seal, at once if that fills a batched() queue.  Mappings and
+        superseded pages are the caller's."""
         lay, code = self.layout, self.config.code
         oob_bytes = self.config.geometry.oob_bytes
         empty = self._state[target] == PageState.EMPTY
@@ -612,12 +614,16 @@ class PearlFtl(MappingCore):
             self._hold(HIDDEN, target, hidden_field)
             self._account(bucket, groups, groups * code.n)
             self.ledger["cloak_logical_bits"] += groups * code.k
+        if self._batching and len(self._pending) >= self._batch_pages:
+            self._seal()
 
     def _seal(self):
         """Make every queued program: one encrypt_payload call per key and
         one encoder call per stage over all the queued pages, then each
         program in queue order, caching what a cold read of its page
         returns."""
+        if not self._pending:
+            return
         queued, self._pending = self._pending, {}
         stages, ivs, pubs, hids, existing, oobs = zip(*queued.values())
         lay, code = self.layout, self.config.code
@@ -985,7 +991,8 @@ class PearlFtl(MappingCore):
     def prepare_unmount(self):
         """Drain the TIQ, flush dirty mappings, and persist state so an
         unmount-time snapshot is deniability-safe.  Idempotent: a second
-        call performs zero device programs."""
+        call performs zero device programs.  It leaves nothing queued,
+        also inside batched(): _persist_state seals first."""
         if self._persist_clean:
             return
         self._relocate_into_i1(self._take_tiq_head, "tiq_drain", "tiq-drain")
@@ -1004,6 +1011,8 @@ class PearlFtl(MappingCore):
         self._persist_clean = True
 
     def snapshot(self):
+        """The device image, once every queued program is made."""
+        self._seal()
         return self.device.snapshot()
 
     # ------------------------------------------------------------------

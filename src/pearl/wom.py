@@ -604,6 +604,12 @@ def decode_page_hidden(
 _HISTOGRAM_GROUPS = 1 << 16
 
 
+def cache_pages(layout: PageLayout) -> int:
+    """Pages per cache-sized step of the page kernels: the pages of
+    about _HISTOGRAM_GROUPS codeword groups, at least one."""
+    return max(1, _HISTOGRAM_GROUPS // layout.groups_per_page)
+
+
 def codeword_histogram(pages, code: WomCode, layout: PageLayout) -> Counter:
     """Counts of each second-write codeword across all groups of all pages.
 
@@ -611,7 +617,7 @@ def codeword_histogram(pages, code: WomCode, layout: PageLayout) -> Counter:
     counted, then folded to codewords one group of the chunk at a time."""
     pages = list(pages)
     kernel = code._kernel("hidden")
-    step = max(1, _HISTOGRAM_GROUPS // layout.groups_per_page)
+    step = cache_pages(layout)
     runs = layout.groups_per_page // 8
     bad = kernel.table < 0
     chunks = np.zeros(len(kernel.table), dtype=np.int64)

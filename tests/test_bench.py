@@ -216,6 +216,81 @@ def test_adapter_subclass_sees_every_request(desk_cfg, device):
     assert m.amplification == {"public_user": 5 / 3, "hidden_user": 5.0}
 
 
+def _fill_per_request(ftl, fill_fraction=0.5, seed=0):
+    """init_device as it ran before its batched() sweeps: every request
+    seals its own programs."""
+    rng = random.Random(seed)
+    dev = ftl.device
+    total = dev.geometry.total_pages
+    for _ in range(40):
+        for volume, (pages, payload) in ftl.volumes().items():
+            for lpn in range(int(pages * fill_fraction)):
+                ftl.submit(volume, lpn, "write", rng.randbytes(payload))
+        if ftl.gc_runs >= 1 and sum(
+                1 for p in range(total) if dev.program_count(p)) >= total / 2:
+            return ftl
+    raise AssertionError("the reference fill did not reach steady state")
+
+
+def _logged(dev):
+    """Log every program (ppn, data, OOB) and erase (block) of dev, in
+    the order it happens."""
+    log = []
+    program, erase = dev.program_page, dev.erase_block
+
+    def logged_program(ppn, data, oob):
+        program(ppn, data, oob)
+        log.append(("p", ppn, bytes(data), bytes(oob)))
+
+    def logged_erase(blk):
+        erase(blk)
+        log.append(("e", blk))
+    dev.program_page, dev.erase_block = logged_program, logged_erase
+    return log
+
+
+class _Requests(PearlAdapter):
+    def __init__(self, ftl):
+        super().__init__(ftl)
+        self.seen = []
+
+    def submit(self, volume, lpn, op, data=None):
+        self.seen.append((volume, lpn, op, data))
+        return super().submit(volume, lpn, op, data)
+
+
+def _pearl():
+    cfg = desk_config(cmt_capacity=64, seed=0)
+    return PearlFtl.format(FlashDevice(cfg.geometry), cfg, "public-pw",
+                           "hidden-pw")
+
+
+@pytest.mark.parametrize("make, adapt", [
+    (_pearl, False), (_pearl, True),
+    (lambda: Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=64), False)],
+    ids=["pearl", "pearl-adapter", "dftl"])
+def test_batched_fill_equals_the_per_request_fill(make, adapt):
+    """The same device programs and erases in the same order, the same
+    reads, clock, collections, ledger and image; an adapter subclass sees
+    the same requests."""
+    runs = []
+    for fill in (_fill_per_request, init_device):
+        ftl = make()
+        log = _logged(ftl.device)
+        target = _Requests(ftl) if adapt else ftl
+        assert fill(target, 0.5, seed=3) is target
+        if isinstance(ftl, PearlFtl):
+            ftl.prepare_unmount()
+        assert ftl.check_invariants() == []
+        dev = ftl.device
+        runs.append((log, (dev.reads, dev.programs, dev.erases, dev.clock_us),
+                     ftl.gc_runs, sorted(ftl.ledger.items()),
+                     dev.snapshot().to_bytes(),
+                     target.seen if adapt else None))
+    assert runs[0][2] >= 1
+    assert runs[0] == runs[1]
+
+
 # -- the mixed workload -----------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in process."""
 
 import json
+import math
 import os
 
 import pytest
@@ -205,6 +206,20 @@ def test_bad_config_file_is_a_usage_error(run, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration:")
     assert message in err
+
+
+@pytest.mark.parametrize("fraction", [math.inf, math.nan])
+@pytest.mark.parametrize("volume", ["public", "hidden"])
+def test_a_non_finite_fraction_in_a_config_file_is_a_usage_error(
+        run, capsys, volume, fraction):
+    """json writes them as Infinity and NaN, which json.load reads back."""
+    path = run.dir / "cfg.json"
+    path.write_text(json.dumps({f"{volume}_fraction": fraction}))
+    rc = main(["--out", "runs", "--config", str(path), "bench"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"error: invalid configuration: {volume} capacity fraction "
+        f"{fraction} is not a finite number")
 
 
 def test_io_on_a_header_with_out_of_bounds_volume_sizes_is_a_usage_error(

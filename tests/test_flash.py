@@ -260,6 +260,24 @@ def test_restored_page_still_refuses_to_clear_a_bit():
     assert clone.peek(7)[0] == bytes([0xFF]) * g.page_bytes
 
 
+@pytest.mark.parametrize("what", ["data", "oob"])
+def test_restored_unprogrammed_slot_is_still_checked(what):
+    """A program skips the bit-clearing check only on the device's own
+    blank objects: a restored slot with set bits and a program count of
+    0 (a crafted image) is still checked."""
+    g = DESK_GEOMETRY
+    snap = FlashDevice(g).snapshot()
+    size = g.page_bytes if what == "data" else g.oob_bytes
+    getattr(snap, what)[9] = bytes([0xF0]) * size
+    clone = FlashDevice.restore(snap)
+    assert clone.program_count(9) == 0
+    page = {"data": bytes(g.page_bytes), "oob": bytes(g.oob_bytes)}
+    page[what] = bytes([0x0F]) * size
+    with pytest.raises(WomInvariantViolation, match=f"page 9 {what}"):
+        clone.program_page(9, page["data"], page["oob"])
+    assert clone.program_count(9) == 0
+
+
 def test_parsed_image_outlives_changes_to_a_bytearray_blob():
     blob = _image(DESK_GEOMETRY, seed=6)
     buf = bytearray(blob)

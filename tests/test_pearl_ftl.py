@@ -51,6 +51,17 @@ def test_a_fraction_that_gives_no_page_is_rejected(volume, fraction):
     assert "bound" not in str(err.value)
 
 
+@pytest.mark.parametrize("fraction", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "minus-inf", "nan"])
+@pytest.mark.parametrize("volume", ["public", "hidden"])
+def test_a_non_finite_fraction_is_rejected(volume, fraction):
+    """Rejected before any page count is computed from it, by a
+    ValueError that names the volume."""
+    with pytest.raises(ValueError, match="not a finite number") as err:
+        desk_config(**{f"{volume}_fraction": fraction})
+    assert str(err.value).startswith(f"{volume} capacity fraction")
+
+
 def _smallest_fraction(total_pages):
     """The smallest fraction a PearlConfig accepts: the least float whose
     share of total_pages truncates to one page."""
@@ -1320,3 +1331,82 @@ def test_a_failed_write_programs_what_it_queued(ftl, rng, monkeypatch,
     assert ftl.check_invariants() == []
     assert_cache_fresh(ftl)
     assert_reads_back(ftl, shadow)
+
+
+def _twins(cfg):
+    """Two FTLs formatted alike on blank devices."""
+    return [PearlFtl.format(FlashDevice(cfg.geometry), cfg, "public-pw",
+                            "hidden-pw") for _ in range(2)]
+
+
+def _requests(cfg, rng, n):
+    lay = cfg.layout
+    return [("hidden", rng.randrange(8), "write",
+             rng.randbytes(lay.hidden_payload_bytes)) if i % 4 == 3 else
+            ("public", rng.randrange(24), "write",
+             rng.randbytes(lay.public_payload_bytes)) for i in range(n)]
+
+
+def _device_state(ftl):
+    dev = ftl.device
+    return (dev.reads, dev.programs, dev.erases, dev.clock_us,
+            dev.snapshot().to_bytes())
+
+
+def test_batched_queue_never_exceeds_its_bound(ftl, monkeypatch):
+    """Inside batched() the queue is sealed once it holds the pages of
+    one cache-sized kernel step, 20 at the desk page size."""
+    sizes, seal = [], ftl._seal
+
+    def spy():
+        sizes.append(len(ftl._pending))
+        seal()
+    monkeypatch.setattr(ftl, "_seal", spy)
+    init_device(ftl, fill_fraction=0.5, seed=0)
+    assert ftl._batch_pages == 20
+    assert max(sizes) == ftl._batch_pages
+    assert ftl._pending == {}
+
+
+def test_a_request_that_raises_in_the_scope_has_its_programs_made(desk_cfg,
+                                                                   rng):
+    ref, ftl = _twins(desk_cfg)
+    requests = _requests(desk_cfg, rng, 12)
+    for r in requests:
+        ref.submit(*r)
+    with pytest.raises(PearlError, match="beyond volume capacity"):
+        with ftl.batched():
+            for r in requests:
+                ftl.submit(*r)
+            assert ftl._pending
+            ftl.submit("public", 10**6, "write", requests[0][3])
+    assert ftl._pending == {}
+    assert _device_state(ftl) == _device_state(ref)
+    assert ftl.check_invariants() == []
+
+
+def test_snapshot_and_unmount_in_the_scope_see_every_queued_program(
+        desk_cfg, rng):
+    ref, ftl = _twins(desk_cfg)
+    requests = _requests(desk_cfg, rng, 24)
+    with ftl.batched():
+        for part in (requests[:12], requests[12:]):
+            for r in part:
+                ref.submit(*r)
+                ftl.submit(*r)
+            assert ftl._pending
+            assert ftl.snapshot().to_bytes() == ref.snapshot().to_bytes()
+            assert ftl._pending == {}
+        ftl.submit(*requests[0])
+        ref.submit(*requests[0])
+        assert ftl._pending
+        ftl.prepare_unmount()
+        assert ftl._pending == {}
+        ref.prepare_unmount()
+        assert _device_state(ftl) == _device_state(ref)
+        ftl.submit(*requests[1])
+        ref.submit(*requests[1])
+        assert ftl._pending
+        assert ftl.check_invariants() == []
+        assert ftl._pending == {}
+    assert _device_state(ftl) == _device_state(ref)
