@@ -173,13 +173,13 @@ class MappingCore:
         the device clock at its seal, not in the request that queued
         it.  So a caller that reads per-request clock deltas
         (``bench.replay``, ``bench.mixed_workload``) stays outside it;
-        ``bench.init_device`` fills through it.  Scopes nest."""
-        outer, self._batching = self._batching, True
+        ``bench.init_device`` fills through it."""
+        self._batching = True
         try:
-            yield self
+            yield
         finally:
-            self._batching = outer
-            self._settle()
+            self._batching = False
+            self._seal()
 
     def _seal(self):
         """Make every queued program; a subclass that queues supplies it."""
