@@ -220,17 +220,13 @@ def init_device(ftl, fill_fraction=0.5, seed=0):
     rng = random.Random(seed)
     vols = ftl.volumes()
     dev = ftl.device
-    total = dev.geometry.total_pages
-
-    def programmed_fraction():
-        return sum(1 for p in range(total) if dev.program_count(p)) / total
-
     for sweep in range(40):
         with ftl.batched():
             for volume, (pages, payload) in vols.items():
                 for lpn in range(int(pages * fill_fraction)):
                     ftl.submit(volume, lpn, "write", rng.randbytes(payload))
-        if ftl.gc_runs >= 1 and programmed_fraction() >= 0.5:
+        if (ftl.gc_runs >= 1 and dev.programmed_pages()
+                >= 0.5 * dev.geometry.total_pages):
             return ftl
     raise PearlError("initialization did not reach steady state")
 

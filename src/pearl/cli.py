@@ -24,8 +24,8 @@ from .errors import PearlError
 from .flash import PRESETS, FlashDevice, Snapshot
 from .ftl import PearlFtl
 from .mutants import BrokenAllocatorFtl
-from .wom import (BUILTIN_CODES, WOM_2_3, WOM_3_5, load_code_file,
-                  verify_equal_partition, verify_wom2)
+from .wom import (BUILTIN_CODES, load_code_file, verify_equal_partition,
+                  verify_wom2)
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 

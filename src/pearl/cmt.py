@@ -10,6 +10,7 @@ paths.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 import struct
@@ -102,6 +103,24 @@ class CachedMappingTable:
         return set(self._dirty)
 
 
+def sealing(request):
+    """Make request seal what it queued when it ends, also when it
+    raises; a request inside another one (a collection inside an
+    allocation) or inside a batched() scope leaves the seal to it."""
+    @functools.wraps(request)
+    def sealed(self, *args, **kwargs):
+        if self._held:
+            return request(self, *args, **kwargs)
+        self._held = True
+        try:
+            return request(self, *args, **kwargs)
+        finally:
+            self._held = False
+            if self._pending:
+                self._seal()
+    return sealed
+
+
 class MappingCore:
     """Page-level demand-paged mapping (DFTL, Gupta et al., ASPLOS 2009)
     shared by the baseline and the deniable FTL.
@@ -155,13 +174,14 @@ class MappingCore:
     order, and ``_seal`` makes them all.  The core seals before it
     touches a queued page (``_payload``) and before it erases a block,
     so the device sees every program and erase in the order they were
-    decided.  A request seals what it queued when it ends
-    (``_settle``, reached from ``_drain_cmt``, the last step of every
-    request), unless a ``batched()`` scope is open.  ``Dftl`` programs
+    decided.  Every request that can queue a program is wrapped in
+    ``sealing``, so it seals what it queued when it ends, unless it runs
+    inside another request or a ``batched()`` scope.  ``Dftl`` programs
     at once and never queues, so the scope changes nothing for it.
     """
 
     _batching = False   # whether a batched() scope is open
+    _held = False       # whether a request or batched() holds the queue
 
     @contextlib.contextmanager
     def batched(self):
@@ -174,21 +194,15 @@ class MappingCore:
         it.  So a caller that reads per-request clock deltas
         (``bench.replay``, ``bench.mixed_workload``) stays outside it;
         ``bench.init_device`` fills through it."""
-        self._batching = True
+        self._batching = self._held = True
         try:
             yield
         finally:
-            self._batching = False
+            self._batching = self._held = False
             self._seal()
 
     def _seal(self):
         """Make every queued program; a subclass that queues supplies it."""
-
-    def _settle(self):
-        """End a request: seal what it queued unless a batched() scope
-        holds the queue open."""
-        if not self._batching:
-            self._seal()
 
     def _reset_mapping(self, volume_pages, cmt_capacity, blocks):
         """Empty cache, all-unmapped GTD for {volume: logical pages}, no
@@ -289,18 +303,15 @@ class MappingCore:
             self.cmt.mark_clean(volume, lpn, ppn)
 
     def _drain_cmt(self):
-        """Flush the evicted dirty entries of an over-full cache, then
-        settle what was queued: every request ends here."""
+        """Flush the evicted dirty entries of an over-full cache: the
+        last step of every request."""
         if self._flushing:
             return
-        try:
-            while (item := self.cmt.pop_excess()) is not None:
-                (vol, lpn), ppn, dirty = item
-                if dirty:
-                    self._flush_group(vol, lpn // self._epp[vol],
-                                      extra=[(lpn, ppn)])
-        finally:
-            self._settle()
+        while (item := self.cmt.pop_excess()) is not None:
+            (vol, lpn), ppn, dirty = item
+            if dirty:
+                self._flush_group(vol, lpn // self._epp[vol],
+                                  extra=[(lpn, ppn)])
 
     def _walk_volume(self, volume):
         """Quiet {lpn: ppn} map from the on-flash translation pages (no

@@ -244,6 +244,10 @@ class FlashDevice:
         self._check_ppn(ppn)
         return self._programmed[ppn]
 
+    def programmed_pages(self) -> int:
+        """How many pages have been programmed since their last erase."""
+        return len(self._programmed) - self._programmed.count(0)
+
     def erase_count(self, block_id: int) -> int:
         return self._erase_counts[block_id]
 

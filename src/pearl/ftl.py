@@ -11,14 +11,13 @@ update-invalidated page was demonstrably pending.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from collections import Counter
 
 from random import Random
 
-from .cmt import UNMAPPED, MappingCore
+from .cmt import UNMAPPED, MappingCore, sealing
 from .config import (
     MAX_HIDDEN_FRACTION,
     MAX_PUBLIC_FRACTION,
@@ -88,18 +87,6 @@ def _or_bytes(a: bytes, b: bytes) -> bytes:
     )
 
 
-def _sealing(call):
-    """A public call that settles what it queued when it ends, also when
-    it raises (see MappingCore.batched)."""
-    @functools.wraps(call)
-    def sealed(self, *args, **kwargs):
-        try:
-            return call(self, *args, **kwargs)
-        finally:
-            self._settle()
-    return sealed
-
-
 class PearlFtl(MappingCore):
     """The deniable FTL engine.  Use format() or mount() to construct."""
 
@@ -142,6 +129,7 @@ class PearlFtl(MappingCore):
         self.current_ui1 = None
         # The TIQ, oldest first: TI1 ppn -> the trimmed lpn still mapped to
         # it, or None for a relocation casualty (its lpn has moved on).
+        # current_ui1 and the TIQ are the only record of an I1 page's role.
         self.tiq = {}
         self._slot_a = {}        # block -> set of slot-A lpn_fields in it
 
@@ -153,7 +141,7 @@ class PearlFtl(MappingCore):
     def format(cls, device, config, public_password, hidden_password=None,
                track_ivs=False):
         """Initialize a blank device: write the header and return a handle."""
-        if any(device.program_count(p) for p in range(device.geometry.total_pages)):
+        if device.programmed_pages():
             raise HeaderError("device is not blank; mount it instead")
         salt = Random(config.seed).randbytes(16)
         header = cls._pack_header(config, salt)
@@ -337,8 +325,7 @@ class PearlFtl(MappingCore):
                     for p in gtd]
 
         # Current mappings, walked quietly through the translation pages.
-        pub_map = self._walk_volume(PUBLIC)
-        for lpn_field, ppn in pub_map.items():
+        for lpn_field, ppn in self._walk_volume(PUBLIC).items():
             if stage[ppn] == _EMPTY:
                 continue  # garbage entry (or pre-persist loss); ignore
             self._enter(ppn, _LIVE[stage[ppn]], lpn_field)
@@ -357,25 +344,18 @@ class PearlFtl(MappingCore):
                     self._hold(HIDDEN, t_ppn, trans_field(m))
 
         # Remaining programmed pages are invalid (no cloak source, so set
-        # directly); first-write invalids are either the persisted UI1
-        # page, a kept-mapped TI1 page, or relocation leftovers awaiting GC.
+        # directly).  A first-write invalid is the persisted UI1 page or a
+        # relocation leftover awaiting GC.  None is a TI1 page: every page
+        # the walked map names was entered as valid above, so the TIQ
+        # starts empty, and a trim that was never unmounted comes back as
+        # last-durable data.
         for ppn in range(first, g.total_pages):
             st = stage[ppn]
             if st == _EMPTY or self._state[ppn] != PageState.EMPTY:
                 continue
-            if st == _FIRST:
-                lpn = claims[ppn - first]
-                if ppn == ui1:
-                    self._state[ppn] = PageState.UI1
-                    self.current_ui1 = ppn
-                elif lpn >= 0 and pub_map.get(lpn) == ppn:
-                    self._state[ppn] = PageState.TI1
-                    self.tiq[ppn] = lpn
-                    self._trimmed.add(lpn)
-                else:
-                    self._state[ppn] = PageState.RI1
-            else:
-                self._state[ppn] = PageState.I2
+            self._state[ppn] = PageState.I1 if st == _FIRST else PageState.I2
+            if st == _FIRST and ppn == ui1:
+                self.current_ui1 = ppn
 
         # Allocator: the frontier is the partially programmed managed block.
         self._free = set()
@@ -398,9 +378,9 @@ class PearlFtl(MappingCore):
         if volume == HIDDEN:
             self._require_hidden()
         out = self._mapped(volume)
-        for lpn in list(out):
-            if volume == PUBLIC and lpn in self._trimmed:
-                del out[lpn]
+        if volume == PUBLIC:
+            for lpn in self._trimmed:
+                out.pop(lpn, None)
         return out
 
     # ------------------------------------------------------------------
@@ -658,8 +638,7 @@ class PearlFtl(MappingCore):
         """Public write following the allocation priority (Fig. 7 order:
         Current UI1 page, then TIQ head, then an empty page)."""
         old = self._get_loc(PUBLIC, lpn_field)
-        trimmed_rewrite = (old is not None
-                           and self._state[old] == PageState.TI1)
+        trimmed_rewrite = old in self.tiq
         if trimmed_rewrite:
             del self.tiq[old]
             self._trimmed.discard(lpn_field)
@@ -733,15 +712,16 @@ class PearlFtl(MappingCore):
                 # casualty once its lpn is claimed again above it; queue
                 # it for a second write like a trim casualty so it never
                 # outlives the next unmount.
-                self._set_state(ppn, PageState.TI1, reason)
+                self._set_state(ppn, PageState.I1, reason)
                 self.tiq[ppn] = None
             else:
-                self._set_state(ppn, PageState.RI1, reason)
-        elif st in (PageState.V1, PageState.TI1):
-            # An update casualty, or a rewritten trimmed copy (its caller
-            # took it off the TIQ), takes the (now free) UI1 slot.
+                self._set_state(ppn, PageState.I1, reason)
+        elif st in (PageState.V1, PageState.I1):
+            # An update casualty takes the (now free) UI1 slot, and so does
+            # a trimmed page being rewritten: the only I1 page that arrives
+            # here, which its caller has already taken off the TIQ.
             assert self.current_ui1 is None
-            self._set_state(ppn, PageState.UI1, reason)
+            self._set_state(ppn, PageState.I1, reason)
             self.current_ui1 = ppn
         elif st == PageState.V2:
             self._set_state(ppn, PageState.I2, reason)
@@ -840,13 +820,14 @@ class PearlFtl(MappingCore):
         if data is not None and len(data) != payload:
             raise PearlError(f"{volume} write must be one page payload")
 
-    @_sealing
+    @sealing
     def public_write(self, lpn, data):
         self._check_request(PUBLIC, lpn, data)
         self._touch()
         self._program_public(lpn, data, bucket="public_user")
         self._drain_cmt()
 
+    @sealing
     def public_read(self, lpn):
         self._check_request(PUBLIC, lpn)
         if lpn in self._trimmed:
@@ -859,7 +840,7 @@ class PearlFtl(MappingCore):
         self._drain_cmt()
         return out
 
-    @_sealing
+    @sealing
     def hidden_write(self, lpn, data):
         self._check_request(HIDDEN, lpn, data)
         self._touch()
@@ -867,6 +848,7 @@ class PearlFtl(MappingCore):
                            old=self._get_loc(HIDDEN, lpn))
         self._drain_cmt()
 
+    @sealing
     def hidden_read(self, lpn):
         self._check_request(HIDDEN, lpn)
         out = self._payload(HIDDEN, self._translate(HIDDEN, lpn))
@@ -876,6 +858,7 @@ class PearlFtl(MappingCore):
         self._drain_cmt()
         return out
 
+    @sealing
     def trim(self, lpn, volume=PUBLIC):
         if volume not in (PUBLIC, HIDDEN):
             raise PearlError(f"unknown volume {volume!r}")
@@ -886,7 +869,7 @@ class PearlFtl(MappingCore):
                 raise UnmappedLpn(f"public lpn {lpn} already trimmed")
             ppn = self._translate(PUBLIC, lpn)
             if self._state[ppn] == PageState.V1:
-                self._set_state(ppn, PageState.TI1, "trim")
+                self._set_state(ppn, PageState.I1, "trim")
                 self.tiq[ppn] = lpn
                 self._trimmed.add(lpn)
             else:
@@ -930,7 +913,7 @@ class PearlFtl(MappingCore):
     # garbage collection
     # ------------------------------------------------------------------
 
-    gc_run = _sealing(MappingCore.gc_run)  # the benchmark tracer wraps it here
+    gc_run = sealing(MappingCore.gc_run)  # the benchmark tracer wraps it here
 
     def _gc_block(self, victim):
         self._touch()
@@ -939,7 +922,7 @@ class PearlFtl(MappingCore):
         if self.current_ui1 is not None and self._block_of(self.current_ui1) == victim:
             self.current_ui1 = None
         for ppn in pages:
-            if self._state[ppn] == PageState.TI1:
+            if ppn in self.tiq:
                 self._unmap_trimmed(ppn)
 
         pub_only, hid_only, paired = [], [], []
@@ -987,7 +970,7 @@ class PearlFtl(MappingCore):
     # unmount / snapshot
     # ------------------------------------------------------------------
 
-    @_sealing
+    @sealing
     def prepare_unmount(self):
         """Drain the TIQ, flush dirty mappings, and persist state so an
         unmount-time snapshot is deniability-safe.  Idempotent: a second
@@ -1022,17 +1005,16 @@ class PearlFtl(MappingCore):
     def check_invariants(self):
         """Cross-check bookkeeping against ground truth; returns problems."""
         problems = super().check_invariants()
-        ti1 = {p for p, s in enumerate(self._state) if s == PageState.TI1}
-        if ti1 != set(self.tiq):
-            problems.append("TIQ does not match the set of TI1 pages")
+        roles = {*self.tiq, self.current_ui1} - {None}
+        if (self.current_ui1 in self.tiq
+                or any(self._state[p] != PageState.I1 for p in roles)):
+            problems.append("a TIQ or UI1 page is not an I1 page, or the "
+                            "UI1 page is on the TIQ")
         if self._trimmed != set(self.tiq.values()) - {None}:
             problems.append("trimmed lpns do not match the TIQ")
         if set(self._owner) != {p for p, s in enumerate(self._state)
                                 if s in _VALID}:
             problems.append("reverse map does not match the set of valid pages")
-        ui1 = [p for p, s in enumerate(self._state) if s == PageState.UI1]
-        if len(ui1) > 1 or (ui1 and ui1[0] != self.current_ui1):
-            problems.append("UI1 bookkeeping inconsistent")
         if (self._sources, self._source_blocks) != self._recount_sources():
             problems.append("cloak-source index does not match the page states")
         return problems

@@ -21,9 +21,8 @@ class BrokenAllocatorFtl(PearlFtl):
     """
 
     def _invalidate_public(self, ppn, reason, relocation=False):
-        st = self._state[ppn]
-        if st == PageState.V1:
+        if self._state[ppn] == PageState.V1:
             # Faulty: the superseded page never enters the UI1 slot.
-            self._set_state(ppn, PageState.RI1, reason)
+            self._set_state(ppn, PageState.I1, reason)
             return
         super()._invalidate_public(ppn, reason, relocation)

@@ -109,6 +109,22 @@ def test_page_tag_changes_with_each_program_and_erase(dev):
             dev.page_tag(ppn)
 
 
+def test_programmed_pages_equals_a_per_page_recount(dev):
+    def recount(d):
+        return sum(1 for p in range(d.geometry.total_pages)
+                   if d.program_count(p))
+    ppb = dev.geometry.pages_per_block
+    assert dev.programmed_pages() == 0
+    for ppn in (0, 1, ppb, ppb + 3, 5 * ppb):
+        dev.program_page(ppn, *_page(dev, 0x0F))
+    dev.program_page(1, *_page(dev, 0xFF))      # a second program
+    assert dev.programmed_pages() == recount(dev) == 5
+    dev.erase_block(1)
+    assert dev.programmed_pages() == recount(dev) == 3
+    again = FlashDevice.restore(dev.snapshot())
+    assert again.programmed_pages() == recount(again) == 3
+
+
 def test_busy_clock_identity(dev):
     """Accumulated clock equals the op counts times the per-op costs."""
     rng = random.Random(3)

@@ -1,5 +1,8 @@
-"""SciPy is a test-only dependency: no pearl module may load it."""
+"""What the pearl modules import: SciPy is a test-only dependency that
+no pearl module may load, and every imported name is used."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,3 +22,45 @@ def test_pearl_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def _tracer_names():
+    """{module name: names benchmarks/tracer.py wraps in that module}."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracer", Path(__file__).resolve().parents[1]
+        / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    out = {}
+    for module, name, _ in tracer._FUNCTIONS:
+        out.setdefault(module.__name__, set()).add(name)
+    return out
+
+
+def test_every_import_is_used():
+    """Each name a pearl module imports is used in it.  The one exception
+    is a name the benchmark tracer wraps in that module, imported by a
+    statement marked ``# noqa: F401``."""
+    wrapped = _tracer_names()
+    unused = []
+    for path in sorted(Path(pearl.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        module = f"pearl.{path.stem}"
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            noqa = any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name in used or (
+                        noqa and name in wrapped.get(module, ())):
+                    continue
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

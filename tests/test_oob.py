@@ -62,9 +62,7 @@ def test_observable_stage_rejects_an_oob_too_short_for_two_slots():
 
 
 def test_page_state_projection():
-    assert {s: s.observable for s in PageState} == {
-        PageState.EMPTY: "Empty", PageState.V1: "V1", PageState.UI1: "I1",
-        PageState.TI1: "I1", PageState.RI1: "I1", PageState.V2: "V2",
-        PageState.I2: "I2"}
-    assert {s.observable for s in PageState} == {
+    """Each page state is one observable state, named by its value."""
+    assert [s.value for s in PageState] == ["Empty", "V1", "I1", "V2", "I2"]
+    assert {s.value for s in PageState} == {
         node for edge in ALLOWED_EDGES for node in edge}

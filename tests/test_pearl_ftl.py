@@ -124,6 +124,19 @@ def test_mount_blank_device_fails(desk_cfg):
         PearlFtl.mount(FlashDevice(desk_cfg.geometry), "public-pw")
 
 
+def test_mount_of_a_device_never_unmounted_starts_empty(ftl, device, rng):
+    """A formatted device that was never unmounted has no persisted
+    state: every lpn is unmapped, and the mounted FTL works."""
+    again = PearlFtl.mount(device, "public-pw", "hidden-pw", cmt_capacity=64)
+    for read in (again.public_read, again.hidden_read):
+        with pytest.raises(UnmappedLpn):
+            read(0)
+    data = rng.randbytes(again.layout.public_payload_bytes)
+    again.public_write(0, data)
+    assert again.public_read(0) == data
+    assert again.check_invariants() == []
+
+
 @pytest.mark.parametrize("geometry, sizes", [
     (DESK_GEOMETRY, {"public": 0}),
     (DESK_GEOMETRY, {"public": DESK_GEOMETRY.total_pages + 1}),
@@ -186,6 +199,21 @@ def test_volume_sizes_round_trip_over_geometries():
                     cfg.public_pages, cfg.hidden_pages), (blocks, ppb, pct)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (5, DESK_GEOMETRY.blocks_per_plane + 1, "geometry does not match"),
+    (9, b"wom9x9", "unknown code 'wom9x9'"),
+], ids=["geometry", "code"])
+def test_mount_rejects_a_header_of_another_device(desk_cfg, field, value,
+                                                  message):
+    fmt = pearl.ftl._HEADER_FMT
+    fields = list(struct.unpack_from(
+        fmt, PearlFtl._pack_header(desk_cfg, bytes(16))))
+    fields[field] = value
+    with pytest.raises(HeaderError, match=message):
+        PearlFtl._read_header(_HeaderPage(DESK_GEOMETRY, struct.pack(
+            fmt, *fields)), desk_cfg.cmt_capacity, 0)
+
+
 # -- basic volume operations ------------------------------------------
 
 
@@ -197,6 +225,26 @@ def test_public_roundtrip_and_trim(ftl, rng):
     ftl.trim(0)
     with pytest.raises(UnmappedLpn):
         ftl.public_read(0)
+
+
+def test_trim_rejects_a_trimmed_lpn_and_an_unknown_volume(ftl, rng):
+    ftl.public_write(0, rng.randbytes(ftl.layout.public_payload_bytes))
+    ftl.trim(0)
+    with pytest.raises(UnmappedLpn, match="already trimmed"):
+        ftl.trim(0)
+    with pytest.raises(PearlError, match="unknown volume 'bogus'"):
+        ftl.trim(1, volume="bogus")
+    assert ftl.check_invariants() == []
+
+
+def test_translation_map_leaves_out_a_trimmed_lpn(ftl, rng):
+    """A trimmed lpn stays mapped to its TI1 page until the TIQ drains,
+    but the volume's map no longer names it."""
+    for lpn in range(4):
+        ftl.public_write(lpn, rng.randbytes(ftl.layout.public_payload_bytes))
+    ftl.trim(1)
+    assert list(ftl.tiq.values()) == [1]
+    assert sorted(ftl.translation_map("public")) == [0, 2, 3]
 
 
 def test_hidden_roundtrip(ftl, rng):
@@ -266,7 +314,7 @@ def test_update_casualty_is_consumed_before_any_empty_page(ftl, rng):
     old_ppn = ftl._translate("public", 0)
     ftl.public_write(0, rng.randbytes(lay.public_payload_bytes))
     assert ftl.current_ui1 == old_ppn
-    assert ftl._state[old_ppn] == PageState.UI1
+    assert ftl._state[old_ppn] == PageState.I1
     data = rng.randbytes(lay.public_payload_bytes)
     ftl.public_write(7, data)
     assert ftl._translate("public", 7) == old_ppn
@@ -279,7 +327,7 @@ def test_trimmed_page_rewrite_lands_on_its_own_page(ftl, rng):
     ftl.public_write(1, rng.randbytes(lay.public_payload_bytes))
     ppn = ftl._translate("public", 1)
     ftl.trim(1)
-    assert ftl._state[ppn] == PageState.TI1
+    assert ftl._state[ppn] == PageState.I1
     assert ppn in ftl.tiq
     data = rng.randbytes(lay.public_payload_bytes)
     ftl.public_write(1, data)
@@ -295,10 +343,12 @@ def test_unmount_drains_trim_queue(ftl, rng):
         ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
     for lpn in range(4):
         ftl.trim(lpn)
-    assert len(ftl.tiq) == 4
+    trimmed = list(ftl.tiq)
+    assert len(trimmed) == 4
     ftl.prepare_unmount()
     assert not ftl.tiq
-    assert all(s != PageState.TI1 for s in ftl._state)
+    # Each trimmed page took its second write (and may since be invalid).
+    assert all(ftl.device.program_count(p) == 2 for p in trimmed)
 
 
 def test_unmount_is_idempotent(ftl, rng):
@@ -356,7 +406,7 @@ def test_mixed_workload_keeps_invariants(desk_cfg):
 
 def test_monitor_rejects_a_disallowed_edge():
     monitor = TransitionMonitor()
-    monitor.record(7, PageState.V1, PageState.RI1, "relocation")
+    monitor.record(7, PageState.V1, PageState.I1, "relocation")
     with pytest.raises(TransitionViolation,
                        match=r"page 7: I2 -> V1 \(probe\) is not an allowed"):
         monitor.record(7, PageState.I2, PageState.V1, "probe")
@@ -392,6 +442,7 @@ def test_reverse_map_names_exactly_the_valid_pages(seed):
 
 
 _ORPHAN = "valid {volume} page {ppn} is not where its lpn maps"
+_ROLE = "a TIQ or UI1 page is not an I1 page, or the UI1 page is on the TIQ"
 
 
 @pytest.mark.parametrize("fault, problems", [
@@ -405,8 +456,10 @@ _ORPHAN = "valid {volume} page {ppn} is not where its lpn maps"
     ("hidden orphan", [_ORPHAN]),
     ("cloak source", ["cloak-source index does not match the page states"]),
     ("valid rank", ["blocks are ranked by the wrong valid count"]),
+    ("valid on tiq", [_ROLE]),
+    ("ui1 on tiq", [_ROLE]),
 ], ids=["reverse-map", "trimmed", "orphan", "hidden-count", "hidden-orphan",
-        "cloak-source", "valid-rank"])
+        "cloak-source", "valid-rank", "valid-on-tiq", "ui1-on-tiq"])
 def test_check_invariants_reports_planted_fault(ftl, rng, fault, problems):
     lay = ftl.layout
     for lpn in range(4):
@@ -431,6 +484,10 @@ def test_check_invariants_reports_planted_fault(ftl, rng, fault, problems):
         # The UI1 page's block leaves its valid-count bucket.
         blk = ppn // ftl._ppb
         ftl._by_valid[ftl._valid[blk]] ^= 1 << blk
+    elif fault == "valid on tiq":
+        ftl.tiq[ftl._translate("public", 2)] = None
+    elif fault == "ui1 on tiq":
+        ftl.tiq[ppn] = None
     else:
         ppn, volume = ftl._translate("hidden", 0), "hidden"
         if fault == "hidden count":
@@ -976,13 +1033,12 @@ class _PerPageRecovery(PearlFtl):
             return
         ui1, gtd_pub = pub_state
         total = self.config.geometry.total_pages
-        stage, claim = {}, {}
+        stage = {}
         for ppn in range(RESERVED_BLOCKS * self._ppb, total):
             _, oob = self.device.peek(ppn)
             stage[ppn] = observable_stage(oob)
             slot_a, _ = parse_oob(oob)
             if stage[ppn] != "empty" and slot_a is not None:
-                claim[ppn] = slot_a.lpn_field
                 self._slot_a.setdefault(
                     self._block_of(ppn), set()).add(slot_a.lpn_field)
         for volume, gtd in (("public", gtd_pub), ("hidden", gtd_hid)):
@@ -991,8 +1047,7 @@ class _PerPageRecovery(PearlFtl):
                     UNMAPPED if stage.get(p) == "empty" else self._clamp_ppn(p)
                     for p in gtd]
         live = {"first": PageState.V1, "second": PageState.V2}
-        pub_map = self._walk_volume("public")
-        for lpn_field, ppn in pub_map.items():
+        for lpn_field, ppn in self._walk_volume("public").items():
             if stage.get(ppn, "empty") != "empty":
                 self._live["public"][ppn] = lpn_field
                 self._state[ppn] = live[stage[ppn]]
@@ -1012,15 +1067,10 @@ class _PerPageRecovery(PearlFtl):
                 continue
             if st == "second":
                 self._state[ppn] = PageState.I2
-            elif ppn == ui1:
-                self._state[ppn] = PageState.UI1
-                self.current_ui1 = ppn
-            elif ppn in claim and pub_map.get(claim[ppn]) == ppn:
-                self._state[ppn] = PageState.TI1
-                self.tiq[ppn] = claim[ppn]
-                self._trimmed.add(claim[ppn])
             else:
-                self._state[ppn] = PageState.RI1
+                self._state[ppn] = PageState.I1
+                if ppn == ui1:
+                    self.current_ui1 = ppn
         self._free = set()
         for blk in self.config.managed_blocks:
             pages = range(blk * self._ppb, (blk + 1) * self._ppb)
