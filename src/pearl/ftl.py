@@ -706,16 +706,14 @@ class PearlFtl(MappingCore):
     def _invalidate_public(self, ppn, reason, relocation=False):
         st = self._state[ppn]
         if st == PageState.V1 and relocation:
+            self._set_state(ppn, PageState.I1, reason)
             if self._open_with_room(self._block_of(ppn)):
                 # A superseded first-stage page in a block that can still
                 # take first writes would look like an abandoned update
                 # casualty once its lpn is claimed again above it; queue
                 # it for a second write like a trim casualty so it never
                 # outlives the next unmount.
-                self._set_state(ppn, PageState.I1, reason)
                 self.tiq[ppn] = None
-            else:
-                self._set_state(ppn, PageState.I1, reason)
         elif st in (PageState.V1, PageState.I1):
             # An update casualty takes the (now free) UI1 slot, and so does
             # a trimmed page being rewritten: the only I1 page that arrives

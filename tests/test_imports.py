@@ -2,13 +2,13 @@
 no pearl module may load, and every imported name is used."""
 
 import ast
-import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pearl
+from test_tracer import _load_tracer
 
 
 def test_pearl_loads_no_scipy():
@@ -24,24 +24,13 @@ def test_pearl_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def _tracer_names():
-    """{module name: names benchmarks/tracer.py wraps in that module}."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_tracer", Path(__file__).resolve().parents[1]
-        / "benchmarks" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    out = {}
-    for module, name, _ in tracer._FUNCTIONS:
-        out.setdefault(module.__name__, set()).add(name)
-    return out
-
-
 def test_every_import_is_used():
     """Each name a pearl module imports is used in it.  The one exception
     is a name the benchmark tracer wraps in that module, imported by a
     statement marked ``# noqa: F401``."""
-    wrapped = _tracer_names()
+    wrapped = {}
+    for module, name, _ in _load_tracer()._FUNCTIONS:
+        wrapped.setdefault(module.__name__, set()).add(name)
     unused = []
     for path in sorted(Path(pearl.__file__).parent.glob("*.py")):
         source = path.read_text()
