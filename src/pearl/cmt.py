@@ -27,7 +27,7 @@ class CachedMappingTable:
     """The cache, with its dirty entries indexed by translation page:
     entries_per_page[volume] lpns map to one page of a volume.  An entry
     is (volume, lpn) -> ppn; it is dirty exactly while its lpn is in the
-    dirty set of its translation page, so the flag is kept once."""
+    dirty set of its translation page (by volume, then m_vpn)."""
 
     def __init__(self, capacity: int, entries_per_page):
         if capacity < 1:
@@ -35,23 +35,23 @@ class CachedMappingTable:
         self.capacity = capacity
         self._epp = entries_per_page
         self._entries = OrderedDict()  # (volume, lpn) -> ppn
-        self._dirty = {}  # (volume, m_vpn) -> lpns of its dirty entries
+        self._dirty = {vol: {} for vol in entries_per_page}  # dirty lpns
         self.misses = 0
 
     def __contains__(self, key):
         return key in self._entries
 
-    def _lpns(self, volume, lpn):
-        """The dirty set of lpn's translation page (empty if none)."""
-        return self._dirty.get((volume, lpn // self._epp[volume]), ())
-
     def _clean(self, volume, lpn):
-        """Drop lpn from its translation page's dirty set."""
-        page = (volume, lpn // self._epp[volume])
-        lpns = self._dirty[page]
-        lpns.discard(lpn)
+        """Drop lpn from its translation page's dirty set; whether it
+        was there."""
+        pages, m_vpn = self._dirty[volume], lpn // self._epp[volume]
+        lpns = pages.get(m_vpn, ())
+        if lpn not in lpns:
+            return False
+        lpns.remove(lpn)
         if not lpns:
-            del self._dirty[page]
+            del pages[m_vpn]
+        return True
 
     def lookup(self, volume, lpn):
         """Returns ppn (may be UNMAPPED) or None on miss; touches recency."""
@@ -71,8 +71,8 @@ class CachedMappingTable:
         self._entries[key] = ppn
         self._entries.move_to_end(key)
         if dirty:
-            self._dirty.setdefault(
-                (volume, lpn // self._epp[volume]), set()).add(lpn)
+            self._dirty[volume].setdefault(
+                lpn // self._epp[volume], set()).add(lpn)
 
     def pop_excess(self):
         """Pop and return the LRU entry, as ((volume, lpn), ppn, dirty), if
@@ -80,27 +80,24 @@ class CachedMappingTable:
         if len(self._entries) <= self.capacity:
             return None
         key, ppn = self._entries.popitem(last=False)
-        dirty = key[1] in self._lpns(*key)
-        if dirty:
-            self._clean(*key)
-        return key, ppn, dirty
+        return key, ppn, self._clean(*key)
 
     def dirty_in_page(self, volume, m_vpn):
         """All dirty cached entries living in the given translation page,
         as (lpn, ppn)."""
         return [(lpn, self._entries[volume, lpn])
-                for lpn in self._dirty.get((volume, m_vpn), ())]
+                for lpn in self._dirty[volume].get(m_vpn, ())]
 
     def mark_clean(self, volume, lpn, ppn):
         """Clean the entry if it still maps to ppn (it may have been
         re-dirtied with a newer ppn while ppn was being flushed)."""
-        if (lpn in self._lpns(volume, lpn)
-                and self._entries[volume, lpn] == ppn):
+        if self._entries.get((volume, lpn)) == ppn:
             self._clean(volume, lpn)
 
     def dirty_groups(self):
         """Set of (volume, m_vpn) translation pages with dirty entries."""
-        return set(self._dirty)
+        return {(volume, m_vpn) for volume, pages in self._dirty.items()
+                for m_vpn in pages}
 
 
 def sealing(request):
@@ -388,8 +385,10 @@ class MappingCore:
 
     def _open_with_room(self, blk):
         """Whether blk is a stream's open block with an unwritten page."""
-        return any(b == blk and self._cursor[stream] < (b + 1) * self._ppb
-                   for stream, b in self._block.items())
+        for stream, b in self._block.items():
+            if b == blk and self._cursor[stream] < (b + 1) * self._ppb:
+                return True
+        return False
 
     def _next_page(self, stream):
         """Take the next page of stream's open block.  A full block is
@@ -411,13 +410,15 @@ class MappingCore:
         return ppn
 
     def _release_block(self, blk):
-        """Erase a collected block, drop its pages and their cached
+        """Erase a collected block, drop its live pages and their cached
         payloads and return it to the free set."""
         self._seal()
         self.device.erase_block(blk)
-        for ppn in range(blk * self._ppb, (blk + 1) * self._ppb):
-            for volume in self._live:
-                self._drop(volume, ppn)
+        pages = range(blk * self._ppb, (blk + 1) * self._ppb)
+        for volume, live in self._live.items():
+            for ppn in pages:
+                if ppn in live:
+                    self._drop(volume, ppn)
                 self._payloads.pop((volume, ppn), None)
         self._free.add(blk)
 

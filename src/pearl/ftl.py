@@ -11,6 +11,7 @@ update-invalidated page was demonstrably pending.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections import Counter
@@ -70,15 +71,24 @@ HEADER_MAGIC = b"PRLHDR01"
 HEADER_VERSION = 1
 _HEADER_FMT = "<8sH16s6I16sII"
 
-_VALID = (PageState.V1, PageState.V2)
+# The page states as module globals: a load of one costs a tenth of a
+# PageState member lookup, on the paths every program and erase takes.
+EMPTY, V1, I1, V2, I2 = PageState
+_VALID = (V1, V2)
 # Stage codes of oob.observable_stages, and the state of a live page at each.
 _EMPTY, _FIRST, _SECOND = map(STAGES.index, ("empty", "first", "second"))
-_LIVE = {_FIRST: PageState.V1, _SECOND: PageState.V2}
+_LIVE = {_FIRST: V1, _SECOND: V2}
 # The one append stream: its open block receives every empty-page write.
 _FRONTIER = "frontier"
 # Kinds of cloak source (see _pick_public_source): a first-stage page, a
 # second-stage page without live hidden data, and one with it.
 _SRC_V1, _SRC_V2, _SRC_HIDDEN = range(3)
+
+
+@functools.cache
+def _ledger_keys(bucket):
+    """The ledger's logical- and physical-bit keys of a bucket."""
+    return f"{bucket}_logical_bits", f"{bucket}_physical_bits"
 
 
 def _or_bytes(a: bytes, b: bytes) -> bytes:
@@ -120,7 +130,7 @@ class PearlFtl(MappingCore):
         self._reset_mapping(
             {PUBLIC: cfg.public_pages, HIDDEN: cfg.hidden_pages},
             cfg.cmt_capacity, cfg.managed_blocks)
-        self._state = [PageState.EMPTY] * total
+        self._state = [EMPTY] * total
         # The cloak-source index, by kind: each block's bitmask of its
         # pages of that kind, and the bitmask of blocks with any (_file).
         self._sources = [[0] * cfg.geometry.total_blocks for _ in range(3)]
@@ -297,10 +307,10 @@ class PearlFtl(MappingCore):
         and cursors by scanning the device."""
         self._seal()
         self._reset_volatile()
+        # A device never unmounted has no state page: its GTDs stay
+        # unmapped, and the scan still finds every programmed page.
         pub_state, gtd_hid = self._load_state_blobs()
-        if pub_state is None:
-            return  # freshly formatted device: nothing to recover
-        ui1, gtd_pub = pub_state
+        ui1, gtd_pub = pub_state or (None, None)
 
         cfg = self.config
         g = cfg.geometry
@@ -351,9 +361,9 @@ class PearlFtl(MappingCore):
         # last-durable data.
         for ppn in range(first, g.total_pages):
             st = stage[ppn]
-            if st == _EMPTY or self._state[ppn] != PageState.EMPTY:
+            if st == _EMPTY or self._state[ppn] is not EMPTY:
                 continue
-            self._state[ppn] = PageState.I1 if st == _FIRST else PageState.I2
+            self._state[ppn] = I1 if st == _FIRST else I2
             if st == _FIRST and ppn == ui1:
                 self.current_ui1 = ppn
 
@@ -371,7 +381,8 @@ class PearlFtl(MappingCore):
             elif len(programmed) < self._ppb:
                 self._block[_FRONTIER] = blk
                 self._cursor[_FRONTIER] = programmed[-1] + 1
-        self._persist_clean = True
+        if pub_state is not None:
+            self._persist_clean = True
 
     def translation_map(self, volume):
         """Quiet {lpn: ppn} view of a volume's current mappings (tests)."""
@@ -406,36 +417,40 @@ class PearlFtl(MappingCore):
     def _enter(self, ppn, new, lpn_field=None):
         """Put a page in state new: hold it as lpn_field's page in the
         live-page ledger while it is valid, and file it under its new
-        cloak-source kind."""
-        old = self._source_kind(ppn, self._state[ppn])
+        cloak-source kind.  Every state change runs this, so the kinds
+        (_source_kind) are inline and the public ledger is changed by
+        MappingCore directly: PearlFtl's _hold/_drop add only to hidden."""
+        old = self._state[ppn]
         self._state[ppn] = new
-        if new in _VALID:
-            self._hold(PUBLIC, ppn, lpn_field)
+        if new is V1 or new is V2:
+            MappingCore._hold(self, PUBLIC, ppn, lpn_field)
         else:
-            self._drop(PUBLIC, ppn)
-        self._file(ppn, old, self._source_kind(ppn, new))
+            MappingCore._drop(self, PUBLIC, ppn)
+        v2 = _SRC_HIDDEN if ppn in self._live[HIDDEN] else _SRC_V2
+        self._file(ppn, _SRC_V1 if old is V1 else v2 if old is V2 else None,
+                   _SRC_V1 if new is V1 else v2 if new is V2 else None)
 
     def _hold(self, volume, ppn, lpn_field):
         """MappingCore._hold; a V2 page whose hidden data goes live
         changes cloak-source kind."""
         super()._hold(volume, ppn, lpn_field)
-        if volume == HIDDEN and self._state[ppn] is PageState.V2:
+        if volume == HIDDEN and self._state[ppn] is V2:
             self._file(ppn, _SRC_V2, _SRC_HIDDEN)
 
     def _drop(self, volume, ppn):
         """MappingCore._drop; a V2 page whose hidden data dies changes
         cloak-source kind."""
         super()._drop(volume, ppn)
-        if volume == HIDDEN and self._state[ppn] is PageState.V2:
+        if volume == HIDDEN and self._state[ppn] is V2:
             self._file(ppn, _SRC_HIDDEN, _SRC_V2)
 
     # -- the cloak-source index ----------------------------------------
 
     def _source_kind(self, ppn, state):
         """The cloak-source kind of ppn in state, or None."""
-        if state is PageState.V1:
+        if state is V1:
             return _SRC_V1
-        if state is PageState.V2:
+        if state is V2:
             return _SRC_HIDDEN if ppn in self._live[HIDDEN] else _SRC_V2
         return None
 
@@ -480,7 +495,7 @@ class PearlFtl(MappingCore):
     def _pad(self, data, size):
         if len(data) > size:
             raise PearlError(f"payload of {len(data)} bytes exceeds {size}")
-        return bytes(data) + bytes(size - len(data))
+        return bytes(data).ljust(size, b"\0")  # an exact-size bytes as is
 
     # -- mapping layer -------------------------------------------------
 
@@ -528,8 +543,9 @@ class PearlFtl(MappingCore):
     # -- physical programs ---------------------------------------------
 
     def _account(self, bucket, logical_bits, physical_bits):
-        self.ledger[f"{bucket}_logical_bits"] += logical_bits
-        self.ledger[f"{bucket}_physical_bits"] += physical_bits
+        logical, physical = _ledger_keys(bucket)
+        self.ledger[logical] += logical_bits
+        self.ledger[physical] += physical_bits
 
     def _program(self, target, lpn_field, plaintext, bucket, hidden=None):
         """Queue a program of lpn_field's public plaintext onto target and
@@ -541,11 +557,12 @@ class PearlFtl(MappingCore):
         superseded pages are the caller's."""
         lay, code = self.layout, self.config.code
         oob_bytes = self.config.geometry.oob_bytes
-        empty = self._state[target] == PageState.EMPTY
+        empty = self._state[target] is EMPTY
         # Requirement 3: the UI1 slot is filled before any empty page.
         assert not empty or self.current_ui1 is None
         first = empty and hidden is None
-        iv = self._fresh_iv(self.k_pub, *([self.k_hid] if hidden else []))
+        iv = (fresh_iv(self.rng) if self.iv_registry is None else
+              self._fresh_iv(self.k_pub, *([self.k_hid] if hidden else [])))
         pub = self._pad(plaintext, lay.public_payload_bytes)
         hid = existing = None
         if hidden is not None:
@@ -559,8 +576,8 @@ class PearlFtl(MappingCore):
             # in-order write reasoning could then falsify.  A public
             # volume smaller than a block may have no lpn left to claim;
             # then a repeat it is.
-            used = self._slot_a.setdefault(self._block_of(target), set())
-            lpns = self.config.public_pages
+            used = self._slot_a.setdefault(target // self._ppb, set())
+            lpns = self._volumes[PUBLIC][0]
             while True:
                 fake_lpn = self.rng.randrange(lpns)
                 if fake_lpn not in used or (
@@ -582,11 +599,9 @@ class PearlFtl(MappingCore):
         # The job: stage, IV, padded plaintexts (hidden: full writes only),
         # the page it overwrites (second writes only) and the OOB.
         self._pending[target] = (stage, iv, pub, hid, existing, oob)
-        self._set_state(target, PageState.V1 if first else PageState.V2,
-                        bucket, lpn_field)
+        self._set_state(target, V1 if first else V2, bucket, lpn_field)
         if first:
-            self._slot_a.setdefault(self._block_of(target), set()).add(
-                lpn_field)
+            self._slot_a.setdefault(target // self._ppb, set()).add(lpn_field)
         groups = lay.groups_per_page
         if hidden is None:
             self._account(bucket, groups * code.k, groups * code.n)
@@ -628,11 +643,13 @@ class PearlFtl(MappingCore):
             page = lay.page_bytes
             for n, i in enumerate(at):
                 raw[i] = out[n * page:(n + 1) * page]
+        program, page_tag = self.device.program_page, self.device.page_tag
         for target, data, oob, pub, hid in zip(queued, raw, oobs, pubs, hids):
-            self.device.program_page(target, data, oob)
-            self._store_payload(PUBLIC, target, pub)
+            program(target, data, oob)
+            tag = page_tag(target)  # stored as _store_payload would
+            self._payloads[PUBLIC, target] = (tag, pub)
             if hid is not None:
-                self._store_payload(HIDDEN, target, hid)
+                self._payloads[HIDDEN, target] = (tag, hid)
 
     def _program_public(self, lpn_field, plaintext, bucket, relocation=False):
         """Public write following the allocation priority (Fig. 7 order:
@@ -705,24 +722,24 @@ class PearlFtl(MappingCore):
 
     def _invalidate_public(self, ppn, reason, relocation=False):
         st = self._state[ppn]
-        if st == PageState.V1 and relocation:
-            self._set_state(ppn, PageState.I1, reason)
-            if self._open_with_room(self._block_of(ppn)):
+        if st is V1 and relocation:
+            self._set_state(ppn, I1, reason)
+            if self._open_with_room(ppn // self._ppb):
                 # A superseded first-stage page in a block that can still
                 # take first writes would look like an abandoned update
                 # casualty once its lpn is claimed again above it; queue
                 # it for a second write like a trim casualty so it never
                 # outlives the next unmount.
                 self.tiq[ppn] = None
-        elif st in (PageState.V1, PageState.I1):
+        elif st in (V1, I1):
             # An update casualty takes the (now free) UI1 slot, and so does
             # a trimmed page being rewritten: the only I1 page that arrives
             # here, which its caller has already taken off the TIQ.
             assert self.current_ui1 is None
-            self._set_state(ppn, PageState.I1, reason)
+            self._set_state(ppn, I1, reason)
             self.current_ui1 = ppn
-        elif st == PageState.V2:
-            self._set_state(ppn, PageState.I2, reason)
+        elif st is V2:
+            self._set_state(ppn, I2, reason)
 
     def _program_full(self, hidden_field, hidden_plain, bucket, cloak=None,
                       old=None):
@@ -866,12 +883,12 @@ class PearlFtl(MappingCore):
             if lpn in self._trimmed:
                 raise UnmappedLpn(f"public lpn {lpn} already trimmed")
             ppn = self._translate(PUBLIC, lpn)
-            if self._state[ppn] == PageState.V1:
-                self._set_state(ppn, PageState.I1, "trim")
+            if self._state[ppn] is V1:
+                self._set_state(ppn, I1, "trim")
                 self.tiq[ppn] = lpn
                 self._trimmed.add(lpn)
             else:
-                self._set_state(ppn, PageState.I2, "trim")
+                self._set_state(ppn, I2, "trim")
                 self.cmt.put(PUBLIC, lpn, UNMAPPED, dirty=True)
         else:
             ppn = self._translate(HIDDEN, lpn)
@@ -954,11 +971,18 @@ class PearlFtl(MappingCore):
             self._program_public(lpn_field, plain, bucket="gc_public",
                                  relocation=True)
 
+        # The erase: an I1 or I2 page has no ledger entry and no cloak-source
+        # kind, so only its state changes (_release_block drops hidden data).
         reclaimed = 0
         for ppn in pages:
-            if self._state[ppn] != PageState.EMPTY:
+            old = self._state[ppn]
+            if old is not EMPTY:
                 reclaimed += 1
-                self._set_state(ppn, PageState.EMPTY, "erase")
+                self.monitor.record(ppn, old, EMPTY, "erase")
+                if old is V1 or old is V2:
+                    self._enter(ppn, EMPTY)
+                else:
+                    self._state[ppn] = EMPTY
         self._release_block(victim)
         self._slot_a.pop(victim, None)
         self._drain_cmt()
@@ -1005,7 +1029,7 @@ class PearlFtl(MappingCore):
         problems = super().check_invariants()
         roles = {*self.tiq, self.current_ui1} - {None}
         if (self.current_ui1 in self.tiq
-                or any(self._state[p] != PageState.I1 for p in roles)):
+                or any(self._state[p] is not I1 for p in roles)):
             problems.append("a TIQ or UI1 page is not an I1 page, or the "
                             "UI1 page is on the TIQ")
         if self._trimmed != set(self.tiq.values()) - {None}:
@@ -1019,8 +1043,7 @@ class PearlFtl(MappingCore):
 
     def amplification(self, bucket):
         """physical/logical bit ratio for one ledger bucket."""
-        logical = self.ledger[f"{bucket}_logical_bits"]
-        physical = self.ledger[f"{bucket}_physical_bits"]
+        logical, physical = (self.ledger[key] for key in _ledger_keys(bucket))
         if logical == 0:
             return None
         from fractions import Fraction

@@ -379,7 +379,8 @@ class _Kernel:
     index holds its prefix, its c a-fields, then its c b-fields, the
     first group highest; table[index] holds the c outputs packed the
     same way, or -1 when any of them is.  c is the largest of 1, 2, 4 and
-    8 whose index fits in 16 bits."""
+    8 whose index fits in 16 bits.  pack shifts and ORs a run's 8 // c
+    chunk outputs into one word, the first chunk highest."""
 
     def __init__(self, per_group, wa, wb, width, prefix=0):
         self.per_group, self.wa, self.wb = per_group, wa, wb
@@ -392,7 +393,7 @@ class _Kernel:
         self.bits_a, self.bits_b = c * wa, c * wb
         self.shifts_a, self.shifts_b = [(8 * (8 - w) + c * w * steps)[:, None]
                                         for w in (wa, wb)]
-        self.out_weights = np.left_shift(1, c * width * steps)
+        self.out_shift = c * width   # bits of one chunk's outputs
         # The smallest signed type that holds c outputs; built 4,096
         # entries at a time, so no temporary outgrows a slice.
         size = 1 << prefix + self.bits
@@ -431,9 +432,13 @@ class _Kernel:
         return index
 
     def pack(self, out):
-        """(8 // c, runs) outputs as one word per run, its bytes at the
-        bottom."""
-        return self.out_weights @ out
+        """(8 // c, runs) non-negative outputs as one word per run, its
+        bytes at the bottom."""
+        word, *rest = out.astype(np.int64)
+        for chunk in rest:
+            word <<= self.out_shift
+            word |= chunk
+        return word
 
     def first_bad(self, index, out):
         """The first group, counted from the first run, whose own output

@@ -137,6 +137,35 @@ def test_mount_of_a_device_never_unmounted_starts_empty(ftl, device, rng):
     assert again.check_invariants() == []
 
 
+def test_a_written_device_never_unmounted_mounts_writable(ftl, rng):
+    """Written but never unmounted, a device has no state page, so every
+    lpn is unmapped after mount.  Recovery still scans the device: no
+    block that holds a programmed page is free, so the mounted FTL
+    writes and reads back both volumes, and an unmount right after
+    persists a state page."""
+    lay = ftl.layout
+    for lpn in range(20):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    again = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()), "public-pw",
+                           "hidden-pw", cmt_capacity=64)
+    assert again.check_invariants() == []
+    shadow = {}
+    for volume, n in (("public", 40), ("hidden", 5)):
+        for lpn in range(n):
+            shadow[volume, lpn] = rng.randbytes(again.volumes()[volume][1])
+            again.submit(volume, lpn, "write", shadow[volume, lpn])
+    assert again.check_invariants() == []
+    assert_reads_back(again, shadow)
+    for volume, lpn in (("public", 40), ("public", 100), ("hidden", 5)):
+        with pytest.raises(UnmappedLpn):
+            again.submit(volume, lpn, "read")
+    programs = again.device.programs
+    again.prepare_unmount()
+    assert again.device.programs > programs
+    assert_reads_back(PearlFtl.mount(FlashDevice.restore(again.snapshot()),
+                                     "public-pw", "hidden-pw"), shadow)
+
+
 @pytest.mark.parametrize("geometry, sizes", [
     (DESK_GEOMETRY, {"public": 0}),
     (DESK_GEOMETRY, {"public": DESK_GEOMETRY.total_pages + 1}),
@@ -404,12 +433,68 @@ def test_mixed_workload_keeps_invariants(desk_cfg):
         assert got == data
 
 
-def test_monitor_rejects_a_disallowed_edge():
-    monitor = TransitionMonitor()
-    monitor.record(7, PageState.V1, PageState.I1, "relocation")
+def test_monitor_allows_exactly_the_graph_edges():
+    """Of the 25 pairs of page states, the 8 edges of the transition
+    graph and the 5 self-edges pass; every other pair raises a message
+    that names both states."""
+    edges = {("Empty", "V1"), ("Empty", "V2"), ("V1", "I1"), ("I1", "V2"),
+             ("I1", "Empty"), ("V2", "I2"), ("I2", "Empty"), ("V1", "Empty")}
+    monitor, refused = TransitionMonitor(), 0
+    for old in PageState:
+        for new in PageState:
+            if old is new or (old.value, new.value) in edges:
+                monitor.record(3, old, new, "probe")
+                continue
+            refused += 1
+            with pytest.raises(TransitionViolation, match=(
+                    rf"^page 3: {old.value} -> {new.value} \(probe\) is not "
+                    "an allowed transition$")):
+                monitor.record(3, old, new, "probe")
+    assert refused == 25 - 8 - 5
+
+
+def test_a_collection_records_each_programmed_victim_page_once(
+        monkeypatch, desk_cfg):
+    """The erase pass gives every programmed page of the victim exactly
+    one state record, to Empty, and no other page one."""
+    ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=5, nops=400)
+    erased, record = Counter(), ftl.monitor.record
+
+    def spy(ppn, old, new, reason):
+        if new is PageState.EMPTY:
+            erased[ppn, reason] += 1
+        return record(ppn, old, new, reason)
+    monkeypatch.setattr(ftl.monitor, "record", spy)
+    ppb = ftl._ppb
+    for _ in range(6):
+        victim = ftl._select_victim()
+        pages = range(victim * ppb, (victim + 1) * ppb)
+        programmed = [p for p in pages if ftl._state[p] is not PageState.EMPTY]
+        erased.clear()
+        assert ftl.gc_run() == len(programmed)
+        assert erased == Counter((p, "erase") for p in programmed)
+        assert all(ftl._state[p] is PageState.EMPTY for p in pages)
+    assert ftl.check_invariants() == []
+
+
+def test_a_valid_page_left_in_a_victim_fails_at_erase(monkeypatch, desk_cfg):
+    """A V2 page still valid when its block is erased (planted after each
+    relocation of a survivor) breaks the transition graph."""
+    ftl, _, _ = mixed_workload(PearlFtl, desk_cfg, seed=5, nops=400)
+    victim = ftl._select_victim()
+    planted = next(p for p in range(victim * ftl._ppb, (victim + 1) * ftl._ppb)
+                   if ftl._state[p] is PageState.I2)
+
+    def planting(relocate):
+        def plant(*args, **kwargs):
+            relocate(*args, **kwargs)
+            ftl._state[planted] = PageState.V2
+        return plant
+    for name in ("_program_public", "_program_full"):
+        monkeypatch.setattr(ftl, name, planting(getattr(ftl, name)))
     with pytest.raises(TransitionViolation,
-                       match=r"page 7: I2 -> V1 \(probe\) is not an allowed"):
-        monitor.record(7, PageState.I2, PageState.V1, "probe")
+                       match=rf"page {planted}: V2 -> Empty \(erase\)"):
+        ftl.gc_run()
 
 
 class _ReverseMapChecked(PearlFtl):
