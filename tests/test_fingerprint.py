@@ -38,6 +38,10 @@ FILL = {
     1: "c2efab6785f4cebfcbca1c23e75ca450d07eacbc06a414c13a8a96f0dacc026d",
     3: "b1ff67230845c7ceb0e4e2c01169c7280bb1ad652956f1f0ab847ad31f76351f",
 }
+# Unmounts of a public-only mount, which fill the state page's hidden half
+# with random bytes.
+PUBLIC_ONLY_UNMOUNT = (
+    "05eac3138c3dea87ecf25c9e9675e3ac92d3e9e8339bcf11dcd2b42b75362ca6")
 # The mixed case's device mutations, in the order the device saw them.
 MIXED_MUTATION_ORDER = (
     "728cbf40c697779b7715380703667513d9f7d507b6baf69850193aa487081610")
@@ -110,6 +114,24 @@ def test_mount_and_recovery_fingerprint():
         assert data == shadow[volume, lpn]
         reads.append(data)
     assert _digest(ftl, tmap, _digest(solo), reads) == MOUNT_RECOVER
+
+
+def test_public_only_unmount_fingerprint():
+    cfg = desk_config(cmt_capacity=64, seed=0)
+    lay, rng = cfg.layout, random.Random(0)
+    ftl = PearlFtl.format(FlashDevice(cfg.geometry), cfg, "public-pw",
+                          "hidden-pw")
+    for lpn in range(30):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    for lpn in range(10):
+        ftl.hidden_write(lpn, rng.randbytes(lay.hidden_payload_bytes))
+    ftl.prepare_unmount()
+    solo = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()), "public-pw",
+                          cmt_capacity=64)
+    for lpn in range(20):
+        solo.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    solo.prepare_unmount()
+    assert _digest(solo, _digest(ftl)) == PUBLIC_ONLY_UNMOUNT
 
 
 def test_dftl_fingerprint():

@@ -366,6 +366,27 @@ def test_trimmed_page_rewrite_lands_on_its_own_page(ftl, rng):
     assert ppn not in ftl.tiq
 
 
+def test_trimmed_page_rewrite_while_the_ui1_slot_is_taken(ftl, rng):
+    """A trimmed lpn written again while the UI1 slot holds another page:
+    the write takes the slot's page, and the trimmed page leaves the TIQ
+    to become the Current UI1 page."""
+    lay = ftl.layout
+    for lpn in (0, 1):
+        ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
+    ui1 = ftl._translate("public", 0)
+    ftl.public_write(0, rng.randbytes(lay.public_payload_bytes))
+    trimmed = ftl._translate("public", 1)
+    ftl.trim(1)
+    assert (ftl.current_ui1, list(ftl.tiq)) == (ui1, [trimmed])
+    data = rng.randbytes(lay.public_payload_bytes)
+    ftl.public_write(1, data)
+    assert ftl._translate("public", 1) == ui1
+    assert ftl._state[ui1] == PageState.V2
+    assert (ftl.current_ui1, ftl.tiq) == (trimmed, {})
+    assert ftl.public_read(1) == data
+    assert ftl.check_invariants() == []
+
+
 def test_unmount_drains_trim_queue(ftl, rng):
     lay = ftl.layout
     for lpn in range(10):
