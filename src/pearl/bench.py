@@ -299,14 +299,14 @@ def replay(ftl, workload, cpu_overhead_us=2.0, seed=None):
 
 
 def mixed_workload(ftl_cls, cfg, seed, nops, snap_every=500, hot_lpns=None,
-                   write_frac=0.45, hidden_frac=0.25, track_ivs=False):
+                   write_frac=0.45, hidden_frac=0.25):
     """Seeded mix of public and hidden writes, trims, GC runs and public
     reads checked against the shadow (a mismatch raises PearlError) on a
     freshly formatted device, with an unmount snapshot every snap_every
     operations and one at the end.  Returns (ftl, snapshots, shadow);
     shadow maps ("public"|"hidden", lpn) to the last payload written."""
     ftl = ftl_cls.format(FlashDevice(cfg.geometry), cfg, "public-pw",
-                         "hidden-pw", track_ivs=track_ivs)
+                         "hidden-pw")
     lay = cfg.layout
     rng = random.Random(seed + 1)
     shadow = {}

@@ -437,15 +437,19 @@ class MappingCore:
                    key=cost.__getitem__, default=None)
 
     def gc_run(self):
-        """Collect the victim block; returns the reclaimed page count, or
-        None when no victim exists."""
+        """Collect the victim block: empty it (``_gc_block``), release it
+        and drain the cache, all with the victim set.  Returns the
+        reclaimed page count, or None when no victim exists."""
         victim = self._select_victim()
         if victim is None:
             return None
         self.gc_runs += 1
         was, self._gc_victim = self._gc_victim, victim
         try:
-            return self._gc_block(victim)
+            reclaimed = self._gc_block(victim)
+            self._release_block(victim)
+            self._drain_cmt()
+            return reclaimed
         finally:
             self._gc_victim = was
 

@@ -133,16 +133,3 @@ def decrypt_payloads(key: VolumeKey, ivs: np.ndarray,
 def fresh_iv(rng) -> bytes:
     """Draw a fresh random IV from the run's seeded generator."""
     return rng.randbytes(IV_BYTES)
-
-
-class IvRegistry:
-    """Test-mode registry asserting (key, iv) pairs never repeat."""
-
-    def __init__(self):
-        self._seen = set()
-
-    def record(self, key: VolumeKey, iv: bytes):
-        pair = (key.key, iv)
-        if pair in self._seen:
-            raise PearlError("IV reuse under the same key")
-        self._seen.add(pair)

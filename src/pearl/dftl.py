@@ -133,10 +133,7 @@ class Dftl(MappingCore):
                 self._drop(DATA, ppn)
                 self.cmt.put(DATA, field, new, dirty=True)
             self.ledger["gc_programs"] += 1
-        reclaimed = sum(1 for ppn in pages if self.device.program_count(ppn))
-        self._release_block(victim)
-        self._drain_cmt()
-        return reclaimed
+        return sum(1 for ppn in pages if self.device.program_count(ppn))
 
     # -- introspection -------------------------------------------------
 

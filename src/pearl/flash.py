@@ -116,8 +116,10 @@ class Snapshot:
             blob = bytes(blob)
         if blob[:8] != SNAPSHOT_MAGIC:
             raise SnapshotFormatError("bad snapshot magic")
-        fields = struct.unpack_from("<6I", blob, 8)
-        g = DeviceGeometry(*fields)
+        try:
+            g = DeviceGeometry(*struct.unpack_from("<6I", blob, 8))
+        except (struct.error, ValueError) as exc:
+            raise SnapshotFormatError(f"bad snapshot header: {exc}") from None
         n, pb, ob = g.total_pages, g.page_bytes, g.oob_bytes
         off = 8 + 24
         expect = off + n * (pb + ob) + 4 * g.total_blocks + n

@@ -28,7 +28,6 @@ from .config import (
 from .crypto import (
     HIDDEN,
     PUBLIC,
-    IvRegistry,
     VolumeKey,
     decrypt_payload,
     derive_key,
@@ -101,7 +100,7 @@ class PearlFtl(MappingCore):
     """The deniable FTL engine.  Use format() or mount() to construct."""
 
     def __init__(self, device: FlashDevice, config: PearlConfig,
-                 k_pub: VolumeKey, k_hid, salt: bytes, track_ivs=False):
+                 k_pub: VolumeKey, k_hid, salt: bytes):
         self.device = device
         self.config = config
         self.k_pub = k_pub
@@ -110,7 +109,6 @@ class PearlFtl(MappingCore):
         self.layout = config.layout
         self.rng = Random(config.seed)
         self.monitor = TransitionMonitor()
-        self.iv_registry = IvRegistry() if track_ivs else None
         self.ledger = Counter()
         self.gc_runs = 0
 
@@ -148,34 +146,30 @@ class PearlFtl(MappingCore):
     # ------------------------------------------------------------------
 
     @classmethod
-    def format(cls, device, config, public_password, hidden_password=None,
-               track_ivs=False):
+    def format(cls, device, config, public_password, hidden_password=None):
         """Initialize a blank device: write the header and return a handle."""
         if device.programmed_pages():
             raise HeaderError("device is not blank; mount it instead")
         salt = Random(config.seed).randbytes(16)
         header = cls._pack_header(config, salt)
         device.program_page(0, header, bytes(config.geometry.oob_bytes))
-        return cls._open(device, config, public_password, hidden_password,
-                         salt, track_ivs)
+        return cls._open(device, config, public_password, hidden_password, salt)
 
     @classmethod
     def mount(cls, device, public_password, hidden_password=None,
-              cmt_capacity=1024, seed=0, track_ivs=False):
+              cmt_capacity=1024, seed=0):
         """Open a formatted device, deriving keys and rebuilding state."""
         config, salt = cls._read_header(device, cmt_capacity, seed)
-        ftl = cls._open(device, config, public_password, hidden_password,
-                        salt, track_ivs)
+        ftl = cls._open(device, config, public_password, hidden_password, salt)
         ftl.recover_metadata()
         return ftl
 
     @classmethod
-    def _open(cls, device, config, public_password, hidden_password, salt,
-              track_ivs):
+    def _open(cls, device, config, public_password, hidden_password, salt):
         k_pub = derive_key(public_password, PUBLIC, salt)
         k_hid = (None if hidden_password is None
                  else derive_key(hidden_password, HIDDEN, salt))
-        return cls(device, config, k_pub, k_hid, salt, track_ivs)
+        return cls(device, config, k_pub, k_hid, salt)
 
     @staticmethod
     def _pack_header(config, salt):
@@ -250,27 +244,20 @@ class PearlFtl(MappingCore):
                                      bytes(g.oob_bytes))
             self._persist_cursor = 1
         page = bytearray(g.page_bytes)
-        half = g.page_bytes // 2
+        for at, key, volume in ((0, self.k_pub, PUBLIC),
+                                (g.page_bytes // 2, self.k_hid, HIDDEN)):
+            iv = fresh_iv(self.rng)
+            if key is not None:
+                blob = encrypt_payload(key, iv, self._pack_state_blob(volume))
+            else:
+                # No hidden key: the half is still refreshed with random
+                # bytes so its presence or staleness carries no signal.
+                blob = self.rng.randbytes(4 * len(self._gtd[volume]))
+            page[at:at + 16] = iv
+            page[at + 16:at + 16 + len(blob)] = blob
 
-        iv = self._fresh_iv(self.k_pub)
-        blob = self._pack_state_blob(PUBLIC)
-        page[0:16] = iv
-        page[16:16 + len(blob)] = encrypt_payload(self.k_pub, iv, blob)
-
-        if self.k_hid is not None:
-            iv_h = self._fresh_iv(self.k_hid)
-            blob_h = encrypt_payload(self.k_hid, iv_h,
-                                     self._pack_state_blob(HIDDEN))
-        else:
-            # No hidden key: the region is still refreshed with random bytes
-            # so its presence or staleness carries no signal.
-            iv_h = self.rng.randbytes(16)
-            blob_h = self.rng.randbytes(4 * len(self._gtd[HIDDEN]))
-        page[half:half + 16] = iv_h
-        page[half + 16:half + 16 + len(blob_h)] = blob_h
-
-        ppn = self._persist_cursor
-        self.device.program_page(ppn, bytes(page), bytes(g.oob_bytes))
+        self.device.program_page(self._persist_cursor, bytes(page),
+                                 bytes(g.oob_bytes))
         self._persist_cursor += 1
 
     def _load_state_blobs(self):
@@ -334,24 +321,21 @@ class PearlFtl(MappingCore):
                     else self._clamp_ppn(p)
                     for p in gtd]
 
-        # Current mappings, walked quietly through the translation pages.
-        for lpn_field, ppn in self._walk_volume(PUBLIC).items():
-            if stage[ppn] == _EMPTY:
-                continue  # garbage entry (or pre-persist loss); ignore
-            self._enter(ppn, _LIVE[stage[ppn]], lpn_field)
-        for m, t_ppn in enumerate(self._gtd[PUBLIC]):
-            if t_ppn != UNMAPPED and stage[t_ppn] != _EMPTY:
-                self._enter(t_ppn, _LIVE[stage[t_ppn]], trans_field(m))
-        if self.k_hid is not None:
-            # Hidden content lives on second-stage pages only, so an entry
-            # naming any other page (a wrong password's garbage) is not
-            # installed; reads through it still return garbage.
-            for lpn_field, ppn in self._walk_volume(HIDDEN).items():
-                if stage[ppn] == _SECOND:
-                    self._hold(HIDDEN, ppn, lpn_field)
-            for m, t_ppn in enumerate(self._gtd[HIDDEN]):
-                if t_ppn != UNMAPPED and stage[t_ppn] == _SECOND:
-                    self._hold(HIDDEN, t_ppn, trans_field(m))
+        # Each volume's mappings, walked quietly, then its translation pages.
+        # A public entry naming an empty page (garbage, or a pre-persist
+        # loss) is ignored.  Hidden content lives on second-stage pages only,
+        # so an entry naming any other page (a wrong password's garbage) is
+        # not installed; reads through it still return garbage.
+        for volume in self._volumes:
+            for field, ppn in [*self._walk_volume(volume).items(),
+                               *((trans_field(m), p) for m, p
+                                 in enumerate(self._gtd[volume])
+                                 if p != UNMAPPED)]:
+                if volume == PUBLIC:
+                    if stage[ppn] != _EMPTY:
+                        self._enter(ppn, _LIVE[stage[ppn]], field)
+                elif stage[ppn] == _SECOND:
+                    self._hold(HIDDEN, ppn, field)
 
         # Remaining programmed pages are invalid (no cloak source, so set
         # directly).  A first-write invalid is the persisted UI1 page or a
@@ -397,14 +381,6 @@ class PearlFtl(MappingCore):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _fresh_iv(self, *keys):
-        """One fresh IV, registered under every key it will encrypt with."""
-        iv = fresh_iv(self.rng)
-        if self.iv_registry is not None:
-            for key in keys:
-                self.iv_registry.record(key, iv)
-        return iv
 
     def _touch(self):
         self._persist_clean = False
@@ -561,8 +537,7 @@ class PearlFtl(MappingCore):
         # Requirement 3: the UI1 slot is filled before any empty page.
         assert not empty or self.current_ui1 is None
         first = empty and hidden is None
-        iv = (fresh_iv(self.rng) if self.iv_registry is None else
-              self._fresh_iv(self.k_pub, *([self.k_hid] if hidden else [])))
+        iv = fresh_iv(self.rng)
         pub = self._pad(plaintext, lay.public_payload_bytes)
         hid = existing = None
         if hidden is not None:
@@ -584,7 +559,7 @@ class PearlFtl(MappingCore):
                         len(used) >= lpns and used.issuperset(range(lpns))):
                     break
             used.add(fake_lpn)
-            fake = OobSlot(self.rng.randbytes(16), fake_lpn, TAG_FIRST)
+            fake = OobSlot(fresh_iv(self.rng), fake_lpn, TAG_FIRST)
             oob = pack_oob(oob_bytes, fake, OobSlot(iv, lpn_field, TAG_SECOND))
         elif first:
             stage = "first"
@@ -655,16 +630,16 @@ class PearlFtl(MappingCore):
         """Public write following the allocation priority (Fig. 7 order:
         Current UI1 page, then TIQ head, then an empty page)."""
         old = self._get_loc(PUBLIC, lpn_field)
-        trimmed_rewrite = old in self.tiq
-        if trimmed_rewrite:
+        if old in self.tiq:
+            # A trimmed lpn written again: its page leaves the TIQ for the
+            # UI1 slot, at once if the slot is free, else when superseded.
             del self.tiq[old]
             self._trimmed.discard(lpn_field)
+            if self.current_ui1 is None:
+                self.current_ui1 = old
 
         if self.current_ui1 is not None:
             target = self._take_ui1()
-        elif trimmed_rewrite:
-            # The page re-enters via the UI1 slot and is consumed at once.
-            target = old
         elif self.tiq:
             target = self._take_tiq_head()
         else:
@@ -762,10 +737,8 @@ class PearlFtl(MappingCore):
         old = self._resolved(HIDDEN, old, hidden_field)
         if cloak_plain is None:
             cloak_plain = self._payload(PUBLIC, src)
-        self._program(target, cloak_lpn, cloak_plain, bucket,
-                      hidden=(hidden_field, hidden_plain))
-        self._invalidate_public(src, reason=bucket, relocation=True)
-        self._set_loc(PUBLIC, cloak_lpn, target)
+        self._relocate(src, target, cloak_lpn, cloak_plain, bucket,
+                       hidden=(hidden_field, hidden_plain))
         self._set_loc(HIDDEN, hidden_field, target)
         if old is not None and self._live[HIDDEN].get(old) == hidden_field:
             # The superseded hidden copy keeps its public face; only its
@@ -807,18 +780,24 @@ class PearlFtl(MappingCore):
     def _fill_ui1(self):
         """Give the Current UI1 page a second write of relocated public
         data, so a following full write is allocator-clean."""
-        self._relocate_into_i1(self._take_ui1, "cloak_fill", "ui1-fill")
+        self._relocate_into_i1(self._take_ui1, "cloak_fill")
 
-    def _relocate_into_i1(self, take_target, bucket, reason):
+    def _relocate_into_i1(self, take_target, bucket):
         """Second-write relocated public data onto each I1 page that
         take_target() hands out, until it returns None."""
         while (target := take_target()) is not None:
             src = self._pick_public_source()
-            lpn_field = self._owner[src]
-            self._program(target, lpn_field, self._payload(PUBLIC, src),
-                          bucket)
-            self._invalidate_public(src, reason=reason, relocation=True)
-            self._set_loc(PUBLIC, lpn_field, target)
+            self._relocate(src, target, self._owner[src],
+                           self._payload(PUBLIC, src), bucket)
+
+    def _relocate(self, src, target, lpn_field, plaintext, bucket,
+                  hidden=None):
+        """Program lpn_field's public plaintext, and hidden as _program
+        takes it, onto target, supersede src as a relocation and map
+        lpn_field to target."""
+        self._program(target, lpn_field, plaintext, bucket, hidden)
+        self._invalidate_public(src, reason=bucket, relocation=True)
+        self._set_loc(PUBLIC, lpn_field, target)
 
     # ------------------------------------------------------------------
     # public API
@@ -972,7 +951,7 @@ class PearlFtl(MappingCore):
                                  relocation=True)
 
         # The erase: an I1 or I2 page has no ledger entry and no cloak-source
-        # kind, so only its state changes (_release_block drops hidden data).
+        # kind, so only its state changes; gc_run then releases the block.
         reclaimed = 0
         for ppn in pages:
             old = self._state[ppn]
@@ -983,9 +962,7 @@ class PearlFtl(MappingCore):
                     self._enter(ppn, EMPTY)
                 else:
                     self._state[ppn] = EMPTY
-        self._release_block(victim)
         self._slot_a.pop(victim, None)
-        self._drain_cmt()
         return reclaimed
 
     # ------------------------------------------------------------------
@@ -1000,7 +977,7 @@ class PearlFtl(MappingCore):
         also inside batched(): _persist_state seals first."""
         if self._persist_clean:
             return
-        self._relocate_into_i1(self._take_tiq_head, "tiq_drain", "tiq-drain")
+        self._relocate_into_i1(self._take_tiq_head, "tiq_drain")
 
         for _ in range(1000):
             groups = self.cmt.dirty_groups()

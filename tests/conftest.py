@@ -8,6 +8,7 @@ import pearl.ftl
 from pearl.bench import init_device, mixed_workload  # noqa: F401  (re-exported)
 from pearl.config import desk_config
 from pearl.crypto import derive_key
+from pearl.errors import PearlError
 from pearl.flash import FlashDevice
 from pearl.ftl import PearlFtl
 
@@ -50,6 +51,25 @@ def derive_each_key_once():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pearl.ftl, "derive_key", derive)
         yield
+
+
+@pytest.fixture
+def iv_spy(monkeypatch):
+    """Check every IV pearl.ftl draws while the test runs, by any FTL
+    instance, format and mount alike: one drawn twice raises
+    PearlError("IV reuse").  Returns the set of IVs drawn so far."""
+    seen = set()
+    draw = pearl.ftl.fresh_iv
+
+    def spy(rng):
+        iv = draw(rng)
+        if iv in seen:
+            raise PearlError("IV reuse")
+        seen.add(iv)
+        return iv
+
+    monkeypatch.setattr(pearl.ftl, "fresh_iv", spy)
+    return seen
 
 
 # -- page-payload cache ------------------------------------------------

@@ -245,6 +245,15 @@ def test_missing_device_is_a_usage_error(run):
     assert rc == EXIT_USAGE
 
 
+def test_a_malformed_snapshot_is_a_usage_error(run, capsys):
+    path = run.dir / "bad.img"
+    path.write_bytes(b"PRLSNAP1" + bytes(10))
+    # Straight through main: the run fixture discards standard error.
+    rc = main(["--out", "runs", "snapshot", "--device", str(path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: bad snapshot header")
+
+
 # -- bench ------------------------------------------------------------
 
 

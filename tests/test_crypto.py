@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from pearl.crypto import (IV_BYTES, SCRYPT_N, SCRYPT_P, SCRYPT_R, IvRegistry,
+from pearl.crypto import (IV_BYTES, SCRYPT_N, SCRYPT_P, SCRYPT_R,
                           VolumeKey, decrypt_payload, decrypt_payloads,
                           derive_key, encrypt_payload, fresh_iv)
 from pearl.errors import PearlError
@@ -115,15 +115,6 @@ def test_wrong_key_or_iv_yields_garbage_not_error():
     ct = encrypt_payload(key, iv, b"x" * 64)
     assert decrypt_payload(other, iv, ct) != b"x" * 64
     assert decrypt_payload(key, bytes([9]) * 16, ct) != b"x" * 64
-
-
-def test_iv_registry_flags_reuse():
-    key = VolumeKey(bytes(32), "public")
-    reg = IvRegistry()
-    reg.record(key, bytes(16))
-    reg.record(key, bytes([1]) * 16)
-    with pytest.raises(PearlError):
-        reg.record(key, bytes(16))
 
 
 def test_fresh_iv_size_and_determinism():

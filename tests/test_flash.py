@@ -1,6 +1,7 @@
 """Simulated NAND: write-once semantics, timing ledger, snapshots."""
 
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from pearl.errors import (DoubleProgramLimit, SnapshotFormatError,
                           WomInvariantViolation)
-from pearl.flash import (DESK_GEOMETRY, DeviceGeometry, DeviceTimings,
-                         FlashDevice, Snapshot)
+from pearl.flash import (DESK_GEOMETRY, SNAPSHOT_MAGIC, DeviceGeometry,
+                         DeviceTimings, FlashDevice, Snapshot)
 
 
 @pytest.fixture
@@ -186,6 +187,16 @@ def test_snapshot_rejects_garbage():
     blob = dev.snapshot().to_bytes()
     with pytest.raises(SnapshotFormatError):
         Snapshot.from_bytes(blob[:-1])
+
+
+@pytest.mark.parametrize("header", [
+    bytes(10),                                   # shorter than the header
+    struct.pack("<6I", 0, 1, 64, 32, 2048, 64),  # a zero geometry count
+    struct.pack("<6I", 1, 1, 64, 32, 256, 64),   # pages under 512 bytes
+], ids=["short", "zero-count", "small-page"])
+def test_snapshot_rejects_a_malformed_header(header):
+    with pytest.raises(SnapshotFormatError, match="bad snapshot header"):
+        Snapshot.from_bytes(SNAPSHOT_MAGIC + header)
 
 
 # -- parsed images view the blob ------------------------------------------

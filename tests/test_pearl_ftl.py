@@ -729,18 +729,18 @@ def test_indexed_pick_equals_the_sort_and_scan(ftl_cls, blocks):
 # -- IV tracking --------------------------------------------------------
 
 
-def test_iv_tracking_holds_over_mixed_workload(desk_cfg):
+def test_iv_tracking_holds_over_mixed_workload(iv_spy, desk_cfg):
     ftl, snaps, _ = mixed_workload(PearlFtl, desk_cfg, seed=25, nops=400,
-                                   snap_every=100, track_ivs=True)
+                                   snap_every=100)
     assert len(snaps) == 5
     assert ftl.check_invariants() == []
+    # Every program but the header's drew at least one IV.
+    assert len(iv_spy) >= ftl.device.programs - 1
 
 
-def test_iv_tracking_catches_repeat_under_public_key(device, desk_cfg, rng):
+def test_iv_tracking_catches_repeat_under_public_key(iv_spy, ftl, rng):
     """A full write's IV also encrypts its public cloak, so a public write
     drawing that IV again reuses it under the public key."""
-    ftl = PearlFtl.format(device, desk_cfg, "public-pw", "hidden-pw",
-                          track_ivs=True)
     lay = ftl.layout
     for lpn in range(6):
         ftl.public_write(lpn, rng.randbytes(lay.public_payload_bytes))
@@ -749,6 +749,23 @@ def test_iv_tracking_catches_repeat_under_public_key(device, desk_cfg, rng):
     ftl.rng.setstate(state)  # the next draw repeats the full write's IV
     with pytest.raises(PearlError, match="IV reuse"):
         ftl.public_write(6, rng.randbytes(lay.public_payload_bytes))
+
+
+@pytest.mark.xfail(strict=True, raises=PearlError,
+                   reason="a mount restarts the seeded IV generator")
+def test_no_iv_repeats_across_remounts(iv_spy, ftl, rng):
+    """Format, 20 public writes and an unmount, then three times a remount
+    and 20 more: no IV is drawn twice.  Known to fail: a mount seeds its
+    generator as format did, so it draws the same IVs again.  The fix
+    makes this pass, which strict mode reports, so it removes the
+    marker."""
+    payload = ftl.layout.public_payload_bytes
+    for _ in range(4):
+        for lpn in range(20):
+            ftl.public_write(lpn, rng.randbytes(payload))
+        ftl.prepare_unmount()
+        ftl = PearlFtl.mount(FlashDevice.restore(ftl.snapshot()), "public-pw",
+                             "hidden-pw", cmt_capacity=64)
 
 
 def test_batches_survive_collections_inside_allocation(desk_cfg):
