@@ -4,12 +4,14 @@
     python3 scripts/same_behaviour.py PARENT_TREE CHANGE_TREE
 
 Runs ``benchmarks/run.py --workload W --seed 0 --seconds 30 --trace 1``
-of each tree, for every workload, and compares the two runs: the
+of both trees, for every workload, and compares the two runs: the
 ``simulated`` block of the report (device clock, op counts,
 amplification) and every count-unit per-layer metric (encoder, cipher,
 OOB, cache, monitor, flash and collection calls) must be equal.  Host
-times are not compared.  Prints one line per workload and every
-difference, and exits 1 if any run failed or differs, else 0.
+times are not compared, so the two runs of a workload go at the same
+time, as two processes that each write only into their own tree.
+Prints one line per workload and every difference, and exits 1 if any
+run failed or differs, else 0.
 
 A refactor that must leave behaviour unchanged runs this against a
 checkout of its parent commit (``git archive`` or ``git clone``).
@@ -25,17 +27,23 @@ import sys
 WORKLOADS = ("mixed", "replay", "examine")
 
 
-def traced_run(tree, workload):
-    """(simulated block, {count metric: value}) of one traced run of tree,
-    or a string saying why the run gave none."""
+def start_run(tree, workload):
+    """Start one traced run of tree; finish_run collects it."""
     args = [sys.executable, os.path.join(tree, "benchmarks", "run.py"),
             "--workload", workload, "--seed", "0", "--seconds", "30",
             "--trace", "1"]
-    proc = subprocess.run(args, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    return subprocess.Popen(args, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def finish_run(proc, tree, workload):
+    """(simulated block, {count metric: value}) of the started run of
+    tree, or a string saying why the run gave none."""
+    stdout, stderr = proc.communicate()
+    lines = stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if proc.returncode or not result.get("correct"):
-        return f"{tree}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+        return f"{tree}: exit {proc.returncode}: {stderr.strip()[-500:]}"
     report = os.path.join(tree, "benchmarks", "out",
                           f"{workload}-seed0-trace1.json")
     with open(report) as f:
@@ -60,7 +68,10 @@ def main(argv=None):
     parent_tree, change_tree = argv
     same = True
     for workload in WORKLOADS:
-        runs = [traced_run(tree, workload) for tree in (parent_tree, change_tree)]
+        trees = parent_tree, change_tree
+        procs = [start_run(tree, workload) for tree in trees]
+        runs = [finish_run(proc, tree, workload)
+                for proc, tree in zip(procs, trees)]
         failed = [run for run in runs if isinstance(run, str)]
         if failed:
             diffs = failed

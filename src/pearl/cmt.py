@@ -17,7 +17,7 @@ import struct
 from collections import Counter, OrderedDict
 from itertools import filterfalse
 
-from .errors import DeviceFull, UnmappedLpn
+from .errors import DeviceFull, ModeError, PearlError, UnmappedLpn
 from .oob import LPN_MASK, is_trans_field
 
 UNMAPPED = 0xFFFF_FFFF
@@ -123,17 +123,19 @@ class MappingCore:
     shared by the baseline and the deniable FTL.
 
     Each volume's mappings live on flash in translation pages; the GTD
-    (``_gtd[volume][m_vpn]``) locates them and the CMT caches hot
-    entries.  A subclass sets ``device``, ``_epp`` (entries per
-    translation page, by volume) and ``_ppb`` (pages per block), calls
+    (``_gtd[volume][m_vpn]``) locates them, the CMT caches hot entries
+    and ``_set_loc``/``_get_loc`` map a page of either kind.  A subclass
+    sets ``device``, ``_epp`` (entries per translation page, by volume),
+    ``_ppb`` (pages per block) and ``_volumes`` (what ``volumes()``
+    returns and ``_check_request`` checks a request against), calls
     ``_reset_mapping``, and supplies how a page's payload is decoded
     from the device (``_decode(volume, ppn, quiet)``, which every read
     reaches through the cache, ``_payload``), how a translation page is
     written (``_write_translation``, given its first ``4 * epp`` bytes)
-    and how a victim block is emptied (``_gc_block``).  Pages
-    are taken from one open block per append stream (``_next_page``),
-    which may collect first.  So a write resolves the page it supersedes,
-    and a ``PearlFtl`` full write its cloak source, after its page is
+    and how a victim block is emptied (``_gc_block``).  Pages are taken
+    from one open block per append stream (``_next_page``), which may
+    collect first.  So a write resolves the page it supersedes, and a
+    ``PearlFtl`` full write its cloak source, after its page is
     allocated, and a UI1 slot the collection refilled is served first.
 
     Every volume keeps a live-page ledger here: ``_live[volume]`` maps
@@ -272,6 +274,22 @@ class MappingCore:
                 return None
             raise UnmappedLpn(f"{volume} lpn {lpn} is not mapped")
         return ppn
+
+    def _set_loc(self, volume, lpn_field, ppn):
+        """Update a mapping: translation pages go straight to the GTD,
+        data pages through the CMT (dirty)."""
+        if is_trans_field(lpn_field):
+            self._gtd[volume][lpn_field & LPN_MASK] = ppn
+        else:
+            self.cmt.put(volume, lpn_field, ppn, dirty=True)
+
+    def _get_loc(self, volume, lpn_field):
+        """Where lpn_field of volume maps, or None: translation pages
+        through the GTD, data pages through the CMT."""
+        if is_trans_field(lpn_field):
+            ppn = self._gtd[volume][lpn_field & LPN_MASK]
+            return None if ppn == UNMAPPED else ppn
+        return self._translate(volume, lpn_field, missing_ok=True)
 
     def _flush_group(self, volume, m_vpn, extra=()):
         """Write one translation page carrying every dirty cached entry
@@ -439,14 +457,18 @@ class MappingCore:
     def gc_run(self):
         """Collect the victim block: empty it (``_gc_block``), release it
         and drain the cache, all with the victim set.  Returns the
-        reclaimed page count, or None when no victim exists."""
+        reclaimed page count (the victim's programmed or queued pages),
+        or None when no victim exists."""
         victim = self._select_victim()
         if victim is None:
             return None
         self.gc_runs += 1
+        pages = range(victim * self._ppb, (victim + 1) * self._ppb)
+        reclaimed = sum(p in self._pending or self.device.program_count(p) > 0
+                        for p in pages)
         was, self._gc_victim = self._gc_victim, victim
         try:
-            reclaimed = self._gc_block(victim)
+            self._gc_block(victim)
             self._release_block(victim)
             self._drain_cmt()
             return reclaimed
@@ -463,6 +485,27 @@ class MappingCore:
                 break
             if self.gc_run() is None:
                 break
+
+    # -- requests ------------------------------------------------------
+
+    def volumes(self):
+        """{volume: (pages, payload_bytes)} of every mounted volume."""
+        return dict(self._volumes)
+
+    def _check_request(self, volume, lpn, *data):
+        """Reject a request to an unmounted volume, an lpn that is not an
+        int within its capacity and write data (the one optional
+        argument) that is not one bytes-like page payload of it."""
+        if volume not in self._volumes:
+            raise ModeError("hidden volume not mounted")
+        pages, payload = self._volumes[volume]
+        if type(lpn) is not int:
+            raise PearlError(f"{volume} lpn {lpn!r} is not an int")
+        if not 0 <= lpn < pages:
+            raise PearlError(f"{volume} lpn {lpn} beyond volume capacity")
+        for page in data:
+            if not isinstance(page, (bytes, bytearray)) or len(page) != payload:
+                raise PearlError(f"{volume} write must be one page payload")
 
     # -- introspection -------------------------------------------------
 

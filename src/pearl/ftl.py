@@ -43,12 +43,10 @@ from .errors import (
 )
 from .flash import FlashDevice
 from .oob import (
-    LPN_MASK,
     STAGES,
     TAG_FIRST,
     TAG_SECOND,
     OobSlot,
-    is_trans_field,
     observable_stage,  # noqa: F401  (the benchmark tracer wraps it here)
     observable_stages,
     pack_oob,
@@ -117,7 +115,11 @@ class PearlFtl(MappingCore):
         # Inside batched(), the queue is sealed once it holds this many
         # pages: the cache-sized step of the page kernels.
         self._batch_pages = cache_pages(self.layout)
-        self._volumes = self.volumes()  # checked on every request
+        self._volumes = {PUBLIC: (config.public_pages,
+                                  self.layout.public_payload_bytes)}
+        if k_hid is not None:
+            self._volumes[HIDDEN] = (config.hidden_pages,
+                                     self.layout.hidden_payload_bytes)
         self._reset_volatile()
         self._persist_cursor = 1  # next free page in the header block
         self._persist_clean = False
@@ -370,8 +372,8 @@ class PearlFtl(MappingCore):
 
     def translation_map(self, volume):
         """Quiet {lpn: ppn} view of a volume's current mappings (tests)."""
-        if volume == HIDDEN:
-            self._require_hidden()
+        if volume not in self._volumes:
+            raise ModeError("hidden volume not mounted")
         out = self._mapped(volume)
         if volume == PUBLIC:
             for lpn in self._trimmed:
@@ -464,32 +466,12 @@ class PearlFtl(MappingCore):
     def _block_of(self, ppn):
         return ppn // self._ppb
 
-    def _require_hidden(self):
-        if self.k_hid is None:
-            raise ModeError("hidden volume not mounted")
-
     def _pad(self, data, size):
         if len(data) > size:
             raise PearlError(f"payload of {len(data)} bytes exceeds {size}")
         return bytes(data).ljust(size, b"\0")  # an exact-size bytes as is
 
     # -- mapping layer -------------------------------------------------
-
-    def _set_loc(self, volume, lpn_field, ppn):
-        """Update a mapping: translation pages go straight to the GTD,
-        data pages through the CMT (dirty)."""
-        if is_trans_field(lpn_field):
-            self._gtd[volume][lpn_field & LPN_MASK] = ppn
-        else:
-            self.cmt.put(volume, lpn_field, ppn, dirty=True)
-
-    def _get_loc(self, volume, lpn_field):
-        """Where lpn_field of volume maps, or None: translation pages
-        through the GTD, data pages through the CMT."""
-        if is_trans_field(lpn_field):
-            ppn = self._gtd[volume][lpn_field & LPN_MASK]
-            return None if ppn == UNMAPPED else ppn
-        return self._translate(volume, lpn_field, missing_ok=True)
 
     def _write_translation(self, volume, m_vpn, payload):
         field = trans_field(m_vpn)
@@ -627,8 +609,8 @@ class PearlFtl(MappingCore):
                 self._payloads[HIDDEN, target] = (tag, hid)
 
     def _program_public(self, lpn_field, plaintext, bucket, relocation=False):
-        """Public write following the allocation priority (Fig. 7 order:
-        Current UI1 page, then TIQ head, then an empty page)."""
+        """Public write onto the page _allocate gives, superseding where
+        lpn_field mapped: re-resolved only if the allocation collected."""
         old = self._get_loc(PUBLIC, lpn_field)
         if old in self.tiq:
             # A trimmed lpn written again: its page leaves the TIQ for the
@@ -638,33 +620,34 @@ class PearlFtl(MappingCore):
             if self.current_ui1 is None:
                 self.current_ui1 = old
 
-        if self.current_ui1 is not None:
-            target = self._take_ui1()
-        elif self.tiq:
-            target = self._take_tiq_head()
-        else:
-            target = self._take_empty()
+        runs = self.gc_runs
+        target = self._allocate()
+        if self.gc_runs != runs:
             old = self._resolved(PUBLIC, old, lpn_field)
         self._program(target, lpn_field, plaintext, bucket)
         if old is not None and old != target:
             self._invalidate_public(old, reason=bucket, relocation=relocation)
         self._set_loc(PUBLIC, lpn_field, target)
 
-    def _take_empty(self, full=False):
-        """The allocation step of every write that takes an empty page: the
-        next frontier page.  A collection inside the allocation may
-        refill the UI1 slot, which comes first.  The collection ran before
-        the empty page was taken, so that page is untouched and goes back;
-        a public write then takes the slot, and a full write fills it by
-        relocation and allocates again."""
+    def _allocate(self, full=False):
+        """The page a write takes, in Fig. 7's order: the Current UI1
+        page, then the TIQ head, then the next frontier page.  A full
+        write needs an empty page: it fills the UI1 slot by relocation
+        and skips the TIQ.  Only the frontier allocation may collect, and
+        a collection that refills the UI1 slot ran before the empty page
+        was taken, so that page is untouched: it goes back and the order
+        starts again."""
         while True:
+            if self.current_ui1 is not None:
+                if not full:
+                    return self._take_ui1()
+                self._fill_ui1()
+            elif self.tiq and not full:
+                return self._take_tiq_head()
             target = self._next_page(_FRONTIER)
             if self.current_ui1 is None:
                 return target
             self._cursor[_FRONTIER] -= 1
-            if not full:
-                return self._take_ui1()
-            self._fill_ui1()
 
     def _resolved(self, volume, ppn, lpn_field):
         """ppn, where lpn_field of volume mapped before an allocation, or
@@ -732,7 +715,7 @@ class PearlFtl(MappingCore):
             src = self._pick_public_source()
             cloak = self._owner[src], None, src
         cloak_lpn, cloak_plain, src = cloak
-        target = self._take_empty(full=True)
+        target = self._allocate(full=True)
         src = self._resolved(PUBLIC, src, cloak_lpn)
         old = self._resolved(HIDDEN, old, hidden_field)
         if cloak_plain is None:
@@ -803,17 +786,6 @@ class PearlFtl(MappingCore):
     # public API
     # ------------------------------------------------------------------
 
-    def _check_request(self, volume, lpn, data=None):
-        """Reject a request to an unmounted volume, an lpn beyond its
-        capacity and write data that is not one page payload of it."""
-        if volume == HIDDEN:
-            self._require_hidden()
-        pages, payload = self._volumes[volume]
-        if not 0 <= lpn < pages:
-            raise PearlError(f"{volume} lpn {lpn} beyond volume capacity")
-        if data is not None and len(data) != payload:
-            raise PearlError(f"{volume} write must be one page payload")
-
     @sealing
     def public_write(self, lpn, data):
         self._check_request(PUBLIC, lpn, data)
@@ -875,14 +847,6 @@ class PearlFtl(MappingCore):
                 self._drop(HIDDEN, ppn)
             self.cmt.put(HIDDEN, lpn, UNMAPPED, dirty=True)
         self._drain_cmt()
-
-    def volumes(self):
-        """{volume: (pages, payload_bytes)} of every mounted volume."""
-        cfg, lay = self.config, self.layout
-        out = {PUBLIC: (cfg.public_pages, lay.public_payload_bytes)}
-        if self.k_hid is not None:
-            out[HIDDEN] = (cfg.hidden_pages, lay.hidden_payload_bytes)
-        return out
 
     def submit(self, volume, lpn, op, data=None):
         """Read (returning the payload), write or trim one lpn of a volume."""
@@ -952,18 +916,15 @@ class PearlFtl(MappingCore):
 
         # The erase: an I1 or I2 page has no ledger entry and no cloak-source
         # kind, so only its state changes; gc_run then releases the block.
-        reclaimed = 0
         for ppn in pages:
             old = self._state[ppn]
             if old is not EMPTY:
-                reclaimed += 1
                 self.monitor.record(ppn, old, EMPTY, "erase")
                 if old is V1 or old is V2:
                     self._enter(ppn, EMPTY)
                 else:
                     self._state[ppn] = EMPTY
         self._slot_a.pop(victim, None)
-        return reclaimed
 
     # ------------------------------------------------------------------
     # unmount / snapshot

@@ -85,8 +85,11 @@ def test_gc_preserves_data_and_reclaims(dftl):
         dftl.write(lpn, data)
         shadow[lpn] = data
     free_before = len(dftl._free)
-    reclaimed = dftl.gc_run()
-    assert reclaimed is not None and reclaimed > 0
+    victim, ppb = dftl._select_victim(), dftl._ppb
+    programmed = sum(1 for p in range(victim * ppb, (victim + 1) * ppb)
+                     if dftl.device.program_count(p))
+    assert programmed > 0
+    assert dftl.gc_run() == programmed
     assert len(dftl._free) >= free_before
     for lpn, data in shadow.items():
         assert dftl.read(lpn) == data

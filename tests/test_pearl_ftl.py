@@ -14,6 +14,7 @@ from conftest import (assert_cache_fresh, assert_reads_back, cold_reader,
 from pearl.bench import gen_synthetic, init_device
 from pearl.cmt import UNMAPPED
 from pearl.config import RESERVED_BLOCKS, PearlConfig, desk_config
+from pearl.dftl import Dftl
 from pearl.errors import (DeviceFull, HeaderError, ModeError, NoPublicCover,
                           PearlError, UnmappedLpn)
 from pearl.flash import DESK_GEOMETRY, DeviceGeometry, FlashDevice
@@ -828,6 +829,30 @@ def test_every_request_rejects_an_lpn_beyond_capacity(ftl, rng):
     assert ftl.check_invariants() == []
 
 
+@pytest.mark.parametrize("volume", ["data", "public", "hidden"])
+def test_a_malformed_request_is_a_pearl_error(ftl, rng, volume):
+    """A write with no data or str data, and a request whose lpn is not
+    an int (a float, a bool), fail with a PearlError before the device
+    reads, programs or spends time, on both FTLs."""
+    if volume == "data":
+        ftl = Dftl(FlashDevice(DESK_GEOMETRY), cmt_capacity=32)
+    cover, (_, cover_payload) = next(iter(ftl.volumes().items()))
+    for lpn in range(6):  # public cloaks for the hidden writes
+        ftl.submit(cover, lpn, "write", rng.randbytes(cover_payload))
+    payload = ftl.volumes()[volume][1]
+    dev = ftl.device
+    before = dev.reads, dev.programs, dev.clock_us
+    for data in (None, "x" * payload):
+        with pytest.raises(PearlError, match="one page payload"):
+            ftl.submit(volume, 0, "write", data)
+    for lpn in (1.5, True):
+        for op in ("read", "write", "trim"):
+            with pytest.raises(PearlError, match="not an int"):
+                ftl.submit(volume, lpn, op, rng.randbytes(payload)
+                           if op == "write" else None)
+    assert (dev.reads, dev.programs, dev.clock_us) == before
+
+
 def test_submit_routes_volume_and_lpn(ftl, rng):
     lay = ftl.layout
     cfg = ftl.config
@@ -1489,7 +1514,7 @@ def test_a_failed_write_programs_what_it_queued(ftl, rng, monkeypatch,
     else:
         def full(**_):
             raise DeviceFull("injected")
-        monkeypatch.setattr(ftl, "_take_empty", full)
+        monkeypatch.setattr(ftl, "_allocate", full)
     with pytest.raises(error, match="injected"):
         ftl.hidden_write(0, rng.randbytes(lay.hidden_payload_bytes))
     monkeypatch.undo()
